@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import congruences, dissect, families
@@ -20,7 +19,7 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import EXACT, mod2k
+from .series import EXACT, Ring, mod2k
 from .witness import (WitnessReport, builtin_certificate, load_certificate,
                       verify_witness)
 
@@ -30,8 +29,8 @@ DEFAULT_FAMILY_INSTANCES = (
     (0, 0, 0, "inf"), (1, 0, 0, "inf"), (0, 1, 0, "inf"), (0, 0, 1, "inf"),
     (0, 0, 0, "inf2"), (0, 0, 0, "inf3"), (0, 0, 0, "inf4"),
 )
-# Per-instance n_max targets roughly this expansion length; the instances
-# then share one cached mod-8 expansion.
+# Per-instance n_max targets roughly this expansion length; each instance
+# computes its own mod-8 overpartition series of about this many terms.
 _FAMILY_TARGET_T = 20000
 
 VERIFY_FAILURE = 1
@@ -165,18 +164,14 @@ def cmd_oracle(args) -> int:
     return _emit(rep, args)
 
 
-def _run_claims(rep: Report, claims, n_max: int, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: check_claim(c, n_max), claims))
-    else:
-        results = [check_claim(c, n_max) for c in claims]
-    for r in results:  # input order, so output is deterministic
+def _run_claims(rep: Report, claims, n_max: int):
+    for c in claims:
+        r = check_claim(c, n_max)
         rep.add(r.summary(), _claim_record(r), ok=r.holds)
 
 
 def _verify_theorems(rep: Report, args):
-    _run_claims(rep, THEOREM_CLAIMS, args.n_max, args.workers)
+    _run_claims(rep, THEOREM_CLAIMS, args.n_max)
 
 
 def _verify_conjecture(rep: Report, args):
@@ -188,7 +183,7 @@ def _verify_conjecture(rep: Report, args):
         if not congruences.is_prime(p):
             raise ValueError(f"{p} is not prime")
         claims.extend(conjecture_claims(p))
-    _run_claims(rep, claims, args.n_max, args.workers)
+    _run_claims(rep, claims, args.n_max)
     # observed sharpness per residue class, to inform whether the conjectured
     # moduli are tight; 64 is a floor (the scan works mod 2^64)
     for p in primes:
@@ -258,8 +253,7 @@ _TARGETS = {
 
 
 def cmd_verify(args) -> int:
-    rep = Report(f"verify {args.target}",
-                 {"T": args.T, "n_max": args.n_max, "workers": args.workers})
+    rep = Report(f"verify {args.target}", {"T": args.T, "n_max": args.n_max})
     if args.target == "all":
         for name in ("theorems", "conjecture", "dissections", "witness",
                      "families", "eq1"):
@@ -277,15 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="q-series expansion and congruence verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_max_default=DEFAULT_N_MAX):
-        p.add_argument("--T", type=int, default=DEFAULT_T,
-                       help=f"series truncation (default {DEFAULT_T})")
-        p.add_argument("--n-max", dest="n_max", type=int, default=n_max_default,
-                       help=f"progression bound (default {n_max_default})")
-        p.add_argument("--ring", default="exact",
-                       help="coefficient ring: exact or mod2k:K (default exact)")
+    def common(p, T=False, n_max=None, ring=False):
+        """Register the output flags, plus the input flags ``p`` reads."""
+        if T:
+            p.add_argument("--T", type=int, default=DEFAULT_T,
+                           help=f"series truncation (default {DEFAULT_T})")
+        if n_max is not None:
+            p.add_argument("--n-max", dest="n_max", type=int, default=n_max,
+                           help=f"progression bound (default {n_max})")
+        if ring:
+            p.add_argument("--ring", default="exact",
+                           help="coefficient ring: exact or mod2k:K (default exact)")
         p.add_argument("--format", choices=("table", "records"), default="table")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--bless", metavar="PATH",
                        help="write the stable record output to PATH")
         p.add_argument("--check", metavar="PATH",
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="expand an eta-quotient expression")
     p.add_argument("spec", help='e.g. "q^-1 * f2^1 * f1^-2"')
-    common(p)
+    common(p, T=True, ring=True)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("extract", help="extract an arithmetic progression "
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("m", type=int)
     p.add_argument("j", type=int)
-    common(p)
+    common(p, T=True, ring=True)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -312,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "certificate file paths")
     p.add_argument("--family-n-max", dest="family_n_max", type=int, default=None,
                    help="per-instance bound for family checks (default: auto)")
-    common(p)
+    common(p, T=True, n_max=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="cross-check series coefficients "
                        "against direct enumeration")
     p.add_argument("--t", type=int, default=2, help="color count (default 2)")
-    common(p, n_max_default=8)
+    common(p, n_max=8)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -13,8 +13,7 @@ import re
 
 import numpy as np
 
-from .series import (InsufficientTruncation, LaurentSeries, Ring,
-                     euler_factor, mod2k)
+from .series import InsufficientTruncation, LaurentSeries, Ring, euler_factor
 
 
 class EtaQuotient:
@@ -122,25 +121,26 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
     return acc.shift(eq.qshift)
 
 
-# Shared mod-2^64 coefficient cache for the overpartition generating
-# functions: reducing a Z/2^64 expansion mod 2^k equals expanding in Z/2^k
-# directly, so one expansion per (t, truncation bucket) serves every k <= 64.
-_MOD64_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CACHE_LIMIT = 32
-_BUCKET = 4096
+def _overpartition_mod2k(t: int, k: int, T: int) -> np.ndarray:
+    """f_2^t / f_1^(2t) mod 2^k through q^(T-1), as unmasked uint64 words.
 
-
-def _overpartition_mod64(t: int, T: int) -> np.ndarray:
-    bucket = -(-T // _BUCKET) * _BUCKET
-    key = (t, bucket)
-    arr = _MOD64_CACHE.get(key)
-    if arr is None:
-        series = expand(overpartition_eta_quotient(t), mod2k(64), bucket)
-        arr = series._coeffs
-        if len(_MOD64_CACHE) >= _CACHE_LIMIT:
-            _MOD64_CACHE.clear()
-        _MOD64_CACHE[key] = arr
-    return arr[:T]
+    Gauss's identity f_1^2 / f_2 = 1 + 2X, X = sum_{n>=1} (-1)^n q^(n^2),
+    gives (1 + 2X)^(-t) = sum_i C(-t, i) 2^i X^i, whose terms with i >= k
+    vanish mod 2^k.  Horner's rule in X takes k - 1 products by the sparse
+    X: sqrt(T) shifted adds each, with no inverse and no dense convolution.
+    """
+    squares = [(n * n, n % 2) for n in range(1, math.isqrt(T - 1) + 1)]
+    acc = np.zeros(T, dtype=np.uint64)
+    for i in reversed(range(k)):
+        if i < k - 1:  # acc <- acc * X; the constant term becomes zero
+            prev, acc = acc, np.zeros(T, dtype=np.uint64)
+            for sq, odd in squares:
+                if odd:
+                    acc[sq:] -= prev[:T - sq]
+                else:
+                    acc[sq:] += prev[:T - sq]
+        acc[0] = ((-1) ** i * math.comb(t + i - 1, i) << i) % (1 << 64)
+    return acc
 
 
 def overpartition_eta_quotient(t: int) -> EtaQuotient:
@@ -154,9 +154,11 @@ def overpartition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
     """Generating function of t-colored overpartitions through q^(T-1)."""
     if t < 1:
         raise ValueError("color count t must be >= 1")
+    if T < 1:
+        raise InsufficientTruncation(f"T={T} must be >= 1")
     if ring.is_exact:
         return expand(overpartition_eta_quotient(t), ring, T)
-    return LaurentSeries(0, _overpartition_mod64(t, T), ring)
+    return LaurentSeries(0, _overpartition_mod2k(t, ring.k, T), ring)
 
 
 def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:

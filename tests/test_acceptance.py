@@ -145,7 +145,7 @@ def test_criterion_6_counterexample_contract():
     rep = check_claim(false_claim, 50)
     assert not rep.holds and rep.counterexample == (0, 64)
     cli_report = Report("verify conjecture", {})
-    _run_claims(cli_report, [false_claim], 50, workers=1)
+    _run_claims(cli_report, [false_claim], 50)
     assert not cli_report.ok
     assert "counterexample_n=0" in cli_report.records[0]
     _line("6b counterexample behavior contract", True,

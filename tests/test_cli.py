@@ -1,5 +1,7 @@
 """Command-line surface: output formats, exit codes, regression blessing."""
 
+import pytest
+
 from qcongruence.cli import main
 from qcongruence.witness import builtin_certificate, format_certificate
 
@@ -82,17 +84,19 @@ def test_verify_theorems_records_format(capsys):
                               "counterexample_n=- counterexample_value=- ms=")
 
 
-def test_verify_workers_deterministic(capsys):
-    # claim records (header aside, which echoes the worker count) must not
-    # depend on the worker pool
-    code1, out1, _ = run(capsys, "verify", "theorems", "--n-max", "25",
-                         "--format", "records")
-    code2, out2, _ = run(capsys, "verify", "theorems", "--n-max", "25",
-                         "--format", "records", "--workers", "4")
-    strip = lambda s: [" ".join(t for t in l.split() if not t.startswith("ms="))
-                       for l in s.splitlines() if l.startswith("claim ")]
-    assert code1 == code2 == 0
-    assert strip(out1) == strip(out2)
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorems", "--ring", "mod2k:8"),
+    ("oracle", "--T", "5"),
+    ("oracle", "--ring", "mod2k:8"),
+    ("expand", "f1^1", "--n-max", "3"),
+    ("extract", "f1^1", "2", "0", "--n-max", "3"),
+    ("verify", "theorems", "--workers", "2"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_conjecture_explicit_primes(capsys):

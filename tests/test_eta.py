@@ -2,13 +2,15 @@
 textual grammar."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcongruence.congruences import (enumerate_colored_overpartitions,
                                      enumerate_colored_partitions)
 from qcongruence.eta import (EtaQuotient, colored_partition_gf, expand,
-                             format_eta_quotient, overpartition_gf,
-                             parse_eta_quotient)
-from qcongruence.series import EXACT, agree, euler_factor, mod2k
+                             format_eta_quotient, overpartition_eta_quotient,
+                             overpartition_gf, parse_eta_quotient)
+from qcongruence.series import (EXACT, InsufficientTruncation, agree,
+                                euler_factor, mod2k)
 
 from oracles import count_partitions, naive_overpartition
 
@@ -86,12 +88,29 @@ def test_overpartition_coefficients_positive_and_monotone_in_t():
         prev = cs
 
 
-def test_overpartition_mod_cache_agrees_with_exact():
-    T = 300
-    exact = overpartition_gf(7, EXACT, T)
-    for k in (1, 3, 8, 64):
-        got = overpartition_gf(7, mod2k(k), T)
-        assert got.coeffs() == [c % (1 << k) for c in exact.coeffs()]
+def _assert_mod_route_matches_expand(t, k, T):
+    got = overpartition_gf(t, mod2k(k), T)
+    want = expand(overpartition_eta_quotient(t), mod2k(k), T)
+    assert got.offset == want.offset == 0
+    assert got.coeffs() == want.coeffs()
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(1, 3000), st.integers(1, 64), st.integers(1, 400))
+def test_overpartition_mod_route_matches_expand(t, k, T):
+    # the mod-2^k route (Gauss's identity) against the general expansion
+    _assert_mod_route_matches_expand(t, k, T)
+
+
+def test_overpartition_mod_route_matches_expand_at_4096():
+    _assert_mod_route_matches_expand(13, 64, 4096)
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(64)])
+@pytest.mark.parametrize("T", [0, -3])
+def test_overpartition_gf_rejects_empty_truncation(ring, T):
+    with pytest.raises(InsufficientTruncation, match=f"T={T} "):
+        overpartition_gf(5, ring, T)
 
 
 def test_colored_partition_gf_values():
