@@ -36,6 +36,23 @@ _FAMILY_TARGET_T = 20000
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
 
+# The input flags each verify target reads; giving any other is a usage error.
+_TARGET_FLAGS = {
+    "theorems": ("n_max",), "conjecture": ("n_max",),
+    "dissections": ("T",), "witness": ("T",), "eq1": ("T",),
+    "families": ("T", "family_n_max"),
+    "all": ("T", "n_max", "family_n_max"),
+}
+
+
+def _size(text: str) -> int:
+    """A truncation or progression bound, capped by the families budget."""
+    v = int(text)
+    if not 1 <= v <= families.DEFAULT_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{families.DEFAULT_BUDGET}, got {v}")
+    return v
+
 
 def _parse_ring(text: str) -> Ring:
     if text == "exact":
@@ -253,6 +270,10 @@ _TARGETS = {
 
 
 def cmd_verify(args) -> int:
+    if args.T is None:
+        args.T = DEFAULT_T
+    if args.n_max is None:
+        args.n_max = DEFAULT_N_MAX
     rep = Report(f"verify {args.target}", {"T": args.T, "n_max": args.n_max})
     if args.target == "all":
         for name in ("theorems", "conjecture", "dissections", "witness",
@@ -274,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, T=False, n_max=None, ring=False):
         """Register the output flags, plus the input flags ``p`` reads."""
         if T:
-            p.add_argument("--T", type=int, default=DEFAULT_T,
+            p.add_argument("--T", type=_size, default=DEFAULT_T,
                            help=f"series truncation (default {DEFAULT_T})")
         if n_max is not None:
-            p.add_argument("--n-max", dest="n_max", type=int, default=n_max,
+            p.add_argument("--n-max", dest="n_max", type=_size, default=n_max,
                            help=f"progression bound (default {n_max})")
         if ring:
             p.add_argument("--ring", default="exact",
@@ -307,9 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("args", nargs="*",
                    help="conjecture: primes to scan; witness: builtin or "
                         "certificate file paths")
-    p.add_argument("--family-n-max", dest="family_n_max", type=int, default=None,
+    # None defaults let main tell an explicit flag from an omitted one;
+    # cmd_verify fills in the defaults
+    p.add_argument("--T", type=_size,
+                   help=f"identity and witness truncation (default {DEFAULT_T})")
+    p.add_argument("--n-max", dest="n_max", type=_size,
+                   help=f"progression bound (default {DEFAULT_N_MAX})")
+    p.add_argument("--family-n-max", dest="family_n_max", type=_size,
                    help="per-instance bound for family checks (default: auto)")
-    common(p, T=True, n_max=DEFAULT_N_MAX)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="cross-check series coefficients "
@@ -324,6 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        reads = _TARGET_FLAGS[args.target]
+        unread = [dest for dest in ("T", "n_max", "family_n_max")
+                  if getattr(args, dest) is not None and dest not in reads]
+        if unread:
+            flags = lambda dests: " ".join("--" + d.replace("_", "-") for d in dests)
+            parser.error(f"unrecognized arguments: {flags(unread)} "
+                         f"(verify {args.target} reads only {flags(reads)})")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -353,12 +353,19 @@ def first_difference(a: LaurentSeries, b: LaurentSeries,
         hi = min(hi, through)
     if hi <= lo:
         raise InsufficientTruncation("series share no known coefficient window")
-    for e in range(lo, hi):
-        ca = a.coefficient(e)
-        cb = b.coefficient(e)
-        if ca != cb:
-            return e, ca, cb
-    return None
+    dtype = object if a.ring.is_exact else np.uint64
+
+    def window(s: LaurentSeries) -> np.ndarray:
+        pad = np.zeros(min(s.offset, hi) - lo, dtype=dtype)
+        body = np.asarray(s._coeffs[:max(0, hi - s.offset)], dtype=dtype)
+        return np.concatenate((pad, body))
+
+    wa, wb = window(a), window(b)
+    diff = np.flatnonzero(wa != wb)
+    if diff.size == 0:
+        return None
+    i = int(diff[0])
+    return lo + i, int(wa[i]), int(wb[i])
 
 
 def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> bool:
@@ -416,46 +423,25 @@ def _conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
 
 
 def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
-    """Exact polynomial product via big-integer packing, split by sign."""
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    out = [0] * out_len
-    for xs, ys, sign in ((ap, bp, 1), (an, bn, 1), (ap, bn, -1), (an, bp, -1)):
-        part = _kronecker_nonneg(xs, ys, out_len)
-        if part is None:
-            continue
-        if sign > 0:
-            for i, c in enumerate(part):
-                out[i] += c
-        else:
-            for i, c in enumerate(part):
-                out[i] -= c
-    return out
+    """Exact polynomial product by one big-integer product (Kronecker
+    substitution): each operand packs as positive part minus negative part
+    in w-byte slots, and a bias of 2^(8w-1) per slot makes every slot of the
+    low out_len slots decode with no borrow."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
+    bias = 1 << (8 * w - 1)
 
+    def pack(cs: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
 
-def _kronecker_nonneg(a: list[int], b: list[int], out_len: int):
-    amax = max(a)
-    bmax = max(b)
-    if amax == 0 or bmax == 0:
-        return None
-    bound = amax * bmax * min(len(a), len(b))
-    w = (bound.bit_length() + 8) // 8  # bytes per slot, one spare bit guaranteed
-    na = _pack(a, w)
-    nb = _pack(b, w)
-    prod = na * nb
-    raw = prod.to_bytes(w * (max(out_len, len(a) + len(b)) + 1), "little")
-    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") for i in range(out_len)]
+    def pack_signed(cs: list[int]) -> int:
+        return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
 
-
-def _pack(cs: list[int], w: int) -> int:
-    buf = bytearray(w * len(cs))
-    for i, c in enumerate(cs):
-        if c:
-            buf[i * w:i * w + (c.bit_length() + 7) // 8] = c.to_bytes(
-                (c.bit_length() + 7) // 8, "little")
-    return int.from_bytes(bytes(buf), "little")
+    prod = pack_signed(a) * pack_signed(b) + pack([bias] * out_len)
+    low = prod & ((1 << (8 * w * out_len)) - 1)
+    raw = low.to_bytes(w * out_len, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - bias
+            for i in range(0, w * out_len, w)]
 
 
 def _newton_inverse_mod64(a: np.ndarray, n: int) -> np.ndarray:
@@ -512,19 +498,37 @@ def pentagonal_series(ring: Ring, T: int) -> LaurentSeries:
 def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     """Expansion of prod_{i>=0}(1 - q^(a+m*i))^e through q^(T-1).
 
-    The full Euler product (a == m) goes through the pentagonal expansion;
-    general (q^a; q^m)-type factors multiply the sparse binomials directly.
+    The full Euler product (a == m) goes through the pentagonal expansion,
+    raised to the power e in q before q -> q^m: by Miller's recurrence over
+    Z, by binary powering mod 2^k (where the recurrence's division by k is
+    unavailable).  General (q^a; q^m)-type factors multiply the sparse
+    binomials directly.
     """
     if a < 1 or m < 1:
         raise ValueError("euler_factor needs a >= 1 and m >= 1")
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
     if a == m:
-        inner = (T - 1) // m + 1
-        base = pentagonal_series(ring, inner).substitute_qpow(m).truncate(T)
-        return base.pow(e) if e != 1 else base
+        base = pentagonal_series(ring, (T - 1) // m + 1)
+        if ring.is_exact and e not in (0, 1):
+            base = LaurentSeries(0, _miller_power(base._coeffs, e), ring)
+        elif e != 1:
+            base = base.pow(e)
+        return base.substitute_qpow(m).truncate(T)
     base = _binomial_product(a, m, ring, T)
     return base.pow(e) if e != 1 else base
+
+
+def _miller_power(p: Sequence[int], e: int) -> list[int]:
+    """p^e over Z for p[0] == 1, to len(p) terms, by J.C.P. Miller's
+    recurrence k*a_k = sum_{i=1..k} ((e+1)*i - k)*p_i*a_{k-i} (Knuth, TAOCP
+    vol. 2, 4.7): O(len(p) * nnz(p)) small-int steps, for any sign or size
+    of e, with no inverse and no dense product."""
+    terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(p) if c and i]
+    a = [1] + [0] * (len(p) - 1)
+    for k in range(1, len(p)):
+        a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
+    return a
 
 
 def _binomial_product(a: int, m: int, ring: Ring, T: int) -> LaurentSeries:

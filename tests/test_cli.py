@@ -2,7 +2,10 @@
 
 import pytest
 
+from qcongruence import cli
 from qcongruence.cli import main
+from qcongruence.congruences import DEFAULT_N_MAX
+from qcongruence.families import DEFAULT_BUDGET
 from qcongruence.witness import builtin_certificate, format_certificate
 
 
@@ -91,12 +94,49 @@ def test_verify_theorems_records_format(capsys):
     ("expand", "f1^1", "--n-max", "3"),
     ("extract", "f1^1", "2", "0", "--n-max", "3"),
     ("verify", "theorems", "--workers", "2"),
+    ("verify", "eq1", "--T", "50", "--n-max", "5", "--family-n-max", "3"),
+    ("verify", "theorems", "--T", "50"),
+    ("verify", "conjecture", "3", "--T", "50"),
+    ("verify", "conjecture", "--family-n-max", "3"),
+    ("verify", "dissections", "--n-max", "5"),
+    ("verify", "witness", "--family-n-max", "3"),
+    ("verify", "families", "--n-max", "5"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_all_reads_every_flag(capsys, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    assert main(["verify", "all", "--T", "50", "--n-max", "5",
+                 "--family-n-max", "3"]) == 0
+    assert (seen["T"], seen["n_max"], seen["family_n_max"]) == (50, 5, 3)
+
+
+def test_verify_header_names_default_options(capsys):
+    code, out, _ = run(capsys, "verify", "eq1", "--T", "60")
+    assert code == 0
+    assert f"# options: T=60 n_max={DEFAULT_N_MAX}\n" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("expand", "f1^1", "--T", "300000000"), "--T"),
+    (("extract", "f1^1", "2", "0", "--T", "0"), "--T"),
+    (("verify", "theorems", "--n-max", "-6"), "--n-max"),
+    (("verify", "witness", "--T", str(DEFAULT_BUDGET + 1)), "--T"),
+    (("verify", "families", "--family-n-max", "0"), "--family-n-max"),
+    (("oracle", "--n-max", "100001"), "--n-max"),
+])
+def test_sizes_outside_the_budget_are_usage_errors(capsys, argv, flag):
+    # rejected while parsing, before any series is allocated
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be in 1..{DEFAULT_BUDGET}" in capsys.readouterr().err
 
 
 def test_verify_conjecture_explicit_primes(capsys):

@@ -106,6 +106,15 @@ def test_overpartition_mod_route_matches_expand_at_4096():
     _assert_mod_route_matches_expand(13, 64, 4096)
 
 
+def test_exact_witness_base_matches_gauss_route_mod_2_64():
+    # f2^5 * f1^-10 over Z (Miller's recurrence, one dense product) at the
+    # witness base size for T=400, reduced mod 2^64, against Gauss's
+    # identity, which shares no code with the exact route
+    exact = expand(parse_eta_quotient("f2^5 * f1^-10"), EXACT, 3208)
+    gauss = overpartition_gf(5, mod2k(64), 3208)
+    assert exact.to_ring(mod2k(64)).coeffs() == gauss.coeffs()
+
+
 @pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(64)])
 @pytest.mark.parametrize("T", [0, -3])
 def test_overpartition_gf_rejects_empty_truncation(ring, T):

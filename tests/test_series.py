@@ -1,6 +1,8 @@
 """Core truncated-series arithmetic, checked against the naive oracles and
 the ring-series invariants (property tests use fixed-seed hypothesis)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, agree,
                                 euler_factor, first_difference, mod2k,
-                                theta_f)
+                                pentagonal_series, theta_f)
 
 from oracles import (count_partitions, generalized_pentagonal, naive_euler,
                      naive_mul, naive_product)
@@ -208,6 +210,22 @@ def test_pentagonal_support_through_1000():
         assert c == signs.get(e, 0)
 
 
+@settings(max_examples=30)
+@given(st.integers(1, 8), st.integers(-120, 120), st.integers(1, 200))
+def test_exact_euler_power_matches_naive(d, e, T):
+    # Miller's recurrence against repeated binomial multiplication
+    assert euler_factor(d, d, e, EXACT, T).coeffs() == naive_euler(d, d, e, T)
+
+
+@pytest.mark.parametrize("e", [0, 1, 10**6, -10**6])
+def test_exact_euler_power_any_exponent(e):
+    # the recurrence takes as long for e = 10^6 as for e = 2; binary powering
+    # of the pentagonal series is the independent check, and mod 2^64 agrees
+    got = euler_factor(1, 1, e, EXACT, 40)
+    assert got.coeffs() == pentagonal_series(EXACT, 40).pow(e).coeffs()
+    assert got.to_ring(mod2k(64)) == euler_factor(1, 1, e, mod2k(64), 40)
+
+
 def test_euler_factor_validation():
     with pytest.raises(ValueError):
         euler_factor(0, 1, 1, EXACT, 10)
@@ -296,6 +314,23 @@ def test_mul_matches_schoolbook_reference(ca, cb, off, ring):
         assert got.coeffs() == [c % (1 << ring.k) for c in want]
 
 
+@given(st.lists(st.integers(-1, 1), min_size=1, max_size=12),
+       st.lists(st.integers(-1, 1), min_size=1, max_size=12), offsets, offsets,
+       st.one_of(st.none(), st.integers(-8, 20)), rings)
+def test_first_difference_matches_coefficient_scan(ca, cb, oa, ob, through, ring):
+    # the one-step window comparison against a coefficient() loop
+    a, b = series(oa, ca, ring), series(ob, cb, ring)
+    lo = min(oa, ob)
+    hi = min(a.trunc, b.trunc) if through is None else min(a.trunc, b.trunc, through)
+    if hi <= lo:
+        with pytest.raises(InsufficientTruncation):
+            first_difference(a, b, through)
+        return
+    want = next(((e, a.coefficient(e), b.coefficient(e)) for e in range(lo, hi)
+                 if a.coefficient(e) != b.coefficient(e)), None)
+    assert first_difference(a, b, through) == want
+
+
 @st.composite
 def unit_series(draw):
     ring = draw(rings)
@@ -352,6 +387,39 @@ def test_exact_paths_agree_across_the_size_threshold():
         a = [int(x) for x in rng.integers(-10**6, 10**6, size=n)]
         b = [int(x) for x in rng.integers(-10**6, 10**6, size=n)]
         assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, n), n
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32), st.integers(520, 640), st.integers(520, 640),
+       st.integers(1, 700), st.integers(1, 700))
+def test_signed_kronecker_matches_schoolbook(seed, na, nb, bits_a, bits_b):
+    # 520+ nonzeros per operand puts the product past the schoolbook limit;
+    # the coefficients come from a seeded generator, too many for hypothesis
+    rnd = random.Random(seed)
+
+    def signed(n, bits):
+        return [rnd.choice((-1, 1)) * rnd.randint(1, 1 << bits) for _ in range(n)]
+
+    a, b = signed(na, bits_a), signed(nb, bits_b)
+    assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, min(na, nb))
+
+
+@pytest.mark.parametrize("bits", [1, 63, 64, 700])
+def test_signed_kronecker_slots_at_the_bound(bits):
+    # |coefficient| reaches amax * bmax * n exactly in the top slot
+    n = 600
+    neg = [-(1 << bits)] * n
+    alt = [(-1) ** i << bits for i in range(n)]
+    assert series(0, neg).mul(series(0, neg)).coeffs() == \
+        [(j + 1) << 2 * bits for j in range(n)]
+    assert series(0, alt).mul(series(0, alt)).coeffs() == \
+        [(-1) ** j * (j + 1) << 2 * bits for j in range(n)]
+    assert series(0, neg).mul(series(0, alt)).coeffs() == naive_mul(neg, alt, n)
+
+
+def test_exact_mul_by_zero_operand():
+    dense = list(range(1, 601))
+    assert series(0, [0] * 600).mul(series(0, dense)).coeffs() == [0] * 600
 
 
 def test_mod64_sparse_path_matches_dense():
