@@ -106,6 +106,11 @@ CONJECTURE_PATTERN = ((8, 1, 1), (8, 2, 2), (8, 3, 3), (8, 4, 1),
 
 
 def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
+    """The seven conjectured congruences at the prime q <= 10^4."""
+    if q > 10_000:
+        raise ValueError("conjecture scan is limited to primes q <= 10^4")
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
     return tuple(CongruenceClaim(q, m, j, k, "Conjecture")
                  for m, j, k in CONJECTURE_PATTERN)
 
@@ -116,12 +121,9 @@ def check_claim(c: CongruenceClaim, n_max: int) -> ClaimReport:
     start = time.perf_counter()
     T = c.m * n_max + c.j + 1
     gf = overpartition_gf(c.t, mod2k(c.k), T)
-    stream = extract(gf, Progression(c.m, c.j))
-    counter = None
-    for n, v in enumerate(stream.coeffs()[:n_max + 1]):
-        if v != 0:
-            counter = (n, int(v))
-            break
+    stream = extract(gf, Progression(c.m, c.j))  # n = 0 .. n_max
+    n = stream.valuation()
+    counter = None if n is None else (n, stream.coefficient(n))
     ms = (time.perf_counter() - start) * 1000.0
     return ClaimReport(claim=c, n_max=n_max, holds=counter is None,
                        counterexample=counter, ms=ms)
@@ -147,10 +149,6 @@ def is_prime(q: int) -> bool:
 def scan_conjecture(q: int, n_max: int = 1000) -> list[ClaimReport]:
     """Instantiate the seven conjectured congruences at prime q and check
     each to n_max.  A failure is a counterexample record, not an error."""
-    if q > 10_000:
-        raise ValueError("conjecture scan is limited to primes q <= 10^4")
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
     return [check_claim(c, n_max) for c in conjecture_claims(q)]
 
 

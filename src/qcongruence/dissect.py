@@ -77,31 +77,20 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
     Defined on genuine power series: any nonzero coefficient at a negative
     exponent is an error, since the n >= 0 stream would silently drop it.
     """
-    if a.offset < 0:
-        head = a.coeffs()[:-a.offset]
-        if any(c != 0 for c in head):
-            raise ValueError(
-                "extraction is defined on the n >= 0 coefficient stream; "
-                "series has nonzero coefficients at negative exponents")
-    out_len = -((a.trunc - p.j) // -p.m)  # ceil((trunc - j) / m)
-    if out_len < 1:
+    v = a.valuation()
+    if v is not None and v < 0:
+        raise ValueError(
+            "extraction is defined on the n >= 0 coefficient stream; "
+            "series has nonzero coefficients at negative exponents")
+    if a.trunc <= p.j:
         raise InsufficientTruncation(
             f"truncation {a.trunc} known only below the first index of "
             f"progression {p.m}n+{p.j}")
-    if a.ring.is_exact:
-        window = [a.coefficient(e) if e < a.trunc else 0
-                  for e in range(p.j, p.j + p.m * out_len, p.m)]
-    else:
-        full = np.zeros(max(a.trunc, p.j + 1), dtype=np.uint64)
-        if a.offset >= 0:
-            full[a.offset:a.trunc] = a._coeffs
-        else:
-            full[:a.trunc] = a._coeffs[-a.offset:]
-        window = full[p.j::p.m][:out_len]
-        if window.size < out_len:
-            window = np.concatenate(
-                [window, np.zeros(out_len - window.size, dtype=np.uint64)])
-    return LaurentSeries(0, window, a.ring)
+    # exponents j .. trunc-1, zero below the offset; every m-th is the stream
+    span = np.zeros(a.trunc - p.j, dtype=a.ring.dtype)
+    lo = max(a.offset, p.j)
+    span[lo - p.j:] = a._coeffs[lo - a.offset:]
+    return LaurentSeries(0, span[::p.m], a.ring)
 
 
 def rogers_ramanujan(T: int) -> LaurentSeries:

@@ -6,9 +6,11 @@ Every operation computes the tightest truncation it can justify and refuses
 to report coefficients beyond it.
 
 Two coefficient rings are supported: exact arbitrary-precision integers, and
-integers modulo 2^k for 1 <= k <= 64.  Mod-2^k coefficients live in numpy
-uint64 arrays; native wraparound is exact arithmetic mod 2^64, so masking to
-k bits after each operation yields canonical residues.
+integers modulo 2^k for 1 <= k <= 64.  Both keep their coefficients in one
+read-only numpy array: dtype object holding Python ints over Z, and uint64
+mod 2^k, where native wraparound is exact arithmetic mod 2^64 and masking to
+k bits yields canonical residues.  Only :class:`Ring` and the convolution
+kernels know which ring they serve.
 """
 
 from __future__ import annotations
@@ -52,19 +54,33 @@ class Ring:
         return self.k is None
 
     @property
-    def modulus(self) -> int | None:
-        return None if self.k is None else 1 << self.k
+    def dtype(self) -> np.dtype:
+        return np.dtype(object if self.k is None else np.uint64)
 
-    def reduce(self, c: int) -> int:
+    def coerce(self, coeffs) -> np.ndarray:
+        """``coeffs`` as a new read-only array of canonical ring elements:
+        Python ints over Z (never fixed-width numpy ints), residues below
+        2^k mod 2^k."""
         if self.k is None:
-            return int(c)
-        return int(c) & ((1 << self.k) - 1)
+            arr = np.array([int(c) for c in coeffs], dtype=object)
+        elif isinstance(coeffs, np.ndarray) and coeffs.dtype != object:
+            arr = coeffs.astype(np.uint64)
+            arr &= np.uint64((1 << self.k) - 1)
+        else:
+            mask = (1 << self.k) - 1
+            arr = np.array([int(c) & mask for c in coeffs], dtype=np.uint64)
+        arr.flags.writeable = False
+        return arr
 
     def is_unit(self, c: int) -> bool:
         """Units we invert: +-1 exactly; any odd residue mod 2^k."""
         if self.k is None:
             return c in (1, -1)
         return c % 2 == 1
+
+    def unit_inverse(self, c: int) -> int:
+        """Inverse of a unit; +-1 is its own inverse over Z."""
+        return c if self.k is None else pow(c, -1, 1 << self.k)
 
     def __str__(self) -> str:
         return "Z" if self.k is None else f"Z/2^{self.k}"
@@ -77,42 +93,17 @@ def mod2k(k: int) -> Ring:
     return Ring(k)
 
 
-def _word_inverse(a0: int) -> int:
-    """Inverse of an odd residue mod 2^64 by Hensel lifting."""
-    x = a0  # correct to 3 bits for odd a0
-    for _ in range(5):
-        x = (x * (2 - a0 * x)) & 0xFFFFFFFFFFFFFFFF
-    return x
-
-
 class LaurentSeries:
     """Immutable truncated Laurent series over a :class:`Ring`."""
 
     __slots__ = ("offset", "ring", "_coeffs")
 
     def __init__(self, offset: int, coeffs, ring: Ring):
-        if isinstance(coeffs, np.ndarray):
-            n = coeffs.size
-        else:
-            coeffs = list(coeffs)
-            n = len(coeffs)
-        if n == 0:
+        self._coeffs = ring.coerce(coeffs)
+        if self._coeffs.size == 0:
             raise ValueError("series needs at least one represented coefficient")
         self.offset = int(offset)
         self.ring = ring
-        if ring.is_exact:
-            if isinstance(coeffs, np.ndarray):
-                coeffs = coeffs.tolist()
-            self._coeffs = tuple(int(c) for c in coeffs)
-        else:
-            mask = np.uint64((1 << ring.k) - 1)
-            if isinstance(coeffs, np.ndarray):
-                arr = coeffs.astype(np.uint64, copy=True) & mask
-            else:
-                m = (1 << ring.k) - 1
-                arr = np.array([int(c) & m for c in coeffs], dtype=np.uint64)
-            arr.flags.writeable = False
-            self._coeffs = arr
 
     # -- construction helpers -------------------------------------------------
 
@@ -122,14 +113,6 @@ class LaurentSeries:
             raise InsufficientTruncation("constant 1 needs trunc >= 1")
         c = [0] * trunc
         c[0] = 1
-        return cls(0, c, ring)
-
-    @classmethod
-    def constant(cls, value: int, ring: Ring, trunc: int) -> "LaurentSeries":
-        if trunc < 1:
-            raise InsufficientTruncation("constant needs trunc >= 1")
-        c = [0] * trunc
-        c[0] = value
         return cls(0, c, ring)
 
     @classmethod
@@ -151,8 +134,6 @@ class LaurentSeries:
         return len(self._coeffs)
 
     def coeffs(self) -> list[int]:
-        if self.ring.is_exact:
-            return list(self._coeffs)
         return self._coeffs.tolist()
 
     def coefficient(self, e: int) -> int:
@@ -166,12 +147,7 @@ class LaurentSeries:
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if zero to truncation."""
-        if self.ring.is_exact:
-            for i, c in enumerate(self._coeffs):
-                if c:
-                    return self.offset + i
-            return None
-        nz = np.nonzero(self._coeffs)[0]
+        nz = np.flatnonzero(self._coeffs)
         if nz.size == 0:
             return None
         return self.offset + int(nz[0])
@@ -217,13 +193,9 @@ class LaurentSeries:
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Product; trunc = min(a.trunc + b.offset, b.trunc + a.offset)."""
         self._check_ring(other)
-        out_len = min(len(self), len(other))
-        offset = self.offset + other.offset
-        if self.ring.is_exact:
-            data = _conv_exact(self._coeffs, other._coeffs, out_len)
-        else:
-            data = _conv_mod64(self._coeffs, other._coeffs, out_len)
-        return LaurentSeries(offset, data, self.ring)
+        conv = _kernel(self.ring)
+        data = conv(self._coeffs, other._coeffs, min(len(self), len(other)))
+        return LaurentSeries(self.offset + other.offset, data, self.ring)
 
     __mul__ = mul
 
@@ -232,21 +204,12 @@ class LaurentSeries:
         offset = min(self.offset, other.offset)
         trunc = min(self.trunc, other.trunc)
         n = trunc - offset
-        if self.ring.is_exact:
-            out = [0] * n
-            for src in (self, other):
-                base = src.offset - offset
-                for i, c in enumerate(src._coeffs):
-                    j = base + i
-                    if j < n:
-                        out[j] += c
-        else:
-            out = np.zeros(n, dtype=np.uint64)
-            for src in (self, other):
-                base = src.offset - offset
-                m = min(len(src), n - base)
-                if m > 0:
-                    out[base:base + m] += src._coeffs[:m]
+        out = np.zeros(n, dtype=self.ring.dtype)
+        for src in (self, other):
+            base = src.offset - offset
+            m = min(len(src), n - base)
+            if m > 0:
+                out[base:base + m] += src._coeffs[:m]
         return LaurentSeries(offset, out, self.ring)
 
     __add__ = add
@@ -263,10 +226,8 @@ class LaurentSeries:
 
     def scale(self, c: int) -> "LaurentSeries":
         """Multiply every coefficient by the scalar c."""
-        if self.ring.is_exact:
-            return LaurentSeries(self.offset, [c * x for x in self._coeffs], self.ring)
-        cv = np.uint64(self.ring.reduce(c))
-        return LaurentSeries(self.offset, self._coeffs * cv, self.ring)
+        return LaurentSeries(self.offset, self._coeffs * self.ring.coerce([c]),
+                             self.ring)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by q^e (relabels the exponent window)."""
@@ -281,14 +242,17 @@ class LaurentSeries:
         if not self.ring.is_unit(lead):
             raise NonInvertibleSeries(
                 f"leading coefficient {lead} is not a unit in {self.ring}")
-        n = self.trunc - v
-        if self.ring.is_exact:
-            unit = list(self._coeffs[v - self.offset:])
-            inv = _newton_inverse_exact(unit, n)
-        else:
-            unit = self._coeffs[v - self.offset:]
-            inv = _newton_inverse_mod64(unit, n)
-        return LaurentSeries(-v, inv, self.ring)
+        # Newton's x <- x*(2 - a*x) on the unit part, doubling the precision
+        a = self._coeffs[v - self.offset:]
+        conv = _kernel(self.ring)
+        x = self.ring.coerce([self.ring.unit_inverse(lead)])
+        prec = 1
+        while prec < a.size:
+            prec = min(2 * prec, a.size)
+            t = -conv(a[:prec], x, prec)
+            t[:1] += 2  # a uint64 slice wraps silently; a scalar t[0] would warn
+            x = conv(x, t, prec)
+        return LaurentSeries(-v, x, self.ring)
 
     def pow(self, e: int) -> "LaurentSeries":
         """Binary powering; pow(a, 0) = 1 on the window [0, len(a))."""
@@ -314,14 +278,8 @@ class LaurentSeries:
             raise ValueError("substitution power must be >= 1")
         if d == 1:
             return self
-        n = len(self)
-        if self.ring.is_exact:
-            out = [0] * (n * d)
-            for i, c in enumerate(self._coeffs):
-                out[i * d] = c
-        else:
-            out = np.zeros(n * d, dtype=np.uint64)
-            out[::d] = self._coeffs
+        out = np.zeros(len(self) * d, dtype=self.ring.dtype)
+        out[::d] = self._coeffs
         return LaurentSeries(self.offset * d, out, self.ring)
 
     def truncate(self, trunc: int) -> "LaurentSeries":
@@ -334,7 +292,7 @@ class LaurentSeries:
 
     def to_ring(self, ring: Ring) -> "LaurentSeries":
         """Reinterpret coefficients in another ring (exact -> mod-2^k reduction)."""
-        return LaurentSeries(self.offset, self.coeffs(), ring)
+        return LaurentSeries(self.offset, self._coeffs, ring)
 
 
 def first_difference(a: LaurentSeries, b: LaurentSeries,
@@ -353,12 +311,10 @@ def first_difference(a: LaurentSeries, b: LaurentSeries,
         hi = min(hi, through)
     if hi <= lo:
         raise InsufficientTruncation("series share no known coefficient window")
-    dtype = object if a.ring.is_exact else np.uint64
 
     def window(s: LaurentSeries) -> np.ndarray:
-        pad = np.zeros(min(s.offset, hi) - lo, dtype=dtype)
-        body = np.asarray(s._coeffs[:max(0, hi - s.offset)], dtype=dtype)
-        return np.concatenate((pad, body))
+        pad = np.zeros(min(s.offset, hi) - lo, dtype=s.ring.dtype)
+        return np.concatenate((pad, s._coeffs[:max(0, hi - s.offset)]))
 
     wa, wb = window(a), window(b)
     diff = np.flatnonzero(wa != wb)
@@ -373,6 +329,11 @@ def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> boo
 
 
 # -- convolution kernels -----------------------------------------------------
+
+
+def _kernel(ring: Ring):
+    """The ring's truncated convolution (a, b, out_len) -> array."""
+    return _conv_exact if ring.is_exact else _conv_mod64
 
 
 def _conv_mod64(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
@@ -399,13 +360,14 @@ def _conv_mod64(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
     return conv
 
 
-def _conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
-    a = list(a[:out_len])
-    b = list(b[:out_len])
+def _conv_exact(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
+    """Truncated convolution over Z of object arrays of Python ints."""
+    a = a[:out_len].tolist()
+    b = b[:out_len].tolist()
     nza = [i for i, c in enumerate(a) if c]
     nzb = [i for i, c in enumerate(b) if c]
     if not nza or not nzb:
-        return [0] * out_len
+        return np.zeros(out_len, dtype=object)
     if len(nza) > len(nzb):
         a, b = b, a
         nza, nzb = nzb, nza
@@ -418,8 +380,8 @@ def _conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
                 if j >= m:
                     break
                 out[i + j] += ai * b[j]
-        return out
-    return _kronecker_signed(a, b, out_len)
+        return np.array(out, dtype=object)
+    return np.array(_kronecker_signed(a, b, out_len), dtype=object)
 
 
 def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
@@ -442,32 +404,6 @@ def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
     raw = low.to_bytes(w * out_len, "little")
     return [int.from_bytes(raw[i:i + w], "little") - bias
             for i in range(0, w * out_len, w)]
-
-
-def _newton_inverse_mod64(a: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of a unit power series mod q^n over wrapping uint64."""
-    x = np.array([_word_inverse(int(a[0]))], dtype=np.uint64)
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        t = _conv_mod64(a[:prec], x, prec)
-        t = np.zeros(prec, dtype=np.uint64) - t
-        t[0:1] += np.uint64(2)
-        x = _conv_mod64(x, t, prec)
-    return x
-
-
-def _newton_inverse_exact(a: list[int], n: int) -> list[int]:
-    lead = a[0]  # guaranteed +-1 by the caller
-    x = [lead]
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        t = _conv_exact(a[:prec], x, prec)
-        t = [-c for c in t]
-        t[0] += 2
-        x = _conv_exact(x, t, prec)
-    return x
 
 
 # -- classic q-series building blocks ----------------------------------------
@@ -511,7 +447,7 @@ def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     if a == m:
         base = pentagonal_series(ring, (T - 1) // m + 1)
         if ring.is_exact and e not in (0, 1):
-            base = LaurentSeries(0, _miller_power(base._coeffs, e), ring)
+            base = LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
         elif e != 1:
             base = base.pow(e)
         return base.substitute_qpow(m).truncate(T)
@@ -532,21 +468,12 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
 
 
 def _binomial_product(a: int, m: int, ring: Ring, T: int) -> LaurentSeries:
-    if ring.is_exact:
-        out = [0] * T
-        out[0] = 1
-        c = a
-        while c < T:
-            tail = [x - y for x, y in zip(out[c:], out[:T - c])]
-            out[c:] = tail
-            c += m
-    else:
-        out = np.zeros(T, dtype=np.uint64)
-        out[0] = 1
-        c = a
-        while c < T:
-            out[c:] = out[c:] - out[:T - c]
-            c += m
+    out = np.zeros(T, dtype=ring.dtype)
+    out[0] = 1
+    c = a
+    while c < T:
+        out[c:] = out[c:] - out[:T - c]
+        c += m
     return LaurentSeries(0, out, ring)
 
 

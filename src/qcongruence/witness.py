@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
+from .families import DEFAULT_BUDGET
 from .series import EXACT, InsufficientTruncation, LaurentSeries, first_difference
 
 
@@ -122,7 +123,11 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     at the lower of the two sides' lowest exponents."""
     if T < 1:
         raise InsufficientTruncation("need T >= 1 output coefficients")
-    base = expand(EtaQuotient(c.M, c.r), EXACT, c.m * T + max(c.pset) + 1)
+    n = c.m * T + max(c.pset) + 1
+    if n > DEFAULT_BUDGET:
+        raise ValueError(f"witness {c.id} needs its base expanded to {n} "
+                         f"terms, over the budget of {DEFAULT_BUDGET}")
+    base = expand(EtaQuotient(c.M, c.r), EXACT, n)
     lhs = expand(c.prefactor, EXACT, c.prefactor.qshift + T)
     for jp in sorted(c.pset):
         lhs = lhs.mul(extract(base, Progression(c.m, jp)).truncate(T))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qcongruence import cli
+from qcongruence import cli, witness
 from qcongruence.cli import main
 from qcongruence.congruences import DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
@@ -180,6 +180,26 @@ def test_verify_witness_mutated_file_fails(capsys, tmp_path):
 def test_verify_witness_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "witness", "/nonexistent/cert.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize("m, T, length", [
+    (8, 100_000, 800_008),         # the builtin certificate at a large --T
+    (1_000_000, 500, 500_000_008),  # a large progression step at the default --T
+])
+def test_verify_witness_over_budget_is_usage_error(capsys, tmp_path, monkeypatch,
+                                                  m, T, length):
+    # the budget covers the base expansion m*T + max(P) + 1, not just --T
+    def no_expansion(*args):
+        raise AssertionError("expanded a series past the budget")
+
+    monkeypatch.setattr(witness, "expand", no_expansion)
+    cert = format_certificate(builtin_certificate()).replace("m 8\n", f"m {m}\n")
+    path = tmp_path / "cert.txt"
+    path.write_text(cert)
+    source = "builtin" if m == 8 else str(path)
+    code, _, err = run(capsys, "verify", "witness", source, "--T", str(T))
+    assert code == 2
+    assert f"expanded to {length} terms" in err and str(DEFAULT_BUDGET) in err
 
 
 def test_verify_eq1(capsys):

@@ -349,17 +349,29 @@ def test_pow_additivity(a, e1, e2):
     assert agree(lhs, rhs, through=100)
 
 
-@given(coeff_lists, coeff_lists, st.integers(1, 8))
-def test_mod2k_commutes_with_exact_arithmetic(ca, cb, k):
+@given(coeff_lists, coeff_lists, offsets, offsets, st.sampled_from([1, 2, 3, 8, 63, 64]),
+       st.integers(-6, 6), st.integers(2, 4))
+def test_mod2k_commutes_with_exact_arithmetic(ca, cb, oa, ob, k, e, d):
     pad = [0] * (100 - len(ca)) if len(ca) < 100 else []
-    a_exact = series(0, ca + pad)
-    b_exact = series(0, cb)
+    a_exact = series(oa, ca + pad)
+    b_exact = series(ob, cb)
     ring = mod2k(k)
     a_mod = a_exact.to_ring(ring)
     b_mod = b_exact.to_ring(ring)
-    exact_then_reduce = a_exact.mul(b_exact).to_ring(ring)
-    reduce_then_mul = a_mod.mul(b_mod)
-    assert exact_then_reduce.coeffs() == reduce_then_mul.coeffs()
+    ops = [lambda x, y: x.mul(y), lambda x, y: x.add(y), lambda x, y: x.sub(y),
+           lambda x, y: x.shift(e), lambda x, y: x.substitute_qpow(d),
+           lambda x, y: x.truncate(x.offset + len(ca))]
+    # negative scalars, and scalars at and past the uint64 word
+    ops += [lambda x, y, c=c: x.scale(c)
+            for c in (-1, -7, 2**64, 3 * 2**64 + 5, -(2**65) - 1)]
+    for op in ops:
+        exact_then_reduce = op(a_exact, b_exact).to_ring(ring)
+        assert exact_then_reduce == op(a_mod, b_mod)
+
+
+def test_exact_series_from_int64_holds_python_ints():
+    # numpy int64 input must not keep wrapping 64-bit arithmetic over Z
+    assert LaurentSeries(0, np.array([2**62]), EXACT).scale(8).coeffs() == [2**65]
 
 
 @given(unit_series())
