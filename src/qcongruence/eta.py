@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import re
 
-import numpy as np
-
-from .series import InsufficientTruncation, LaurentSeries, Ring, euler_factor
+from .series import (InsufficientTruncation, LaurentSeries, Ring, euler_factor,
+                     phi_power)
 
 
 class EtaQuotient:
@@ -104,43 +103,29 @@ def format_eta_quotient(eq: EtaQuotient) -> str:
 def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
     """Expand q^qshift * prod f_d^{r_d} with truncation T (exclusive).
 
-    Factors are multiplied in increasing divisor order; every f_d has
-    valuation 0 and unit leading coefficient, so the result's offset is
-    exactly the q-shift.
+    In increasing divisor order, each f_{2d}^(-s) whose f_d also appears
+    is taken with f_d^(2s) as phi(-q^d)^s (see ``phi_power``), leaving
+    f_d^(r_d - 2s); a divisor joins at most one pair, so the factor count
+    never grows.  Every factor has valuation 0 and unit leading
+    coefficient, so the result's offset is exactly the q-shift.
     """
     if T <= eq.qshift:
         raise InsufficientTruncation(
             f"T={T} must exceed the q-shift {eq.qshift}")
     n = T - eq.qshift
-    acc = None
-    for d, r in sorted(eq.exponents.items()):
-        factor = euler_factor(d, d, r, ring, n)
-        acc = factor if acc is None else acc.mul(factor)
-    if acc is None:
-        acc = LaurentSeries.one(ring, n)
+    rest = dict(eq.exponents)
+    factors = []
+    for d in sorted(rest):
+        s = -rest.get(2 * d, 0)
+        if s and rest[d]:
+            factors.append(phi_power(d, s, ring, n))
+            rest[d] -= 2 * s
+            rest[2 * d] = 0
+    factors += [euler_factor(d, d, r, ring, n) for d, r in sorted(rest.items()) if r]
+    acc = LaurentSeries.one(ring, n) if not factors else factors[0]
+    for factor in factors[1:]:
+        acc = acc.mul(factor)
     return acc.shift(eq.qshift)
-
-
-def _overpartition_mod2k(t: int, k: int, T: int) -> np.ndarray:
-    """f_2^t / f_1^(2t) mod 2^k through q^(T-1), as unmasked uint64 words.
-
-    Gauss's identity f_1^2 / f_2 = 1 + 2X, X = sum_{n>=1} (-1)^n q^(n^2),
-    gives (1 + 2X)^(-t) = sum_i C(-t, i) 2^i X^i, whose terms with i >= k
-    vanish mod 2^k.  Horner's rule in X takes k - 1 products by the sparse
-    X: sqrt(T) shifted adds each, with no inverse and no dense convolution.
-    """
-    squares = [(n * n, n % 2) for n in range(1, math.isqrt(T - 1) + 1)]
-    acc = np.zeros(T, dtype=np.uint64)
-    for i in reversed(range(k)):
-        if i < k - 1:  # acc <- acc * X; the constant term becomes zero
-            prev, acc = acc, np.zeros(T, dtype=np.uint64)
-            for sq, odd in squares:
-                if odd:
-                    acc[sq:] -= prev[:T - sq]
-                else:
-                    acc[sq:] += prev[:T - sq]
-        acc[0] = ((-1) ** i * math.comb(t + i - 1, i) << i) % (1 << 64)
-    return acc
 
 
 def overpartition_eta_quotient(t: int) -> EtaQuotient:
@@ -151,14 +136,9 @@ def overpartition_eta_quotient(t: int) -> EtaQuotient:
 
 
 def overpartition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
-    """Generating function of t-colored overpartitions through q^(T-1)."""
-    if t < 1:
-        raise ValueError("color count t must be >= 1")
-    if T < 1:
-        raise InsufficientTruncation(f"T={T} must be >= 1")
-    if ring.is_exact:
-        return expand(overpartition_eta_quotient(t), ring, T)
-    return LaurentSeries(0, _overpartition_mod2k(t, ring.k, T), ring)
+    """Generating function of t-colored overpartitions through q^(T-1):
+    phi(-q)^(-t), by ``expand``'s pair rule."""
+    return expand(overpartition_eta_quotient(t), ring, T)
 
 
 def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:

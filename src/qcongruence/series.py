@@ -15,6 +15,7 @@ kernels know which ring they serve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -455,6 +456,31 @@ def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     return base.pow(e) if e != 1 else base
 
 
+def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
+    """Expansion of phi(-q^d)^e = (f_d^2 / f_{2d})^e through q^(T-1).
+
+    Gauss's identity phi(-q) = f_1^2 / f_2 = 1 + 2X, X = sum_{n>=1} (-1)^n
+    q^(n^2), has about sqrt(T) nonzero terms.  It is raised to the power e
+    in q before q -> q^d: over Z by Miller's recurrence, and mod 2^k as
+    sum_{i<k} C(e, i) 2^i X^i, whose terms with i >= k vanish, by Horner's
+    rule in the sparse X.  Neither route takes an inverse or a dense product.
+    """
+    if d < 1:
+        raise ValueError("phi_power needs d >= 1")
+    if T < 1:
+        raise InsufficientTruncation("need T >= 1")
+    n = (T - 1) // d + 1
+    if ring.is_exact:
+        phi = [0] * n
+        phi[0] = 1
+        for j in range(1, math.isqrt(n - 1) + 1):
+            phi[j * j] = -2 if j % 2 else 2
+        base = _miller_power(phi, e)
+    else:
+        base = _gauss_power_mod2k(e, ring.k, n)
+    return LaurentSeries(0, base, ring).substitute_qpow(d).truncate(T)
+
+
 def _miller_power(p: Sequence[int], e: int) -> list[int]:
     """p^e over Z for p[0] == 1, to len(p) terms, by J.C.P. Miller's
     recurrence k*a_k = sum_{i=1..k} ((e+1)*i - k)*p_i*a_{k-i} (Knuth, TAOCP
@@ -465,6 +491,27 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     for k in range(1, len(p)):
         a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
     return a
+
+
+def _gauss_power_mod2k(e: int, k: int, n: int) -> np.ndarray:
+    """(1 + 2X)^e mod 2^k to n terms, as unmasked uint64 words, by Horner's
+    rule in X over the terms C(e, i) 2^i X^i with i < k (and i <= e when
+    e >= 0, since C(e, i) = 0 past e): at most k - 1 products by X, each
+    sqrt(n) shifted adds."""
+    squares = [(j * j, j % 2) for j in range(1, math.isqrt(n - 1) + 1)]
+    top = k if e < 0 else min(k, e + 1)
+    acc = np.zeros(n, dtype=np.uint64)
+    for i in reversed(range(top)):
+        if i < top - 1:  # acc <- acc * X; the constant term becomes zero
+            prev, acc = acc, np.zeros(n, dtype=np.uint64)
+            for sq, odd in squares:
+                if odd:
+                    acc[sq:] -= prev[:n - sq]
+                else:
+                    acc[sq:] += prev[:n - sq]
+        binom = math.comb(e, i) if e >= 0 else (-1) ** i * math.comb(i - e - 1, i)
+        acc[0] = (binom << i) % (1 << 64)
+    return acc
 
 
 def _binomial_product(a: int, m: int, ring: Ring, T: int) -> LaurentSeries:

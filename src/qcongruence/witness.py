@@ -123,6 +123,15 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     at the lower of the two sides' lowest exponents."""
     if T < 1:
         raise InsufficientTruncation("need T >= 1 output coefficients")
+    # the extracted streams are power series, so the left side's pole order
+    # is at most the prefactor's; the right side's deepest pole is that of
+    # the top term, and each degree costs one product by the hauptmodul
+    lhs_pole, h_pole = -c.prefactor.qshift, -c.hauptmodul.qshift
+    if c.degree * h_pole > lhs_pole:
+        raise ValueError(
+            f"witness {c.id}: poly degree {c.degree} times the hauptmodul's "
+            f"pole order {h_pole} is {c.degree * h_pole}, past the left "
+            f"side's pole order {lhs_pole}")
     n = c.m * T + max(c.pset) + 1
     if n > DEFAULT_BUDGET:
         raise ValueError(f"witness {c.id} needs its base expanded to {n} "

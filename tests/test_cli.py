@@ -1,11 +1,14 @@
 """Command-line surface: output formats, exit codes, regression blessing."""
 
+from pathlib import Path
+
 import pytest
 
 from qcongruence import cli, witness
 from qcongruence.cli import main
 from qcongruence.congruences import DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
+from qcongruence.series import LaurentSeries
 from qcongruence.witness import builtin_certificate, format_certificate
 
 
@@ -202,6 +205,27 @@ def test_verify_witness_over_budget_is_usage_error(capsys, tmp_path, monkeypatch
     assert f"expanded to {length} terms" in err and str(DEFAULT_BUDGET) in err
 
 
+@pytest.mark.parametrize("extra", [1, 100000])
+def test_verify_witness_poly_past_pole_order_is_usage_error(capsys, tmp_path,
+                                                            monkeypatch, extra):
+    # the builtin poly has degree 17 = the prefactor's pole order; one more
+    # coefficient, or 10^5 more, is refused before any product
+    def no_product(*args):
+        raise AssertionError("multiplied a series")
+
+    monkeypatch.setattr(LaurentSeries, "mul", no_product)
+    cert = builtin_certificate()
+    poly = " ".join(str(c) for c in cert.poly + (128,) * extra)
+    text = format_certificate(cert).replace(
+        "poly " + " ".join(str(c) for c in cert.poly), "poly " + poly)
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "verify", "witness", str(path), "--T", "50")
+    assert code == 2
+    assert f"degree {17 + extra}" in err
+    assert f"pole order 1 is {17 + extra}" in err and "pole order 17" in err
+
+
 def test_verify_eq1(capsys):
     code, out, _ = run(capsys, "verify", "eq1", "--T", "120")
     assert code == 0
@@ -254,3 +278,22 @@ def test_blessed_output_is_byte_stable(capsys, tmp_path):
     run(capsys, "verify", "theorems", "--n-max", "15", "--bless", str(a))
     run(capsys, "verify", "theorems", "--n-max", "15", "--bless", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# Blessed records of a fast subset of runs.  --check must keep matching them
+# byte for byte; re-bless one only for an intended change of output.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_witness", ["verify", "witness", "--T", "120"]),
+    ("verify_theorems", ["verify", "theorems", "--n-max", "200"]),
+    ("verify_dissections", ["verify", "dissections", "--T", "200"]),
+    ("verify_eq1", ["verify", "eq1", "--T", "100"]),
+    ("extract_witness_base", ["extract", "f2^5 * f1^-10", "8", "7", "--T", "400"]),
+])
+def test_records_match_golden(capsys, name, argv):
+    path = GOLDEN / f"{name}.txt"
+    code, out, _ = run(capsys, *argv, "--format", "records", "--check", str(path))
+    assert f"# matches {path}" in out
+    assert code == 0

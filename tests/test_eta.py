@@ -9,8 +9,8 @@ from qcongruence.congruences import (enumerate_colored_overpartitions,
 from qcongruence.eta import (EtaQuotient, colored_partition_gf, expand,
                              format_eta_quotient, overpartition_eta_quotient,
                              overpartition_gf, parse_eta_quotient)
-from qcongruence.series import (EXACT, InsufficientTruncation, agree,
-                                euler_factor, mod2k)
+from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
+                                agree, euler_factor, mod2k, phi_power)
 
 from oracles import count_partitions, naive_overpartition
 
@@ -88,28 +88,81 @@ def test_overpartition_coefficients_positive_and_monotone_in_t():
         prev = cs
 
 
-def _assert_mod_route_matches_expand(t, k, T):
+def _factor_product(d, e, ring, T):
+    """phi(-q^d)^e = f_d^(2e) * f_{2d}^(-e), one Euler factor at a time."""
+    return euler_factor(d, d, 2 * e, ring, T).mul(
+        euler_factor(2 * d, 2 * d, -e, ring, T))
+
+
+def _assert_mod_route_matches_factor_product(t, k, T):
     got = overpartition_gf(t, mod2k(k), T)
-    want = expand(overpartition_eta_quotient(t), mod2k(k), T)
+    want = _factor_product(1, -t, mod2k(k), T)
     assert got.offset == want.offset == 0
     assert got.coeffs() == want.coeffs()
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.integers(1, 3000), st.integers(1, 64), st.integers(1, 400))
-def test_overpartition_mod_route_matches_expand(t, k, T):
-    # the mod-2^k route (Gauss's identity) against the general expansion
-    _assert_mod_route_matches_expand(t, k, T)
+def test_overpartition_mod_route_matches_factor_product(t, k, T):
+    # Horner in X (Gauss's identity) against binary powering of the two
+    # Euler factors and one dense product
+    _assert_mod_route_matches_factor_product(t, k, T)
 
 
-def test_overpartition_mod_route_matches_expand_at_4096():
-    _assert_mod_route_matches_expand(13, 64, 4096)
+def test_overpartition_mod_route_matches_factor_product_at_4096():
+    _assert_mod_route_matches_factor_product(13, 64, 4096)
+
+
+def test_phi_power_exact_witness_base_matches_factor_product():
+    # the witness base f2^5 * f1^-10 at T=400: Miller's recurrence on
+    # phi(-q) against two pentagonal Miller powers and a Kronecker product
+    assert phi_power(1, -5, EXACT, 3208) == _factor_product(1, -5, EXACT, 3208)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 64])
+@pytest.mark.parametrize("d, e", [(1, -5), (1, 7), (2, -13), (3, 2)])
+def test_phi_power_mod2k_matches_factor_product(k, d, e):
+    ring = mod2k(k)
+    assert phi_power(d, e, ring, 1000) == _factor_product(d, e, ring, 1000)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(st.integers(1, 4), st.integers(-200, 200), st.integers(1, 400),
+       st.sampled_from([None, 1, 2, 3, 8, 63, 64]))
+def test_phi_power_matches_factor_product(d, e, T, k):
+    ring = EXACT if k is None else mod2k(k)
+    assert phi_power(d, e, ring, T) == _factor_product(d, e, ring, T)
+
+
+def test_expand_pair_beside_leftover_factor():
+    # f1^79 * f2^-38 = f1^3 * phi(-q)^38
+    T = 300
+    got = expand(parse_eta_quotient("f1^79 * f2^-38"), EXACT, T)
+    assert got == euler_factor(1, 1, 3, EXACT, T).mul(phi_power(1, 38, EXACT, T))
+    assert got == euler_factor(1, 1, 79, EXACT, T).mul(
+        euler_factor(2, 2, -38, EXACT, T))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.dictionaries(st.sampled_from([1, 2, 3, 4, 6, 8]),
+                       st.integers(-40, 40), max_size=5),
+       st.integers(-3, 3), st.integers(1, 200),
+       st.sampled_from([None, 1, 3, 64]))
+def test_expand_matches_euler_factors_one_at_a_time(exponents, qshift, T, k):
+    # pairs, chains f_d, f_2d, f_4d, and leftovers against the plain
+    # product of every Euler factor
+    ring = EXACT if k is None else mod2k(k)
+    T += max(qshift, 0)
+    n = T - qshift
+    want = LaurentSeries.one(ring, n)
+    for d, r in exponents.items():
+        want = want.mul(euler_factor(d, d, r, ring, n))
+    assert expand(EtaQuotient(24, exponents, qshift), ring, T) == want.shift(qshift)
 
 
 def test_exact_witness_base_matches_gauss_route_mod_2_64():
-    # f2^5 * f1^-10 over Z (Miller's recurrence, one dense product) at the
-    # witness base size for T=400, reduced mod 2^64, against Gauss's
-    # identity, which shares no code with the exact route
+    # f2^5 * f1^-10 at the witness base size for T=400: over Z by Miller's
+    # recurrence on phi(-q), reduced mod 2^64, against Horner in X mod 2^64
     exact = expand(parse_eta_quotient("f2^5 * f1^-10"), EXACT, 3208)
     gauss = overpartition_gf(5, mod2k(64), 3208)
     assert exact.to_ring(mod2k(64)).coeffs() == gauss.coeffs()
@@ -176,3 +229,14 @@ def test_parse_errors_carry_position():
         parse_eta_quotient("f2^1 ** f3^1")
     with pytest.raises(ValueError):
         parse_eta_quotient("   ")
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.one_of(st.text(max_size=60),
+                 st.text("fq^*-+0123456789 \t", max_size=40)))
+def test_parse_eta_quotient_raises_only_value_error(text):
+    try:
+        eq = parse_eta_quotient(text)
+    except ValueError:
+        return
+    assert isinstance(eq, EtaQuotient)

@@ -2,6 +2,7 @@
 common-factor computation and the text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcongruence.congruences import check_claim, CongruenceClaim
 from qcongruence.eta import EtaQuotient, expand
@@ -143,3 +144,43 @@ def test_report_invariant():
     with pytest.raises(ValueError):
         WitnessReport(certificate_id="x", truncation=10, identity_matched=True,
                       first_mismatch=None, gcd_of_poly=4, implied_modulus=8)
+
+
+# -- parser fuzzing ---------------------------------------------------------------
+
+_SHIPPED_LINES = builtin_certificate_text().splitlines()
+_FIELD_CHARS = "0123456789 -:,^*fqx#\t"
+
+
+@st.composite
+def mutated_certificates(draw):
+    """The shipped file with one line replaced, cut, duplicated or edited."""
+    lines = list(_SHIPPED_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].partition(" ")
+    action = draw(st.sampled_from(["value", "text", "delete", "duplicate",
+                                   "edit"]))
+    if action == "value":
+        lines[i] = key + " " + draw(st.text(_FIELD_CHARS, max_size=30))
+    elif action == "text":
+        lines[i] = draw(st.text(max_size=40))
+    elif action == "delete":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(lines[i])))
+        cut = draw(st.integers(0, 3))
+        lines[i] = lines[i][:j] + draw(st.text(_FIELD_CHARS, max_size=3)) \
+            + lines[i][j + cut:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(st.one_of(mutated_certificates(), st.text(max_size=200)))
+def test_parse_certificate_raises_only_value_error(text):
+    try:
+        cert = parse_certificate(text)
+    except ValueError:
+        return
+    assert isinstance(cert, WitnessCertificate)
