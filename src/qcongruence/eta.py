@@ -122,7 +122,7 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
             rest[d] -= 2 * s
             rest[2 * d] = 0
     factors += [euler_factor(d, d, r, ring, n) for d, r in sorted(rest.items()) if r]
-    acc = LaurentSeries.one(ring, n) if not factors else factors[0]
+    acc = factors[0] if factors else LaurentSeries.one(ring, n)
     for factor in factors[1:]:
         acc = acc.mul(factor)
     return acc.shift(eq.qshift)
