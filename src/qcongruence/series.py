@@ -27,6 +27,8 @@ MAX_MOD2K_BITS = 64
 # Kronecker substitution (pack into one big integer, use CPython's int mul).
 _SCHOOLBOOK_OP_LIMIT = 1 << 18
 
+_to_int = np.frompyfunc(int, 1, 1)  # int() per element, in numpy's C loop
+
 
 class RingMismatch(ValueError):
     """Operands live in different coefficient rings."""
@@ -63,7 +65,7 @@ class Ring:
         Python ints over Z (never fixed-width numpy ints), residues below
         2^k mod 2^k."""
         if self.k is None:
-            arr = np.array([int(c) for c in coeffs], dtype=object)
+            arr = _to_int(np.asarray(coeffs, dtype=object))
         elif isinstance(coeffs, np.ndarray) and coeffs.dtype != object:
             arr = coeffs.astype(np.uint64)
             arr &= np.uint64((1 << self.k) - 1)
@@ -334,13 +336,17 @@ def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> boo
 
 def _kernel(ring: Ring):
     """The ring's truncated convolution (a, b, out_len) -> array."""
-    return _conv_exact if ring.is_exact else _conv_mod64
+    if ring.is_exact:
+        return _conv_exact
+    return lambda a, b, out_len: _conv_mod2k(a, b, out_len, ring.k)
 
 
-def _conv_mod64(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """Truncated convolution in wrapping uint64 (exact mod 2^64)."""
-    a = a[:out_len]
-    b = b[:out_len]
+def _conv_mod2k(a: np.ndarray, b: np.ndarray, out_len: int, k: int) -> np.ndarray:
+    """Truncated convolution of uint64 words, correct mod 2^k; the result's
+    words are congruent to the canonical residues, not masked to them."""
+    mask = np.uint64((1 << k) - 1)
+    a = a[:out_len] & mask
+    b = b[:out_len] & mask
     nza = np.nonzero(a)[0]
     nzb = np.nonzero(b)[0]
     if nza.size == 0 or nzb.size == 0:
@@ -355,6 +361,22 @@ def _conv_mod64(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
             m = min(b.size, out_len - i)
             out[i:i + m] += b[:m] * a[i]
         return out
+    # Kronecker substitution: a slot sums at most n products below 2^(2k),
+    # so in 2k + bitlen(n) <= 64 bits no carry crosses a slot and one
+    # big-integer product is exact; k = 64 stays on the faster np.convolve
+    bits = 2 * k + min(a.size, b.size).bit_length()
+    if bits <= 64:
+        w = (bits + 7) // 8
+
+        def pack(x: np.ndarray) -> int:
+            x = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            return int.from_bytes(x[:, :w].tobytes(), "little")
+
+        prod = pack(a) * pack(b) & ((1 << 8 * w * out_len) - 1)
+        out = np.zeros((out_len, 8), dtype=np.uint8)
+        out[:, :w] = np.frombuffer(prod.to_bytes(w * out_len, "little"),
+                                   dtype=np.uint8).reshape(out_len, w)
+        return out.view("<u8").ravel()
     conv = np.convolve(a, b)[:out_len]
     if conv.size < out_len:
         conv = np.concatenate([conv, np.zeros(out_len - conv.size, dtype=np.uint64)])

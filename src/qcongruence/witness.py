@@ -127,6 +127,12 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     # is at most the prefactor's; the right side's deepest pole is that of
     # the top term, and each degree costs one product by the hauptmodul
     lhs_pole, h_pole = -c.prefactor.qshift, -c.hauptmodul.qshift
+    # the window q^lo..q^(lo+T-1) starts at the left side's deepest pole; past
+    # T it never reaches q^0, and bounding it by T bounds the degree too
+    if lhs_pole >= T:
+        raise ValueError(
+            f"witness {c.id}: the prefactor's pole order {lhs_pole} is at "
+            f"least T={T}, so the comparison window never reaches q^0")
     if c.degree * h_pole > lhs_pole:
         raise ValueError(
             f"witness {c.id}: poly degree {c.degree} times the hauptmodul's "

@@ -226,6 +226,27 @@ def test_verify_witness_poly_past_pole_order_is_usage_error(capsys, tmp_path,
     assert f"pole order 1 is {17 + extra}" in err and "pole order 17" in err
 
 
+def test_verify_witness_pole_order_past_T_is_usage_error(capsys, tmp_path,
+                                                          monkeypatch):
+    # a prefactor pole of order 100017 admits a poly of degree 100017 under
+    # the degree cap, but the window q^-100017..q^-99518 at T=500 never
+    # reaches q^0, so the certificate is refused before any product
+    def no_product(*args):
+        raise AssertionError("multiplied a series")
+
+    monkeypatch.setattr(LaurentSeries, "mul", no_product)
+    cert = builtin_certificate()
+    poly = " ".join(str(c) for c in cert.poly + (128,) * 100000)
+    text = format_certificate(cert).replace(
+        "poly " + " ".join(str(c) for c in cert.poly), "poly " + poly)
+    text = text.replace("prefactor q^-17 ", "prefactor q^-100017 ")
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "verify", "witness", str(path), "--T", "500")
+    assert code == 2
+    assert "pole order 100017" in err and "T=500" in err
+
+
 def test_verify_eq1(capsys):
     code, out, _ = run(capsys, "verify", "eq1", "--T", "120")
     assert code == 0
@@ -297,3 +318,14 @@ def test_records_match_golden(capsys, name, argv):
     code, out, _ = run(capsys, *argv, "--format", "records", "--check", str(path))
     assert f"# matches {path}" in out
     assert code == 0
+
+
+def test_families_records_match_golden(capsys):
+    # inf4 fails by design, so the suite exits 1 even when every record
+    # matches; the base-7 step runs mod-8 products of up to 9,813 terms
+    path = GOLDEN / "verify_families.txt"
+    code, out, _ = run(capsys, "verify", "families", "--T", "200",
+                       "--family-n-max", "40", "--format", "records",
+                       "--check", str(path))
+    assert f"# matches {path}" in out
+    assert code == 1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
-                                NonInvertibleSeries, RingMismatch, agree,
-                                euler_factor, first_difference, mod2k,
+                                NonInvertibleSeries, RingMismatch, _conv_mod2k,
+                                agree, euler_factor, first_difference, mod2k,
                                 pentagonal_series, theta_f)
 
 from oracles import (count_partitions, generalized_pentagonal, naive_euler,
@@ -374,6 +374,14 @@ def test_exact_series_from_int64_holds_python_ints():
     assert LaurentSeries(0, np.array([2**62]), EXACT).scale(8).coeffs() == [2**65]
 
 
+def test_exact_series_from_numpy_scalars_holds_python_ints():
+    # an object array may hold numpy scalars; they become Python ints too
+    arr = np.array([np.int64(-5), np.uint64(2**64 - 1), 7], dtype=object)
+    s = LaurentSeries(0, arr, EXACT)
+    assert all(type(c) is int for c in s._coeffs)
+    assert s.scale(2**64).coeffs() == [-5 << 64, (2**64 - 1) << 64, 7 << 64]
+
+
 @given(unit_series())
 def test_inverse_two_sided_property(a):
     inv = a.inverse()
@@ -444,3 +452,60 @@ def test_mod64_sparse_path_matches_dense():
     got = series(0, sparse, r).mul(series(0, dense, r)).coeffs()
     want = [c % 2**64 for c in naive_mul(sparse, dense, 400)]
     assert got == want
+
+
+# -- the packed mod-2^k kernel ---------------------------------------------------
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 8, 16, 24]),
+       st.integers(100, 700), st.integers(100, 700))
+def test_packed_mod2k_matches_schoolbook_on_raw_words(seed, k, na, nb):
+    # dense operands given as unmasked uint64 words, as Newton's iteration in
+    # inverse() hands them to the kernel; k <= 24 at these sizes packs
+    rnd = random.Random(seed)
+    a = [rnd.getrandbits(64) for _ in range(na)]
+    b = [rnd.getrandbits(64) for _ in range(nb)]
+    n = min(na, nb)
+    got = _conv_mod2k(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), n, k)
+    assert [c % (1 << k) for c in got.tolist()] == \
+        [c % (1 << k) for c in naive_mul(a, b, n)]
+
+
+@pytest.mark.parametrize("k, n", [(1, 700), (2, 700), (3, 700), (8, 700),
+                                  (16, 700), (24, 700), (27, 1023)])
+def test_packed_mod2k_slots_at_the_bound(k, n):
+    # every coefficient 2^k - 1: slot j holds (j + 1)(2^k - 1)^2 before the
+    # reduction, the most a slot can reach; at k = 27, n = 1023 the top slot
+    # is just below 2^64
+    top = (1 << k) - 1
+    a = series(0, [top] * n, mod2k(k))
+    want = [(j + 1) * top * top % (1 << k) for j in range(n)]
+    assert a.mul(a).coeffs() == want
+    raw = _conv_mod2k(a._coeffs, a._coeffs, n, k)
+    assert raw.tolist() == [(j + 1) * top * top for j in range(n)]
+
+
+def test_packed_mod2k_branch_boundary(monkeypatch):
+    # k = 27: 2k + bitlen(1023) = 64 bits packs, 2k + bitlen(1024) = 65 bits
+    # goes to np.convolve; both agree with the schoolbook product
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve",
+                        lambda *args: calls.append(1) or convolve(*args))
+    rnd = random.Random(27)
+    for n, convolved in ((1023, []), (1024, [1])):
+        a = [rnd.getrandbits(27) | 1 for _ in range(n)]
+        b = [rnd.getrandbits(27) | 1 for _ in range(n)]
+        got = series(0, a, mod2k(27)).mul(series(0, b, mod2k(27))).coeffs()
+        assert got == [c % (1 << 27) for c in naive_mul(a, b, n)]
+        assert calls == convolved
+        calls.clear()
+
+
+def test_packed_mod8_matches_convolve_at_8000_terms():
+    rng = np.random.default_rng(8000)
+    a = rng.integers(0, 8, 8000, dtype=np.uint64)
+    b = rng.integers(0, 8, 8000, dtype=np.uint64)
+    got = series(0, a, mod2k(3)).mul(series(0, b, mod2k(3)))._coeffs
+    assert np.array_equal(got, np.convolve(a, b)[:8000] & np.uint64(7))

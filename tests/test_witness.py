@@ -93,6 +93,14 @@ def test_certificate_validation():
                           hauptmodul=cert.hauptmodul, poly=(1,))  # 3 | 2 fails
 
 
+def test_window_must_reach_q0():
+    # the builtin's pole order is 17: T=18 compares q^-17..q^0, T=17 would
+    # compare only negative exponents and is refused
+    assert verify_witness(builtin_certificate(), 18).identity_matched
+    with pytest.raises(ValueError, match="pole order 17 is at least T=17"):
+        verify_witness(builtin_certificate(), 17)
+
+
 def test_constant_term_certificate_verifies():
     # trivial identity 1 = 1 exercises poly_min_degree = 0 end to end
     tiny = WitnessCertificate(
