@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dissect import IdentityReport, Progression, extract, report_from_comparison
 from .eta import overpartition_gf
 from .series import euler_factor, mod2k
@@ -159,16 +161,14 @@ def observed_two_adic_valuation(t: int, m: int, j: int, n_max: int) -> int:
     T = m * n_max + j + 1
     gf = overpartition_gf(t, mod2k(64), T)
     stream = extract(gf, Progression(m, j)).coeffs()[:n_max + 1]
-    best = 64
-    for v in stream:
-        if v == 0:
-            continue
-        val = (v & -v).bit_length() - 1
-        if val < best:
-            best = val
-            if best == 0:
-                break
-    return best
+    return _min_two_adic_valuation(np.array(stream, dtype=np.uint64))
+
+
+def _min_two_adic_valuation(words: np.ndarray) -> int:
+    """Least 2-adic valuation among uint64 words, 64 if all are zero: the
+    lowest set bit of their bitwise or."""
+    low = int(np.bitwise_or.reduce(words))
+    return (low & -low).bit_length() - 1 if low else 64
 
 
 def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:

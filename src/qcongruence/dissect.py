@@ -94,10 +94,10 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
 
 
 def rogers_ramanujan(T: int) -> LaurentSeries:
-    """The quotient (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5)) through q^(T-1)."""
-    num = euler_factor(1, 5, 1, EXACT, T).mul(euler_factor(4, 5, 1, EXACT, T))
-    den = euler_factor(2, 5, 1, EXACT, T).mul(euler_factor(3, 5, 1, EXACT, T))
-    return num.mul(den.inverse())
+    """The quotient (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5)) through q^(T-1),
+    as f(-q, -q^4) / f(-q^2, -q^3) by Jacobi's triple product (the common
+    factor (q^5;q^5) cancels)."""
+    return theta_f(1, 4, T).mul(theta_f(2, 3, T).inverse())
 
 
 def dissection3_f1cubed(T: int) -> IdentityReport:

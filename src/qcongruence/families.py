@@ -91,18 +91,17 @@ def _rhs_candidates(variant: str, T: int) -> list[tuple[str, LaurentSeries]]:
 
 
 def verify_family_instance(fi: FamilyInstance, n_max: int,
-                           corrected_offset: bool = False,
-                           budget: int = DEFAULT_BUDGET) -> IdentityReport:
+                           corrected_offset: bool = False) -> IdentityReport:
     """Extract the instance's progression from the 5-colored overpartition
     expansion mod 8 and compare against the family right-hand side.
 
     The report's note records which candidate right-hand side matched (or
     that neither did)."""
     s, o = fi.corrected_progression() if corrected_offset else fi.progression()
-    if s * n_max + o > budget:
+    if s * n_max + o > DEFAULT_BUDGET:
         raise ValueError(
             f"instance needs expansion through q^{s * n_max + o}, over the "
-            f"budget of {budget}")
+            f"budget of {DEFAULT_BUDGET}")
     T = s * n_max + o + 1
     gf = overpartition_gf(5, _MOD8, T)
     stream = extract(gf, Progression(s, o))

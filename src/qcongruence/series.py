@@ -433,34 +433,16 @@ def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
 
 
 def pentagonal_series(ring: Ring, T: int) -> LaurentSeries:
-    """Euler's expansion of prod_{i>=1}(1 - q^i): +-1 at generalized
-    pentagonal exponents k(3k-1)/2, zero elsewhere."""
-    if T < 1:
-        raise InsufficientTruncation("need T >= 1")
-    c = [0] * T
-    c[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= T and e2 >= T:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < T:
-            c[e1] = s
-        if e2 < T:
-            c[e2] = s
-        k += 1
-    return LaurentSeries(0, c, ring)
+    """Euler's expansion of prod_{i>=1}(1 - q^i) = f(-q, -q^2): +-1 at
+    generalized pentagonal exponents k(3k-1)/2, zero elsewhere."""
+    return theta_f(1, 2, T, ring)
 
 
 def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     """Expansion of prod_{i>=0}(1 - q^(a+m*i))^e through q^(T-1).
 
-    The full Euler product (a == m) goes through the pentagonal expansion,
-    raised to the power e in q before q -> q^m: by Miller's recurrence over
-    Z, by binary powering mod 2^k (where the recurrence's division by k is
-    unavailable).  General (q^a; q^m)-type factors multiply the sparse
+    The full Euler product (a == m) is f(-q^m, -q^(2m))^e, by
+    ``_theta_power``.  General (q^a; q^m)-type factors multiply the sparse
     binomials directly.
     """
     if a < 1 or m < 1:
@@ -468,12 +450,7 @@ def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
     if a == m:
-        base = pentagonal_series(ring, (T - 1) // m + 1)
-        if ring.is_exact and e not in (0, 1):
-            base = LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
-        elif e != 1:
-            base = base.pow(e)
-        return base.substitute_qpow(m).truncate(T)
+        return _theta_power(2, e, m, ring, T)
     base = _binomial_product(a, m, ring, T)
     return base.pow(e) if e != 1 else base
 
@@ -481,26 +458,36 @@ def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
 def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     """Expansion of phi(-q^d)^e = (f_d^2 / f_{2d})^e through q^(T-1).
 
-    Gauss's identity phi(-q) = f_1^2 / f_2 = 1 + 2X, X = sum_{n>=1} (-1)^n
-    q^(n^2), has about sqrt(T) nonzero terms.  It is raised to the power e
-    in q before q -> q^d: over Z by Miller's recurrence, and mod 2^k as
-    sum_{i<k} C(e, i) 2^i X^i, whose terms with i >= k vanish, by Horner's
-    rule in the sparse X.  Neither route takes an inverse or a dense product.
+    Gauss's identity phi(-q) = f(-q, -q) = f_1^2 / f_2 = 1 + 2X, X =
+    sum_{n>=1} (-1)^n q^(n^2), has about sqrt(T) nonzero terms; it is
+    raised to the power e by ``_theta_power``, with no inverse and no
+    dense product.
     """
     if d < 1:
         raise ValueError("phi_power needs d >= 1")
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
+    return _theta_power(1, e, d, ring, T)
+
+
+def _theta_power(y: int, e: int, d: int, ring: Ring, T: int) -> LaurentSeries:
+    """f(-q, -q^y)^e through q^(T-1) after q -> q^d, for y in (1, 2).
+
+    The power is taken at length ceil(T/d) before the substitution: over Z
+    by Miller's recurrence on the sparse theta series; mod 2^k for phi
+    (y == 1) as sum_{i<k} C(e, i) 2^i X^i, whose terms with i >= k vanish,
+    by Horner's rule in the sparse X; mod 2^k for f_1 (y == 2) by binary
+    powering, since the recurrence's division by k is unavailable there.
+    """
     n = (T - 1) // d + 1
-    if ring.is_exact:
-        phi = [0] * n
-        phi[0] = 1
-        for j in range(1, math.isqrt(n - 1) + 1):
-            phi[j * j] = -2 if j % 2 else 2
-        base = _miller_power(phi, e)
+    if not ring.is_exact and y == 1:
+        base = LaurentSeries(0, _gauss_power_mod2k(e, ring.k, n), ring)
     else:
-        base = _gauss_power_mod2k(e, ring.k, n)
-    return LaurentSeries(0, base, ring).substitute_qpow(d).truncate(T)
+        base = theta_f(1, y, n, ring)
+        if e != 1:
+            base = (LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
+                    if ring.is_exact else base.pow(e))
+    return base.substitute_qpow(d).truncate(T)
 
 
 def _miller_power(p: Sequence[int], e: int) -> list[int]:

@@ -107,8 +107,6 @@ def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:
     Degenerate all-zero polynomials report gcd 0 with valuation None rather
     than adopting an arbitrary convention.
     """
-    if not c.poly:
-        raise ValueError("certificate polynomial is empty")
     g = 0
     for coeff in c.poly:
         g = math.gcd(g, coeff)
@@ -173,45 +171,10 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     )
 
 
-# The shipped certificate for 5-colored overpartitions on 8n+7: every
-# polynomial coefficient is divisible by 128, hence the mod-128 congruence.
-_BUILTIN_POLY = (
-    162177965096960,          # t^1
-    12820855335682048,        # t^2
-    181969724152741888,       # t^3
-    911076328575336448,       # t^4
-    2131168862538825728,      # t^5
-    2711338639077408768,      # t^6
-    2054802074125729792,      # t^7
-    979900817664376832,       # t^8
-    302871878945472512,       # t^9
-    61243801104023552,        # t^10
-    8026570602053632,         # t^11
-    661947909931008,          # t^12
-    32519056130048,           # t^13
-    868870094848,             # t^14
-    10846240768,              # t^15
-    47761408,                 # t^16
-    37760,                    # t^17
-)
-
-
 def builtin_certificate() -> WitnessCertificate:
-    """The shipped 5-colored / 8n+7 / mod-128 witness certificate."""
-    return WitnessCertificate(
-        N=8,
-        M=2,
-        r={1: -10, 2: 5},
-        m=8,
-        j=7,
-        pset=frozenset({7}),
-        prefactor=EtaQuotient(8, {1: 79, 2: -38, 4: 36, 8: -72}, qshift=-17),
-        hauptmodul=EtaQuotient(8, {2: -4, 4: 12, 8: -8}, qshift=-1),
-        poly=_BUILTIN_POLY,
-        poly_min_degree=1,
-        claimed_common_factor=128,
-        id="t5-8n+7-mod128",
-    )
+    """The shipped 5-colored / 8n+7 / mod-128 witness certificate, read
+    from its packaged file."""
+    return parse_certificate(builtin_certificate_text())
 
 
 # -- line-oriented text format -------------------------------------------

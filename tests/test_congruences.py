@@ -1,7 +1,9 @@
 """Congruence claims, the theorem/conjecture tables, the enumeration oracle
 and the power-lifting congruence."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
                                      ClaimReport, CongruenceClaim,
@@ -10,7 +12,8 @@ from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
                                      enumerate_colored_overpartitions,
                                      enumerate_colored_partitions, is_prime,
                                      observed_two_adic_valuation,
-                                     run_theorems, scan_conjecture)
+                                     run_theorems, scan_conjecture,
+                                     _min_two_adic_valuation)
 from qcongruence.dissect import Progression, extract
 from qcongruence.eta import overpartition_gf
 from qcongruence.series import EXACT
@@ -69,6 +72,22 @@ def test_all_theorem_claims_are_sharp():
         assert observed_two_adic_valuation(c.t, c.m, c.j, 400) == c.k
         strengthened = CongruenceClaim(c.t, c.m, c.j, c.k + 1, c.source)
         assert not check_claim(strengthened, 400).holds
+
+
+_WORD = st.builds(lambda u, v: (u << v) % (1 << 64),
+                  st.integers(0, (1 << 64) - 1), st.integers(0, 63))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(st.one_of(st.just(0), _WORD), min_size=1, max_size=40))
+@example([0])
+@example([0] * 7)
+@example([0, 1 << 63, 0])
+@example([(1 << 64) - 1, 0])
+def test_min_two_adic_valuation_matches_per_value_loop(stream):
+    want = min(((v & -v).bit_length() - 1 for v in stream if v), default=64)
+    got = _min_two_adic_valuation(np.array(stream, dtype=np.uint64))
+    assert got == want
 
 
 def test_monotone_moduli():

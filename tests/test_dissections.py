@@ -128,6 +128,15 @@ def test_rogers_ramanujan_against_naive_expansion():
     assert want[:11] == [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2]
 
 
+def test_rogers_ramanujan_matches_binomial_products():
+    # the four (q^a; q^5) binomial products, one dense inverse: an algorithm
+    # independent of the triple-product theta route
+    T = 1500
+    num = euler_factor(1, 5, 1, EXACT, T).mul(euler_factor(4, 5, 1, EXACT, T))
+    den = euler_factor(2, 5, 1, EXACT, T).mul(euler_factor(3, 5, 1, EXACT, T))
+    assert rogers_ramanujan(T) == num.mul(den.inverse())
+
+
 # -- dissection identities ---------------------------------------------------------
 
 

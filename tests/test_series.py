@@ -237,7 +237,17 @@ def test_euler_factor_validation():
 
 
 def test_theta_triple_product_specialization():
-    assert agree(theta_f(1, 2, 200), euler_factor(1, 1, 1, EXACT, 200))
+    # f(-q, -q^2) = (q; q)_inf and f(-q, -q^4) = (q; q^5)(q^4; q^5)(q^5; q^5)
+    assert theta_f(1, 2, 200).coeffs() == naive_product(range(1, 200), 200)
+    rr = [c for c in range(1, 200) if c % 5 in (0, 1, 4)]
+    assert theta_f(1, 4, 200).coeffs() == naive_product(rr, 200)
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_pentagonal_series_mod2k_matches_pentagonal_numbers(k):
+    signs = generalized_pentagonal(1000)
+    want = [signs.get(e, 0) % (1 << k) for e in range(1000)]
+    assert pentagonal_series(mod2k(k), 1000).coeffs() == want
 
 
 def test_theta_constant_term():

@@ -119,10 +119,6 @@ def test_format_parse_round_trip():
     assert parse_certificate(format_certificate(cert)) == cert
 
 
-def test_shipped_file_equals_code():
-    assert parse_certificate(builtin_certificate_text()) == builtin_certificate()
-
-
 def test_file_round_trip(tmp_path):
     cert = builtin_certificate()
     path = tmp_path / "cert.txt"
