@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import congruences, dissect, families
 from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
@@ -19,7 +20,7 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import EXACT, Ring, mod2k
+from .series import EXACT, MAX_MOD2K_BITS, Ring, mod2k
 from .witness import (WitnessReport, builtin_certificate, load_certificate,
                       verify_witness)
 
@@ -36,30 +37,36 @@ _FAMILY_TARGET_T = 20000
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
 
-# The input flags each verify target reads; giving any other is a usage error.
-_TARGET_FLAGS = {
-    "theorems": ("n_max",), "conjecture": ("n_max",),
-    "dissections": ("T",), "witness": ("T",), "eq1": ("T",),
-    "families": ("T", "family_n_max"),
-    "all": ("T", "n_max", "family_n_max"),
-}
+
+def _bounded(hi: int) -> Callable[[str], int]:
+    """An argparse type: an integer in 1..hi."""
+    def integer(text: str) -> int:
+        v = int(text)
+        if not 1 <= v <= hi:
+            raise argparse.ArgumentTypeError(f"must be in 1..{hi}, got {v}")
+        return v
+    return integer
 
 
-def _size(text: str) -> int:
-    """A truncation or progression bound, capped by the families budget."""
-    v = int(text)
-    if not 1 <= v <= families.DEFAULT_BUDGET:
-        raise argparse.ArgumentTypeError(
-            f"must be in 1..{families.DEFAULT_BUDGET}, got {v}")
-    return v
+# A truncation or progression bound, capped by the families budget.
+_size = _bounded(families.DEFAULT_BUDGET)
 
 
 def _parse_ring(text: str) -> Ring:
+    """The --ring type: ``exact``, or ``mod2k:K`` for Z/2^K."""
     if text == "exact":
         return EXACT
     if text.startswith("mod2k:"):
-        return mod2k(int(text.split(":", 1)[1]))
-    raise ValueError(f"ring must be 'exact' or 'mod2k:K', got {text!r}")
+        try:
+            return mod2k(int(text.removeprefix("mod2k:")))
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"must be 'exact' or 'mod2k:K' with 1 <= K <= {MAX_MOD2K_BITS}, got {text!r}")
+
+
+def _ring_name(ring: Ring) -> str:
+    return "exact" if ring.is_exact else f"mod2k:{ring.k}"
 
 
 def _fmt_value(v) -> str:
@@ -127,10 +134,10 @@ def _emit(report: Report, args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
-    if getattr(args, "bless", None):
+    if args.bless:
         Path(args.bless).write_text(stable)
         sys.stdout.write(f"# blessed -> {args.bless}\n")
-    elif getattr(args, "check", None):
+    elif args.check:
         expected = Path(args.check).read_text()
         if expected != stable:
             sys.stdout.write(f"# REGRESSION: output differs from {args.check}\n")
@@ -143,10 +150,9 @@ def _emit(report: Report, args) -> int:
 
 
 def cmd_expand(args) -> int:
-    eq = parse_eta_quotient(args.spec)
-    ring = _parse_ring(args.ring)
-    series = expand(eq, ring, args.T)
-    rep = Report("expand", {"spec": f'"{args.spec}"', "T": args.T, "ring": args.ring})
+    series = expand(parse_eta_quotient(args.spec), args.ring, args.T)
+    rep = Report("expand", {"spec": f'"{args.spec}"', "T": args.T,
+                            "ring": _ring_name(args.ring)})
     for i, c in enumerate(series.coeffs()):
         e = series.offset + i
         rep.add(f"q^{e}: {c}", f"coeff e={e} value={c}")
@@ -154,12 +160,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    eq = parse_eta_quotient(args.spec)
-    ring = _parse_ring(args.ring)
-    series = expand(eq, ring, args.T)
+    series = expand(parse_eta_quotient(args.spec), args.ring, args.T)
     stream = extract(series, Progression(args.m, args.j))
     rep = Report("extract", {"spec": f'"{args.spec}"', "m": args.m, "j": args.j,
-                             "T": args.T, "ring": args.ring})
+                             "T": args.T, "ring": _ring_name(args.ring)})
     for n, c in enumerate(stream.coeffs()):
         rep.add(f"n={n} (q^{args.m * n + args.j}): {c}", f"coeff n={n} value={c}")
     return _emit(rep, args)
@@ -168,12 +172,10 @@ def cmd_extract(args) -> int:
 def cmd_oracle(args) -> int:
     rep = Report("oracle", {"t": args.t, "n_max": args.n_max})
     gf = overpartition_gf(args.t, EXACT, args.n_max + 1)
-    ok = True
     for n in range(args.n_max + 1):
         enum = enumerate_colored_overpartitions(args.t, n)
         coeff = gf.coefficient(n)
         match = enum == coeff
-        ok = ok and match
         rep.add(f"n={n}: enumeration {enum}, series {coeff}"
                 + ("" if match else "  <-- DISAGREE"),
                 f"oracle t={args.t} n={n} enumeration={enum} series={coeff} "
@@ -253,31 +255,44 @@ def _verify_eq1(rep: Report, args):
     rep.add(r.summary(), _identity_record(r), ok=r.matched)
 
 
+class _Target(NamedTuple):
+    run: Callable[[Report, argparse.Namespace], None]
+    reads: tuple[str, ...]  # its input flags; any other is a usage error
+    positionals: str | None = None  # their help text, if the target takes any
+
+
 _TARGETS = {
-    "theorems": _verify_theorems,
-    "conjecture": _verify_conjecture,
-    "dissections": _verify_dissections,
-    "witness": _verify_witness,
-    "families": _verify_families,
-    "eq1": _verify_eq1,
+    "theorems": _Target(_verify_theorems, ("--n-max",)),
+    "conjecture": _Target(_verify_conjecture, ("--n-max",),
+                          "primes to scan (default: the built-in six)"),
+    "dissections": _Target(_verify_dissections, ("--T",)),
+    "witness": _Target(_verify_witness, ("--T",),
+                       "builtin or certificate file paths (default builtin)"),
+    "families": _Target(_verify_families, ("--T", "--family-n-max")),
+    "eq1": _Target(_verify_eq1, ("--T",)),
 }
 
 
+def _verify_all(rep: Report, args):
+    for name, target in _TARGETS.items():
+        rep.table.append(f"-- {name} --")
+        rep.records.append(f"# section {name}")
+        target.run(rep, args)
+
+
 def cmd_verify(args) -> int:
-    if args.T is None:
-        args.T = DEFAULT_T
-    if args.n_max is None:
-        args.n_max = DEFAULT_N_MAX
     rep = Report(f"verify {args.target}", {"T": args.T, "n_max": args.n_max})
-    if args.target == "all":
-        for name in ("theorems", "conjecture", "dissections", "witness",
-                     "families", "eq1"):
-            rep.table.append(f"-- {name} --")
-            rep.records.append(f"# section {name}")
-            _TARGETS[name](rep, args)
-    else:
-        _TARGETS[args.target](rep, args)
+    args.run(rep, args)
     return _emit(rep, args)
+
+
+# The input flags a subcommand may read, with their types and help.
+_INPUT_FLAGS = {
+    "--T": (_size, f"series truncation (default {DEFAULT_T})"),
+    "--n-max": (_size, f"progression bound (default {DEFAULT_N_MAX})"),
+    "--family-n-max": (_size, "per-instance bound for family checks (default: auto)"),
+    "--ring": (_parse_ring, "coefficient ring: exact or mod2k:K (default exact)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,73 +301,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="q-series expansion and congruence verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, T=False, n_max=None, ring=False):
-        """Register the output flags, plus the input flags ``p`` reads."""
-        if T:
-            p.add_argument("--T", type=_size, default=DEFAULT_T,
-                           help=f"series truncation (default {DEFAULT_T})")
-        if n_max is not None:
-            p.add_argument("--n-max", dest="n_max", type=_size, default=n_max,
-                           help=f"progression bound (default {n_max})")
-        if ring:
-            p.add_argument("--ring", default="exact",
-                           help="coefficient ring: exact or mod2k:K (default exact)")
+    def common(p, reads=()):
+        """Register the input flags in ``reads``, plus the output flags."""
+        for flag in reads:
+            type_, help_ = _INPUT_FLAGS[flag]
+            p.add_argument(flag, type=type_, help=help_)
         p.add_argument("--format", choices=("table", "records"), default="table")
-        p.add_argument("--bless", metavar="PATH",
-                       help="write the stable record output to PATH")
-        p.add_argument("--check", metavar="PATH",
-                       help="compare the stable record output against PATH")
+        out = p.add_mutually_exclusive_group()
+        out.add_argument("--bless", metavar="PATH",
+                         help="write the stable record output to PATH")
+        out.add_argument("--check", metavar="PATH",
+                         help="compare the stable record output against PATH")
 
     p = sub.add_parser("expand", help="expand an eta-quotient expression")
     p.add_argument("spec", help='e.g. "q^-1 * f2^1 * f1^-2"')
-    common(p, T=True, ring=True)
-    p.set_defaults(func=cmd_expand)
+    common(p, ("--T", "--ring"))
+    p.set_defaults(func=cmd_expand, T=DEFAULT_T, ring=EXACT)
 
     p = sub.add_parser("extract", help="extract an arithmetic progression "
                        "from an eta-quotient expansion")
     p.add_argument("spec")
     p.add_argument("m", type=int)
     p.add_argument("j", type=int)
-    common(p, T=True, ring=True)
-    p.set_defaults(func=cmd_extract)
+    common(p, ("--T", "--ring"))
+    p.set_defaults(func=cmd_extract, T=DEFAULT_T, ring=EXACT)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("target", choices=("theorems", "conjecture", "dissections",
-                                      "witness", "families", "eq1", "all"))
-    p.add_argument("args", nargs="*",
-                   help="conjecture: primes to scan; witness: builtin or "
-                        "certificate file paths")
-    # None defaults let main tell an explicit flag from an omitted one;
-    # cmd_verify fills in the defaults
-    p.add_argument("--T", type=_size,
-                   help=f"identity and witness truncation (default {DEFAULT_T})")
-    p.add_argument("--n-max", dest="n_max", type=_size,
-                   help=f"progression bound (default {DEFAULT_N_MAX})")
-    p.add_argument("--family-n-max", dest="family_n_max", type=_size,
-                   help="per-instance bound for family checks (default: auto)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="target", required=True)
+    all_reads = tuple(dict.fromkeys(f for t in _TARGETS.values() for f in t.reads))
+    for name, target in [*_TARGETS.items(), ("all", _Target(_verify_all, all_reads))]:
+        p = verify.add_parser(name)
+        if target.positionals:
+            p.add_argument("args", nargs="*", help=target.positionals)
+        common(p, target.reads)
+        # every header names T and n_max, even for a target that reads neither
+        p.set_defaults(func=cmd_verify, run=target.run, T=DEFAULT_T,
+                       n_max=DEFAULT_N_MAX, family_n_max=None, args=[])
 
     p = sub.add_parser("oracle", help="cross-check series coefficients "
                        "against direct enumeration")
-    p.add_argument("--t", type=int, default=2, help="color count (default 2)")
-    common(p, n_max=8)
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--t", type=_bounded(congruences._ORACLE_MAX_T),
+                   help="color count (default 2)")
+    p.add_argument("--n-max", type=_bounded(congruences._ORACLE_MAX_N),
+                   help="enumeration bound (default 8)")
+    common(p)
+    p.set_defaults(func=cmd_oracle, t=2, n_max=8)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        reads = _TARGET_FLAGS[args.target]
-        unread = [dest for dest in ("T", "n_max", "family_n_max")
-                  if getattr(args, dest) is not None and dest not in reads]
-        if unread:
-            flags = lambda dests: " ".join("--" + d.replace("_", "-") for d in dests)
-            parser.error(f"unrecognized arguments: {flags(unread)} "
-                         f"(verify {args.target} reads only {flags(reads)})")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

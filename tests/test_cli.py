@@ -6,7 +6,7 @@ import pytest
 
 from qcongruence import cli, witness
 from qcongruence.cli import main
-from qcongruence.congruences import DEFAULT_N_MAX
+from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
 from qcongruence.series import LaurentSeries
 from qcongruence.witness import builtin_certificate, format_certificate
@@ -104,6 +104,11 @@ def test_verify_theorems_records_format(capsys):
     ("verify", "dissections", "--n-max", "5"),
     ("verify", "witness", "--family-n-max", "3"),
     ("verify", "families", "--n-max", "5"),
+    ("verify", "theorems", "17"),
+    ("verify", "eq1", "junk"),
+    ("verify", "dissections", "3"),
+    ("verify", "families", "3"),
+    ("verify", "all", "17"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -120,6 +125,30 @@ def test_verify_all_reads_every_flag(capsys, monkeypatch):
     assert (seen["T"], seen["n_max"], seen["family_n_max"]) == (50, 5, 3)
 
 
+def test_each_verify_target_reads_exactly_its_flags(capsys, monkeypatch):
+    values = {"--T": "50", "--n-max": "5", "--family-n-max": "3", "--ring": "exact"}
+    assert set(values) == set(cli._INPUT_FLAGS)
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    for name, target in cli._TARGETS.items():
+        for flag, value in values.items():
+            argv = ["verify", name, flag, value]
+            if flag in target.reads:
+                assert main(argv) == 0, argv
+                assert str(seen[flag[2:].replace("-", "_")]) == value, argv
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2, argv
+        argv = ["verify", name, "3"]
+        if target.positionals:
+            assert main(argv) == 0 and seen["args"] == ["3"], argv
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
+
 def test_verify_header_names_default_options(capsys):
     code, out, _ = run(capsys, "verify", "eq1", "--T", "60")
     assert code == 0
@@ -133,13 +162,39 @@ def test_verify_header_names_default_options(capsys):
     (("verify", "witness", "--T", str(DEFAULT_BUDGET + 1)), "--T"),
     (("verify", "families", "--family-n-max", "0"), "--family-n-max"),
     (("oracle", "--n-max", "100001"), "--n-max"),
+    (("oracle", "--t", "5", "--n-max", "15"), "--n-max"),
+    (("oracle", "--t", "6"), "--t"),
+    (("oracle", "--t", "0"), "--t"),
 ])
 def test_sizes_outside_the_budget_are_usage_errors(capsys, argv, flag):
-    # rejected while parsing, before any series is allocated
+    # rejected while parsing, before any series is allocated or any
+    # overpartition enumerated; the oracle is bounded by the enumeration
+    bound = ({"--t": _ORACLE_MAX_T, "--n-max": _ORACLE_MAX_N}[flag]
+             if argv[0] == "oracle" else DEFAULT_BUDGET)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert f"argument {flag}: must be in 1..{DEFAULT_BUDGET}" in capsys.readouterr().err
+    assert f"argument {flag}: must be in 1..{bound}," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "f1^1", "--ring", "mod2k:x"), "argument --ring: must be 'exact' or"),
+    (("expand", "f1^1", "--ring", "mod2k:65"), "argument --ring: must be 'exact' or"),
+    (("extract", "f1^1", "2", "0", "--ring", "foo"), "argument --ring: must be 'exact' or"),
+    (("verify", "eq1", "--bless", "a.txt", "--check", "b.txt"),
+     "argument --check: not allowed with argument --bless"),
+    (("expand", "f1^1", "--check", "b.txt", "--bless", "a.txt"),
+     "argument --bless: not allowed with argument --check"),
+], ids=["ring-mod2k-x", "ring-mod2k-65", "ring-foo", "bless-check", "check-bless"])
+def test_malformed_flag_values_are_usage_errors(capsys, monkeypatch, tmp_path,
+                                                argv, message):
+    # argparse's message names the flag; neither --bless nor --check runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_conjecture_explicit_primes(capsys):
