@@ -10,7 +10,7 @@ and probes how sharp each modulus is.
 """
 
 from qcongruence import (THEOREM_CLAIMS, CongruenceClaim, check_claim,
-                         observed_two_adic_valuation, run_theorems,
+                         observed_two_adic_valuations, run_theorems,
                          scan_conjecture)
 
 # Every proved claim, checked for n <= 300 (a few seconds; the acceptance
@@ -26,7 +26,7 @@ print("-- sharpness --")
 for claim in THEOREM_CLAIMS:
     if claim.j != 7:
         continue
-    v = observed_two_adic_valuation(claim.t, claim.m, claim.j, 300)
+    v = observed_two_adic_valuations(claim.t, claim.m, 300)[claim.j]
     stronger = check_claim(
         CongruenceClaim(claim.t, claim.m, claim.j, claim.k + 1), 300)
     print(f"  t={claim.t:2d} j=7: claimed 2^{claim.k}, observed min "

@@ -14,14 +14,14 @@ from .congruences import (CONJECTURE_PATTERN, DEFAULT_N_MAX, THEOREM_CLAIMS,
                           check_lift_congruence, conjecture_claims,
                           enumerate_colored_overpartitions,
                           enumerate_colored_partitions, is_prime,
-                          observed_two_adic_valuation, run_theorems,
+                          observed_two_adic_valuations, run_theorems,
                           scan_conjecture)
 from .dissect import (IdentityReport, Progression, dissection3_f1cubed,
                       dissection5, dissection7, extract, ramanathan,
                       report_from_comparison, rogers_ramanujan)
 from .eta import (EtaQuotient, colored_partition_gf, expand,
                   format_eta_quotient, overpartition_eta_quotient,
-                  overpartition_gf, parse_eta_quotient)
+                  overpartition_gf, overpartition_residues, parse_eta_quotient)
 from .families import (DEFAULT_BUDGET, VARIANTS, FamilyInstance,
                        verify_eq1, verify_family_instance,
                        verify_induction_step)
@@ -49,8 +49,9 @@ __all__ = [
     "enumerate_colored_overpartitions", "enumerate_colored_partitions",
     "euler_factor", "expand", "extract", "first_difference",
     "format_certificate", "format_eta_quotient", "is_prime",
-    "load_certificate", "mod2k", "observed_two_adic_valuation",
-    "overpartition_eta_quotient", "overpartition_gf", "parse_certificate",
+    "load_certificate", "mod2k", "observed_two_adic_valuations",
+    "overpartition_eta_quotient", "overpartition_gf", "overpartition_residues",
+    "parse_certificate",
     "parse_eta_quotient", "pentagonal_series", "phi_power", "ramanathan",
     "report_from_comparison", "rogers_ramanujan", "run_theorems",
     "save_certificate", "scan_conjecture", "theta_f", "verify_eq1",

@@ -20,7 +20,7 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import EXACT, MAX_MOD2K_BITS, Ring, mod2k
+from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, mod2k
 from .witness import (WitnessReport, builtin_certificate, load_certificate,
                       verify_witness)
 
@@ -149,8 +149,19 @@ def _emit(report: Report, args) -> int:
 # -- commands ---------------------------------------------------------------
 
 
+def _expand_spec(args) -> LaurentSeries:
+    """Expand ``args.spec`` to ``args.T``; a q-shift may not stretch the
+    expansion past the size budget."""
+    eq = parse_eta_quotient(args.spec)
+    if args.T - eq.qshift > families.DEFAULT_BUDGET:
+        raise ValueError(
+            f"expansion length {args.T - eq.qshift} (--T {args.T} minus q-shift "
+            f"{eq.qshift}) is over the budget of {families.DEFAULT_BUDGET}")
+    return expand(eq, args.ring, args.T)
+
+
 def cmd_expand(args) -> int:
-    series = expand(parse_eta_quotient(args.spec), args.ring, args.T)
+    series = _expand_spec(args)
     rep = Report("expand", {"spec": f'"{args.spec}"', "T": args.T,
                             "ring": _ring_name(args.ring)})
     for i, c in enumerate(series.coeffs()):
@@ -160,7 +171,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    series = expand(parse_eta_quotient(args.spec), args.ring, args.T)
+    series = _expand_spec(args)
     stream = extract(series, Progression(args.m, args.j))
     rep = Report("extract", {"spec": f'"{args.spec}"', "m": args.m, "j": args.j,
                              "T": args.T, "ring": _ring_name(args.ring)})
@@ -194,14 +205,14 @@ def _verify_theorems(rep: Report, args):
 
 
 def _verify_conjecture(rep: Report, args):
-    primes = [int(p) for p in args.args] if args.args else list(DEFAULT_CONJECTURE_PRIMES)
+    primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
     _run_claims(rep, claims, args.n_max)
-    # observed sharpness per residue class, to inform whether the conjectured
-    # moduli are tight; 64 is a floor (the scan works mod 2^64)
+    # how sharp each claimed modulus is, from one mod-2^64 table per prime
     for p in primes:
-        for m, j, k in congruences.CONJECTURE_PATTERN:
-            v = congruences.observed_two_adic_valuation(p, m, j, args.n_max)
+        observed = congruences.observed_two_adic_valuations(p, 8, args.n_max)
+        for m, j, k in congruences.CONJECTURE_PATTERN:  # m = 8 in every row
+            v = observed[j]
             rep.add(f"  observed min 2-adic valuation of p̄_-{p}({m}n+{j}): "
                     f"{v}{'+' if v == 64 else ''} (claimed {k})",
                     f"valuation t={p} m={m} j={j} claimed_k={k} observed_min_v2={v}")
@@ -258,16 +269,17 @@ def _verify_eq1(rep: Report, args):
 class _Target(NamedTuple):
     run: Callable[[Report, argparse.Namespace], None]
     reads: tuple[str, ...]  # its input flags; any other is a usage error
-    positionals: str | None = None  # their help text, if the target takes any
+    # (metavar, type, help text) of its positionals, if it takes any
+    positionals: tuple[str, Callable[[str], object], str] | None = None
 
 
 _TARGETS = {
     "theorems": _Target(_verify_theorems, ("--n-max",)),
     "conjecture": _Target(_verify_conjecture, ("--n-max",),
-                          "primes to scan (default: the built-in six)"),
+                          ("PRIME", int, "primes to scan (default: the built-in six)")),
     "dissections": _Target(_verify_dissections, ("--T",)),
     "witness": _Target(_verify_witness, ("--T",),
-                       "builtin or certificate file paths (default builtin)"),
+                       ("CERT", str, "builtin or certificate file paths (default builtin)")),
     "families": _Target(_verify_families, ("--T", "--family-n-max")),
     "eq1": _Target(_verify_eq1, ("--T",)),
 }
@@ -332,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, target in [*_TARGETS.items(), ("all", _Target(_verify_all, all_reads))]:
         p = verify.add_parser(name)
         if target.positionals:
-            p.add_argument("args", nargs="*", help=target.positionals)
+            metavar, type_, help_ = target.positionals
+            p.add_argument("args", nargs="*", metavar=metavar, type=type_, help=help_)
         common(p, target.reads)
         # every header names T and n_max, even for a target that reads neither
         p.set_defaults(func=cmd_verify, run=target.run, T=DEFAULT_T,

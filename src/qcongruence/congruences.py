@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissect import IdentityReport, Progression, extract, report_from_comparison
-from .eta import overpartition_gf
-from .series import euler_factor, mod2k
+from .dissect import IdentityReport, report_from_comparison
+from .eta import overpartition_residues
+from .series import MAX_MOD2K_BITS, euler_factor, mod2k
 
 DEFAULT_N_MAX = 2000
 
@@ -38,6 +38,9 @@ class CongruenceClaim:
     def __post_init__(self):
         if self.t < 1 or self.m < 1 or self.k < 1:
             raise ValueError("t, m, k must be positive")
+        if self.k > MAX_MOD2K_BITS:
+            raise ValueError(f"k={self.k} is over {MAX_MOD2K_BITS}: claims are "
+                             f"checked mod 2^k with k <= {MAX_MOD2K_BITS}")
         if not 0 <= self.j < self.m:
             raise ValueError(f"residue j={self.j} not in [0, {self.m})")
         if self.source not in SOURCES:
@@ -118,14 +121,11 @@ def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
 
 
 def check_claim(c: CongruenceClaim, n_max: int) -> ClaimReport:
-    """Expand the generating function mod 2^k, extract the progression and
+    """Read the claim's progression from the residue table mod 2^k and
     assert every coefficient vanishes; the first failure is recorded."""
     start = time.perf_counter()
-    T = c.m * n_max + c.j + 1
-    gf = overpartition_gf(c.t, mod2k(c.k), T)
-    stream = extract(gf, Progression(c.m, c.j))  # n = 0 .. n_max
-    n = stream.valuation()
-    counter = None if n is None else (n, stream.coefficient(n))
+    row = overpartition_residues(c.t, mod2k(c.k), c.m, n_max)[c.j]
+    counter = next(((int(n), int(row[n])) for n in np.flatnonzero(row)), None)
     ms = (time.perf_counter() - start) * 1000.0
     return ClaimReport(claim=c, n_max=n_max, holds=counter is None,
                        counterexample=counter, ms=ms)
@@ -154,14 +154,12 @@ def scan_conjecture(q: int, n_max: int = 1000) -> list[ClaimReport]:
     return [check_claim(c, n_max) for c in conjecture_claims(q)]
 
 
-def observed_two_adic_valuation(t: int, m: int, j: int, n_max: int) -> int:
-    """Minimal 2-adic valuation of p-bar_{-t}(m*n + j) over n <= n_max,
-    computed mod 2^64.  A return of 64 means every value vanished mod 2^64,
-    i.e. the true valuation is at least 64."""
-    T = m * n_max + j + 1
-    gf = overpartition_gf(t, mod2k(64), T)
-    stream = extract(gf, Progression(m, j)).coeffs()[:n_max + 1]
-    return _min_two_adic_valuation(np.array(stream, dtype=np.uint64))
+def observed_two_adic_valuations(t: int, m: int, n_max: int) -> list[int]:
+    """Minimal 2-adic valuation of p-bar_{-t}(m*n + j) over n <= n_max for
+    j = 0 .. m-1, from one table mod 2^64.  A 64 means every value on that
+    progression vanished mod 2^64: the true valuation is at least 64."""
+    return [_min_two_adic_valuation(row)
+            for row in overpartition_residues(t, mod2k(64), m, n_max)]
 
 
 def _min_two_adic_valuation(words: np.ndarray) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 from .series import (InsufficientTruncation, LaurentSeries, Ring, euler_factor,
                      phi_power)
 
@@ -139,6 +141,11 @@ def overpartition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
     """Generating function of t-colored overpartitions through q^(T-1):
     phi(-q)^(-t), by ``expand``'s pair rule."""
     return expand(overpartition_eta_quotient(t), ring, T)
+
+
+def overpartition_residues(t: int, ring: Ring, m: int, n_max: int) -> np.ndarray:
+    """Read-only (m, n_max + 1) view of one expansion: row j is p-bar_{-t}(m*n + j)."""
+    return overpartition_gf(t, ring, m * (n_max + 1))._coeffs.reshape(-1, m).T
 
 
 def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
-from .eta import EtaQuotient, expand, overpartition_gf
+from .eta import EtaQuotient, expand, overpartition_residues
 from .series import LaurentSeries, euler_factor, mod2k
 
 VARIANTS = ("inf", "inf2", "inf3", "inf4")
@@ -102,9 +102,7 @@ def verify_family_instance(fi: FamilyInstance, n_max: int,
         raise ValueError(
             f"instance needs expansion through q^{s * n_max + o}, over the "
             f"budget of {DEFAULT_BUDGET}")
-    T = s * n_max + o + 1
-    gf = overpartition_gf(5, _MOD8, T)
-    stream = extract(gf, Progression(s, o))
+    stream = LaurentSeries(0, overpartition_residues(5, _MOD8, s, n_max)[o], _MOD8)
     through = n_max + 1
     name = fi.describe() + (" [corrected offset]" if corrected_offset else "")
     candidates = _rhs_candidates(fi.variant, through)
@@ -133,8 +131,7 @@ def verify_eq1(T: int) -> IdentityReport:
     stream is the overpartition one: the plain 5-colored-partition reading
     fails its first coefficient, and the report records that resolution.
     """
-    gf = overpartition_gf(5, _MOD8, 8 * T + 3)
-    stream = extract(gf, Progression(8, 2)).truncate(T)
+    stream = LaurentSeries(0, overpartition_residues(5, _MOD8, 8, T - 1)[2], _MOD8)
     quotient = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), _MOD8, T)
     rhs = quotient.scale(4)
     rep = report_from_comparison(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qcongruence import cli, witness
+from qcongruence import cli, eta, witness
 from qcongruence.cli import main
 from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
@@ -53,6 +53,23 @@ def test_expand_bad_grammar_is_usage_error(capsys):
     code, _, err = run(capsys, "expand", "f2^1 * nope", "--T", "8")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command, rest", [("expand", []), ("extract", ["8", "0"])])
+@pytest.mark.parametrize("shift, accepted", [(100001, False), (99999, True)])
+def test_q_shift_counts_against_the_budget(capsys, monkeypatch, command, rest,
+                                           shift, accepted):
+    # T - qshift coefficients are expanded; the check runs before any of them
+    calls = []
+    monkeypatch.setattr(cli, "expand", lambda eq, ring, T: calls.append(T)
+                        or LaurentSeries.one(ring, 1))
+    code, _, err = run(capsys, command, f"q^-{shift} * f1^1", *rest, "--T", "1")
+    if accepted:
+        assert (code, calls) == (0, [1])
+    else:
+        assert (code, calls) == (2, [])
+        assert (f"expansion length {shift + 1} (--T 1 minus q-shift -{shift}) "
+                f"is over the budget of {DEFAULT_BUDGET}") in err
 
 
 def test_expand_truncation_below_shift_is_usage_error(capsys):
@@ -142,7 +159,8 @@ def test_each_verify_target_reads_exactly_its_flags(capsys, monkeypatch):
                 assert exc.value.code == 2, argv
         argv = ["verify", name, "3"]
         if target.positionals:
-            assert main(argv) == 0 and seen["args"] == ["3"], argv
+            _, type_, _ = target.positionals
+            assert main(argv) == 0 and seen["args"] == [type_("3")], argv
         else:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -185,10 +203,16 @@ def test_sizes_outside_the_budget_are_usage_errors(capsys, argv, flag):
      "argument --check: not allowed with argument --bless"),
     (("expand", "f1^1", "--check", "b.txt", "--bless", "a.txt"),
      "argument --bless: not allowed with argument --check"),
-], ids=["ring-mod2k-x", "ring-mod2k-65", "ring-foo", "bless-check", "check-bless"])
+    (("verify", "conjecture", "3", "x"),
+     "verify conjecture: error: argument PRIME: invalid int value: 'x'"),
+    (("verify", "conjecture", "3.5", "--bless", "a.txt"),
+     "verify conjecture: error: argument PRIME: invalid int value: '3.5'"),
+], ids=["ring-mod2k-x", "ring-mod2k-65", "ring-foo", "bless-check", "check-bless",
+        "conjecture-x", "conjecture-3.5"])
 def test_malformed_flag_values_are_usage_errors(capsys, monkeypatch, tmp_path,
                                                 argv, message):
-    # argparse's message names the flag; neither --bless nor --check runs
+    # argparse's message names the flag or argument and the command;
+    # neither --bless nor --check runs
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -208,6 +232,18 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "conjecture", "4")
     assert code == 2
     assert "not prime" in err
+
+
+def test_verify_conjecture_expands_once_per_claim_plus_one_table(capsys, monkeypatch):
+    # 7 claims mod 2^k and one mod-2^64 valuation table per prime
+    calls = []
+    real = eta.overpartition_gf
+    monkeypatch.setattr(eta, "overpartition_gf",
+                        lambda t, ring, T: calls.append(t) or real(t, ring, T))
+    code, out, _ = run(capsys, "verify", "conjecture", "3", "17", "--n-max", "50")
+    assert code == 0
+    assert out.count("observed min 2-adic valuation") == 14
+    assert sorted(calls) == [3] * 8 + [17] * 8
 
 
 def test_verify_witness_builtin(capsys):
@@ -367,6 +403,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify_dissections", ["verify", "dissections", "--T", "200"]),
     ("verify_eq1", ["verify", "eq1", "--T", "100"]),
     ("extract_witness_base", ["extract", "f2^5 * f1^-10", "8", "7", "--T", "400"]),
+    ("verify_conjecture", ["verify", "conjecture", "3", "17", "--n-max", "200"]),
 ])
 def test_records_match_golden(capsys, name, argv):
     path = GOLDEN / f"{name}.txt"

@@ -11,7 +11,7 @@ from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
                                      conjecture_claims,
                                      enumerate_colored_overpartitions,
                                      enumerate_colored_partitions, is_prime,
-                                     observed_two_adic_valuation,
+                                     observed_two_adic_valuations,
                                      run_theorems, scan_conjecture,
                                      _min_two_adic_valuation)
 from qcongruence.dissect import Progression, extract
@@ -69,7 +69,7 @@ def test_all_theorem_claims_are_sharp():
     # strengthening any claim to 2^(k+1) fails within n <= 400: the observed
     # minimal 2-adic valuations equal the claimed k everywhere
     for c in THEOREM_CLAIMS:
-        assert observed_two_adic_valuation(c.t, c.m, c.j, 400) == c.k
+        assert observed_two_adic_valuations(c.t, c.m, 400)[c.j] == c.k
         strengthened = CongruenceClaim(c.t, c.m, c.j, c.k + 1, c.source)
         assert not check_claim(strengthened, 400).holds
 
@@ -158,6 +158,9 @@ def test_claim_validation():
         CongruenceClaim(5, 8, 1, 0)
     with pytest.raises(ValueError):
         CongruenceClaim(5, 8, 1, 1, source="nonsense")
+    # residue tables mod 2^k are uint64 words, so k stops at 64
+    with pytest.raises(ValueError, match="k=65 is over 64"):
+        CongruenceClaim(5, 8, 7, 65)
 
 
 def test_claim_report_invariant():

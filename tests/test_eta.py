@@ -1,14 +1,19 @@
 """Eta quotients: expansion, the partition generating functions, and the
 textual grammar."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import eta
 from qcongruence.congruences import (enumerate_colored_overpartitions,
                                      enumerate_colored_partitions)
+from qcongruence.dissect import Progression, extract
 from qcongruence.eta import (EtaQuotient, colored_partition_gf, expand,
                              format_eta_quotient, overpartition_eta_quotient,
-                             overpartition_gf, parse_eta_quotient)
+                             overpartition_gf, overpartition_residues,
+                             parse_eta_quotient)
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 agree, euler_factor, mod2k, phi_power)
 
@@ -166,6 +171,23 @@ def test_exact_witness_base_matches_gauss_route_mod_2_64():
     exact = expand(parse_eta_quotient("f2^5 * f1^-10"), EXACT, 3208)
     gauss = overpartition_gf(5, mod2k(64), 3208)
     assert exact.to_ring(mod2k(64)).coeffs() == gauss.coeffs()
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(5), mod2k(64)], ids=str)
+@pytest.mark.parametrize("t", [3, 13, 1999])
+def test_overpartition_residues_match_extract(monkeypatch, t, ring):
+    # row j of the table is extract(gf, m*n + j) for n <= n_max; the m = 56
+    # table and the reference share one cached expansion of 28,056 terms
+    # (over Z at t = 1999 it takes seconds)
+    monkeypatch.setattr(eta, "overpartition_gf", functools.cache(overpartition_gf))
+    n_max = 500
+    gf = eta.overpartition_gf(t, ring, 56 * (n_max + 1))
+    for m in (8, 56):
+        table = overpartition_residues(t, ring, m, n_max)
+        assert table.shape == (m, n_max + 1) and not table.flags.writeable
+        for j in range(m):
+            assert table[j].tolist() == \
+                extract(gf, Progression(m, j)).coeffs()[:n_max + 1]
 
 
 @pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(64)])
