@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
@@ -125,7 +126,7 @@ def check_claim(c: CongruenceClaim, n_max: int) -> ClaimReport:
     assert every coefficient vanishes; the first failure is recorded."""
     start = time.perf_counter()
     row = overpartition_residues(c.t, mod2k(c.k), c.m, n_max)[c.j]
-    counter = next(((int(n), int(row[n])) for n in np.flatnonzero(row)), None)
+    counter = next(compress(enumerate(row), row), None)
     ms = (time.perf_counter() - start) * 1000.0
     return ClaimReport(claim=c, n_max=n_max, holds=counter is None,
                        counterexample=counter, ms=ms)
@@ -156,16 +157,22 @@ def scan_conjecture(q: int, n_max: int = 1000) -> list[ClaimReport]:
 
 def observed_two_adic_valuations(t: int, m: int, n_max: int) -> list[int]:
     """Minimal 2-adic valuation of p-bar_{-t}(m*n + j) over n <= n_max for
-    j = 0 .. m-1, from one table mod 2^64.  A 64 means every value on that
-    progression vanished mod 2^64: the true valuation is at least 64."""
-    return [_min_two_adic_valuation(row)
-            for row in overpartition_residues(t, mod2k(64), m, n_max)]
+    j = 0 .. m-1.  A minimum below 16 is decided mod 2^16, so one table mod
+    2^16 is read first, and one mod 2^64 only if some row vanishes mod 2^16.
+    A 64 means every value on that progression vanished mod 2^64: the true
+    valuation is at least 64."""
+    for k in (16, MAX_MOD2K_BITS):
+        vals = [_min_two_adic_valuation(row)
+                for row in overpartition_residues(t, mod2k(k), m, n_max)]
+        if max(vals) < k:
+            break
+    return vals
 
 
-def _min_two_adic_valuation(words: np.ndarray) -> int:
+def _min_two_adic_valuation(words) -> int:
     """Least 2-adic valuation among uint64 words, 64 if all are zero: the
     lowest set bit of their bitwise or."""
-    low = int(np.bitwise_or.reduce(words))
+    low = reduce(or_, words, 0)
     return (low & -low).bit_length() - 1 if low else 64
 
 

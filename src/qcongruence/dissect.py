@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, euler_factor,
                      first_difference, mod2k, theta_f)
 
@@ -86,11 +84,10 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
         raise InsufficientTruncation(
             f"truncation {a.trunc} known only below the first index of "
             f"progression {p.m}n+{p.j}")
-    # exponents j .. trunc-1, zero below the offset; every m-th is the stream
-    span = np.zeros(a.trunc - p.j, dtype=a.ring.dtype)
-    lo = max(a.offset, p.j)
-    span[lo - p.j:] = a._coeffs[lo - a.offset:]
-    return LaurentSeries(0, span[::p.m], a.ring)
+    # the first `zeros` exponents m*n + j fall below the offset
+    zeros = max(0, -((p.j - a.offset) // p.m))
+    stream = a._coeffs[p.j + p.m * zeros - a.offset::p.m]
+    return LaurentSeries(0, [0] * zeros + list(stream) if zeros else stream, a.ring)
 
 
 def rogers_ramanujan(T: int) -> LaurentSeries:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import re
 
-import numpy as np
-
 from .series import (InsufficientTruncation, LaurentSeries, Ring, euler_factor,
                      phi_power)
 
@@ -143,9 +141,11 @@ def overpartition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
     return expand(overpartition_eta_quotient(t), ring, T)
 
 
-def overpartition_residues(t: int, ring: Ring, m: int, n_max: int) -> np.ndarray:
-    """Read-only (m, n_max + 1) view of one expansion: row j is p-bar_{-t}(m*n + j)."""
-    return overpartition_gf(t, ring, m * (n_max + 1))._coeffs.reshape(-1, m).T
+def overpartition_residues(t: int, ring: Ring, m: int, n_max: int) -> tuple:
+    """m rows of n_max + 1 entries read from one expansion: row j is
+    p-bar_{-t}(m*n + j), a read-only strided view mod 2^k, a list over Z."""
+    coeffs = overpartition_gf(t, ring, m * (n_max + 1))._coeffs
+    return tuple(coeffs[j::m] for j in range(m))
 
 
 def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:

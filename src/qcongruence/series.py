@@ -6,28 +6,29 @@ Every operation computes the tightest truncation it can justify and refuses
 to report coefficients beyond it.
 
 Two coefficient rings are supported: exact arbitrary-precision integers, and
-integers modulo 2^k for 1 <= k <= 64.  Both keep their coefficients in one
-read-only numpy array: dtype object holding Python ints over Z, and uint64
-mod 2^k, where native wraparound is exact arithmetic mod 2^64 and masking to
-k bits yields canonical residues.  Only :class:`Ring` and the convolution
-kernels know which ring they serve.
+integers modulo 2^k for 1 <= k <= 64.  Over Z a series keeps a list of
+Python ints; mod 2^k it keeps canonical residues as a read-only view of an
+``array('Q')`` of little-endian uint64 words.  Only :class:`Ring` and the
+convolution kernels know which ring they serve.  The mod-2^k kernels work
+on one big integer whose byte-aligned slots hold one coefficient each:
+packing and unpacking are ``bytearray`` extended-slice copies, a product is
+one CPython multiply, and one AND reduces every slot mod 2^k at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Sequence
-
-import numpy as np
 
 MAX_MOD2K_BITS = 64
 
 # Dense exact multiplications above this many coefficient products switch to
 # Kronecker substitution (pack into one big integer, use CPython's int mul).
 _SCHOOLBOOK_OP_LIMIT = 1 << 18
-
-_to_int = np.frompyfunc(int, 1, 1)  # int() per element, in numpy's C loop
 
 
 class RingMismatch(ValueError):
@@ -56,24 +57,19 @@ class Ring:
     def is_exact(self) -> bool:
         return self.k is None
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(object if self.k is None else np.uint64)
-
-    def coerce(self, coeffs) -> np.ndarray:
-        """``coeffs`` as a new read-only array of canonical ring elements:
-        Python ints over Z (never fixed-width numpy ints), residues below
-        2^k mod 2^k."""
+    def coerce(self, coeffs):
+        """``coeffs`` as new storage of canonical ring elements: a list of
+        Python ints over Z, a read-only uint64 word view of residues below
+        2^k mod 2^k.  Elements go through ``operator.index``, so a float,
+        a Fraction or a string is a TypeError, never a truncation."""
         if self.k is None:
-            arr = _to_int(np.asarray(coeffs, dtype=object))
-        elif isinstance(coeffs, np.ndarray) and coeffs.dtype != object:
-            arr = coeffs.astype(np.uint64)
-            arr &= np.uint64((1 << self.k) - 1)
+            return list(map(operator.index, coeffs))
+        if isinstance(coeffs, (array, memoryview)) and memoryview(coeffs).format == "Q":
+            words = array("Q", _reslot(bytes(coeffs), 8, 8, len(coeffs), self.k))
         else:
             mask = (1 << self.k) - 1
-            arr = np.array([int(c) & mask for c in coeffs], dtype=np.uint64)
-        arr.flags.writeable = False
-        return arr
+            words = array("Q", [operator.index(c) & mask for c in coeffs])
+        return memoryview(words).toreadonly()
 
     def is_unit(self, c: int) -> bool:
         """Units we invert: +-1 exactly; any odd residue mod 2^k."""
@@ -103,7 +99,7 @@ class LaurentSeries:
 
     def __init__(self, offset: int, coeffs, ring: Ring):
         self._coeffs = ring.coerce(coeffs)
-        if self._coeffs.size == 0:
+        if len(self._coeffs) == 0:
             raise ValueError("series needs at least one represented coefficient")
         self.offset = int(offset)
         self.ring = ring
@@ -137,7 +133,7 @@ class LaurentSeries:
         return len(self._coeffs)
 
     def coeffs(self) -> list[int]:
-        return self._coeffs.tolist()
+        return list(self._coeffs)
 
     def coefficient(self, e: int) -> int:
         """Coefficient of q^e; zero below the window, error at/past truncation."""
@@ -146,22 +142,22 @@ class LaurentSeries:
                 f"coefficient of q^{e} is beyond truncation {self.trunc}")
         if e < self.offset:
             return 0
-        return int(self._coeffs[e - self.offset])
+        return self._coeffs[e - self.offset]
 
     def valuation(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if zero to truncation."""
-        nz = np.flatnonzero(self._coeffs)
-        if nz.size == 0:
-            return None
-        return self.offset + int(nz[0])
+        return next(compress(count(self.offset), self._coeffs), None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return (self.ring == other.ring and self.offset == other.offset
-                and self.coeffs() == other.coeffs())
+                and self._coeffs == other._coeffs)
 
     __hash__ = None
+
+    def __reduce__(self):  # a memoryview does not pickle; its coefficients do
+        return LaurentSeries, (self.offset, self.coeffs(), self.ring)
 
     def __repr__(self) -> str:
         return (f"LaurentSeries(offset={self.offset}, trunc={self.trunc}, "
@@ -207,12 +203,12 @@ class LaurentSeries:
         offset = min(self.offset, other.offset)
         trunc = min(self.trunc, other.trunc)
         n = trunc - offset
-        out = np.zeros(n, dtype=self.ring.dtype)
+        out = [0] * n
         for src in (self, other):
             base = src.offset - offset
             m = min(len(src), n - base)
             if m > 0:
-                out[base:base + m] += src._coeffs[:m]
+                out[base:base + m] = map(operator.add, out[base:base + m], src._coeffs[:m])
         return LaurentSeries(offset, out, self.ring)
 
     __add__ = add
@@ -229,8 +225,8 @@ class LaurentSeries:
 
     def scale(self, c: int) -> "LaurentSeries":
         """Multiply every coefficient by the scalar c."""
-        return LaurentSeries(self.offset, self._coeffs * self.ring.coerce([c]),
-                             self.ring)
+        c = self.ring.coerce([c])[0]
+        return LaurentSeries(self.offset, [c * x for x in self._coeffs], self.ring)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by q^e (relabels the exponent window)."""
@@ -247,15 +243,15 @@ class LaurentSeries:
                 f"leading coefficient {lead} is not a unit in {self.ring}")
         # Newton's x <- x*(2 - a*x) on the unit part, doubling the precision
         a = self._coeffs[v - self.offset:]
-        conv = _kernel(self.ring)
-        x = self.ring.coerce([self.ring.unit_inverse(lead)])
+        ring, conv = self.ring, _kernel(self.ring)
+        x = ring.coerce([ring.unit_inverse(lead)])
         prec = 1
-        while prec < a.size:
-            prec = min(2 * prec, a.size)
-            t = -conv(a[:prec], x, prec)
-            t[:1] += 2  # a uint64 slice wraps silently; a scalar t[0] would warn
-            x = conv(x, t, prec)
-        return LaurentSeries(-v, x, self.ring)
+        while prec < len(a):
+            prec = min(2 * prec, len(a))
+            t = [-c for c in conv(a[:prec], x, prec)]
+            t[0] += 2
+            x = ring.coerce(conv(x, ring.coerce(t), prec))
+        return LaurentSeries(-v, x, ring)
 
     def pow(self, e: int) -> "LaurentSeries":
         """Binary powering; pow(a, 0) = 1 on the window [0, len(a))."""
@@ -281,7 +277,7 @@ class LaurentSeries:
             raise ValueError("substitution power must be >= 1")
         if d == 1:
             return self
-        out = np.zeros(len(self) * d, dtype=self.ring.dtype)
+        out = [0] * (len(self) * d)
         out[::d] = self._coeffs
         return LaurentSeries(self.offset * d, out, self.ring)
 
@@ -315,16 +311,14 @@ def first_difference(a: LaurentSeries, b: LaurentSeries,
     if hi <= lo:
         raise InsufficientTruncation("series share no known coefficient window")
 
-    def window(s: LaurentSeries) -> np.ndarray:
-        pad = np.zeros(min(s.offset, hi) - lo, dtype=s.ring.dtype)
-        return np.concatenate((pad, s._coeffs[:max(0, hi - s.offset)]))
+    def window(s: LaurentSeries) -> list[int]:
+        return [0] * (min(s.offset, hi) - lo) + list(s._coeffs[:max(0, hi - s.offset)])
 
     wa, wb = window(a), window(b)
-    diff = np.flatnonzero(wa != wb)
-    if diff.size == 0:
+    if wa == wb:
         return None
-    i = int(diff[0])
-    return lo + i, int(wa[i]), int(wb[i])
+    i = next(compress(count(), map(operator.ne, wa, wb)))
+    return lo + i, wa[i], wb[i]
 
 
 def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> bool:
@@ -335,62 +329,76 @@ def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> boo
 
 
 def _kernel(ring: Ring):
-    """The ring's truncated convolution (a, b, out_len) -> array."""
+    """The ring's truncated convolution (a, b, out_len) -> coefficients."""
     if ring.is_exact:
         return _conv_exact
     return lambda a, b, out_len: _conv_mod2k(a, b, out_len, ring.k)
 
 
-def _conv_mod2k(a: np.ndarray, b: np.ndarray, out_len: int, k: int) -> np.ndarray:
+def _conv_mod2k(a, b, out_len: int, k: int) -> array:
     """Truncated convolution of uint64 words, correct mod 2^k; the result's
-    words are congruent to the canonical residues, not masked to them."""
-    mask = np.uint64((1 << k) - 1)
-    a = a[:out_len] & mask
-    b = b[:out_len] & mask
-    nza = np.nonzero(a)[0]
-    nzb = np.nonzero(b)[0]
-    if nza.size == 0 or nzb.size == 0:
-        return np.zeros(out_len, dtype=np.uint64)
-    # one sparse operand: shifted scalar-multiply adds beat a dense convolve
-    if min(nza.size, nzb.size) * 16 < out_len:
-        if nzb.size < nza.size:
-            a, b = b, a
-            nza = nzb
-        out = np.zeros(out_len, dtype=np.uint64)
-        for i in nza.tolist():
-            m = min(b.size, out_len - i)
-            out[i:i + m] += b[:m] * a[i]
-        return out
-    # Kronecker substitution: a slot sums at most n products below 2^(2k),
-    # so in 2k + bitlen(n) <= 64 bits no carry crosses a slot and one
-    # big-integer product is exact; k = 64 stays on the faster np.convolve
-    bits = 2 * k + min(a.size, b.size).bit_length()
-    if bits <= 64:
-        w = (bits + 7) // 8
+    words are the low 64 bits of each slot, not masked to k bits.
 
-        def pack(x: np.ndarray) -> int:
-            x = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-            return int.from_bytes(x[:, :w].tobytes(), "little")
+    Kronecker substitution: a slot sums at most n products below 2^(2k), so
+    in w >= (2k + bitlen(n)) / 8 bytes no carry crosses a slot and one
+    big-integer product is exact.  When one operand has fewer than
+    out_len / 16 nonzero terms, the product is instead the other operand's
+    packing shifted once per nonzero term, on slots that run backwards (see
+    ``_gauss_power_mod2k``), and multiplied once per distinct coefficient.
+    """
+    a, b = a[:out_len], b[:out_len]
+    nnz = [len(x) - x.tolist().count(0) for x in (a, b)]
+    if nnz[1] < nnz[0]:
+        a, b = b, a
+    sparse = min(nnz) * 16 < out_len
+    w = (2 * k + (min(nnz) if sparse else min(len(a), len(b))).bit_length() + 7) // 8
 
-        prod = pack(a) * pack(b) & ((1 << 8 * w * out_len) - 1)
-        out = np.zeros((out_len, 8), dtype=np.uint8)
-        out[:, :w] = np.frombuffer(prod.to_bytes(w * out_len, "little"),
-                                   dtype=np.uint8).reshape(out_len, w)
-        return out.view("<u8").ravel()
-    conv = np.convolve(a, b)[:out_len]
-    if conv.size < out_len:
-        conv = np.concatenate([conv, np.zeros(out_len - conv.size, dtype=np.uint64)])
-    return conv
+    def pack(words) -> int:
+        return int.from_bytes(_reslot(bytes(words), 8, w, len(words), k), "little")
+
+    if sparse:
+        rev = pack(b[::-1]) << 8 * w * (out_len - len(b))
+        low, scaled = (1 << k) - 1, {}  # scaled[c]: the shifts that c multiplies
+        for i in reversed(list(compress(count(), a))):
+            scaled[a[i] & low] = scaled.get(a[i] & low, 0) + (rev >> 8 * w * i)
+        prod = sum(c * x for c, x in scaled.items())
+    else:
+        prod = pack(a) * pack(b)
+    raw = prod.to_bytes(max(w * out_len, (prod.bit_length() + 7) // 8), "little")
+    words = array("Q", _reslot(raw, w, 8, out_len, min(8 * w, 64)))
+    if sparse:
+        words.reverse()
+    return words
 
 
-def _conv_exact(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """Truncated convolution over Z of object arrays of Python ints."""
-    a = a[:out_len].tolist()
-    b = b[:out_len].tolist()
+# _LOW_BITS[p][b] is the byte b reduced mod 2^p
+_LOW_BITS = [bytes(b & ((1 << p) - 1) for b in range(256)) for p in range(8)]
+
+
+def _reslot(raw: bytes, src: int, dst: int, n: int, k: int) -> bytearray:
+    """The low k bits of each of the first n little-endian src-byte slots
+    of raw, as dst-byte slots: one extended-slice copy per byte, the top
+    byte masked by a table."""
+    out = bytearray(dst * n)
+    for i in range(-(-k // 8)):
+        col = raw[i:src * n:src]
+        out[i::dst] = col if 8 * i + 8 <= k else col.translate(_LOW_BITS[k % 8])
+    return out
+
+
+def _repeat(value: int, w: int, n: int) -> int:
+    """The int whose n w-byte slots each hold value."""
+    return int.from_bytes(value.to_bytes(w, "little") * n, "little")
+
+
+def _conv_exact(a: list[int], b: list[int], out_len: int) -> list[int]:
+    """Truncated convolution over Z of lists of Python ints."""
+    a = a[:out_len]
+    b = b[:out_len]
     nza = [i for i, c in enumerate(a) if c]
     nzb = [i for i, c in enumerate(b) if c]
     if not nza or not nzb:
-        return np.zeros(out_len, dtype=object)
+        return [0] * out_len
     if len(nza) > len(nzb):
         a, b = b, a
         nza, nzb = nzb, nza
@@ -403,8 +411,8 @@ def _conv_exact(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
                 if j >= m:
                     break
                 out[i + j] += ai * b[j]
-        return np.array(out, dtype=object)
-    return np.array(_kronecker_signed(a, b, out_len), dtype=object)
+        return out
+    return _kronecker_signed(a, b, out_len)
 
 
 def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
@@ -441,18 +449,18 @@ def pentagonal_series(ring: Ring, T: int) -> LaurentSeries:
 def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
     """Expansion of prod_{i>=0}(1 - q^(a+m*i))^e through q^(T-1).
 
-    The full Euler product (a == m) is f(-q^m, -q^(2m))^e, by
-    ``_theta_power``.  General (q^a; q^m)-type factors multiply the sparse
-    binomials directly.
+    Only the full Euler product f_m^e (a == m) is supported; it is
+    f(-q^m, -q^(2m))^e, by ``_theta_power``.  Other (q^a; q^m) factors
+    are theta quotients (see ``dissect.rogers_ramanujan``).
     """
     if a < 1 or m < 1:
         raise ValueError("euler_factor needs a >= 1 and m >= 1")
+    if a != m:
+        raise ValueError(f"euler_factor takes the full product f_m (a == m), "
+                         f"got a={a}, m={m}")
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
-    if a == m:
-        return _theta_power(2, e, m, ring, T)
-    base = _binomial_product(a, m, ring, T)
-    return base.pow(e) if e != 1 else base
+    return _theta_power(2, e, m, ring, T)
 
 
 def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
@@ -502,35 +510,44 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     return a
 
 
-def _gauss_power_mod2k(e: int, k: int, n: int) -> np.ndarray:
-    """(1 + 2X)^e mod 2^k to n terms, as unmasked uint64 words, by Horner's
-    rule in X over the terms C(e, i) 2^i X^i with i < k (and i <= e when
-    e >= 0, since C(e, i) = 0 past e): at most k - 1 products by X, each
-    sqrt(n) shifted adds."""
-    squares = [(j * j, j % 2) for j in range(1, math.isqrt(n - 1) + 1)]
+def _gauss_power_mod2k(e: int, k: int, n: int) -> array:
+    """(1 + 2X)^e mod 2^k to n terms, as uint64 words, by Horner's rule in X
+    over the terms C(e, i) 2^i X^i with i < k (and i <= e when e >= 0, since
+    C(e, i) = 0 past e), on one int of n w-byte slots.  The first step,
+    a constant times X, is written slot by slot; each of the at most k - 2
+    others is sqrt(n) shifted adds.
+
+    The slots run backwards, q^0 in the top one, so a product by q^(r^2) is
+    a right shift that drops what falls past q^(n-1); the largest squares
+    go first, so the sums grow from their shortest terms.  acc * X = P - N,
+    the sums over the even and the odd r.  A slot of either sums fewer than
+    2^g residues below 2^k, so with a bias of 2^(k+g) per slot, P + bias - N
+    borrows across no slot, and an AND with 2^k - 1 per slot drops the bias
+    and reduces mod 2^k.
+    """
+    roots = range(math.isqrt(n - 1), 0, -1)
+    g = len(roots).bit_length()
+    w = (k + g + 8) // 8  # k + g + 1 bits per slot
     top = k if e < 0 else min(k, e + 1)
-    acc = np.zeros(n, dtype=np.uint64)
-    for i in reversed(range(top)):
-        if i < top - 1:  # acc <- acc * X; the constant term becomes zero
-            prev, acc = acc, np.zeros(n, dtype=np.uint64)
-            for sq, odd in squares:
-                if odd:
-                    acc[sq:] -= prev[:n - sq]
-                else:
-                    acc[sq:] += prev[:n - sq]
-        binom = math.comb(e, i) if e >= 0 else (-1) ** i * math.comb(i - e - 1, i)
-        acc[0] = (binom << i) % (1 << 64)
-    return acc
-
-
-def _binomial_product(a: int, m: int, ring: Ring, T: int) -> LaurentSeries:
-    out = np.zeros(T, dtype=ring.dtype)
-    out[0] = 1
-    c = a
-    while c < T:
-        out[c:] = out[c:] - out[:T - c]
-        c += m
-    return LaurentSeries(0, out, ring)
+    low = (1 << k) - 1
+    terms = [(math.comb(e, i) if e >= 0 else (-1) ** i * math.comb(i - e - 1, i)) << i & low
+             for i in range(top)]
+    start = bytearray(w * n)  # terms[-1] * X + terms[-2], or terms[0] alone
+    if top > 1:
+        for r in roots:
+            c = (-1) ** r * terms[-1] & low
+            start[w * (n - 1 - r * r):w * (n - r * r)] = c.to_bytes(w, "little")
+    start[-w:] = terms[max(top - 2, 0)].to_bytes(w, "little")
+    acc = int.from_bytes(start, "little")
+    mask, bias = _repeat(low, w, n), _repeat(1 << (k + g), w, n)
+    for c in reversed(terms[:top - 2]):  # acc <- acc * X + c
+        signed = [0, 0]
+        for r in roots:
+            signed[r & 1] += acc >> 8 * w * r * r
+        acc = (signed[0] + bias - signed[1]) & mask | c << 8 * w * (n - 1)
+    words = array("Q", _reslot(acc.to_bytes(w * n, "little"), w, 8, n, k))
+    words.reverse()
+    return words
 
 
 def theta_f(x: int, y: int, T: int, ring: Ring = EXACT) -> LaurentSeries:

@@ -3,7 +3,7 @@
 Deliberately naive: plain Python lists, schoolbook convolution, direct
 truncated products, triangular back-substitution for inverses, and raw
 recursive enumeration for partition counts.  Nothing here shares a code
-path with the package (no numpy, no Newton iteration, no Kronecker
+path with the package (no packed big integers, no Newton iteration, no Kronecker
 packing, no pentagonal shortcut), so agreement is meaningful evidence.
 """
 
@@ -50,6 +50,18 @@ def naive_product(exponents, n: int) -> list[int]:
             for i in range(n - c):
                 nxt[i + c] -= out[i]
             out = nxt
+    return out
+
+
+def binomial_product(a: int, m: int, n: int) -> list[int]:
+    """prod_{i>=0} (1 - q^(a+m*i)) to n terms, multiplying in one sparse
+    binomial at a time in place (top coefficient down, so each reads the
+    previous product); four of these give the Rogers-Ramanujan quotient."""
+    out = [0] * n
+    out[0] = 1
+    for c in range(a, n, m):
+        for i in range(n - 1, c - 1, -1):
+            out[i] -= out[i - c]
     return out
 
 

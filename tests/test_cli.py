@@ -1,5 +1,8 @@
 """Command-line surface: output formats, exit codes, regression blessing."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -421,3 +424,19 @@ def test_families_records_match_golden(capsys):
                        "--check", str(path))
     assert f"# matches {path}" in out
     assert code == 1
+
+
+def test_cli_runs_without_numpy():
+    # numpy costs every CLI start-up about 0.15 s; the package never needs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from qcongruence.cli import main\n"
+              "code = main(['expand', 'f1^1', '--T', '1'])\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "q^0: 1" in proc.stdout

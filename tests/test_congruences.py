@@ -1,7 +1,8 @@
 """Congruence claims, the theorem/conjecture tables, the enumeration oracle
 and the power-lifting congruence."""
 
-import numpy as np
+from array import array
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,7 +16,8 @@ from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
                                      run_theorems, scan_conjecture,
                                      _min_two_adic_valuation)
 from qcongruence.dissect import Progression, extract
-from qcongruence.eta import overpartition_gf
+from qcongruence import congruences
+from qcongruence.eta import overpartition_gf, overpartition_residues
 from qcongruence.series import EXACT
 
 
@@ -86,8 +88,27 @@ _WORD = st.builds(lambda u, v: (u << v) % (1 << 64),
 @example([(1 << 64) - 1, 0])
 def test_min_two_adic_valuation_matches_per_value_loop(stream):
     want = min(((v & -v).bit_length() - 1 for v in stream if v), default=64)
-    got = _min_two_adic_valuation(np.array(stream, dtype=np.uint64))
+    got = _min_two_adic_valuation(array("Q", stream))
     assert got == want
+
+
+@pytest.mark.parametrize("t, want, tables", [
+    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^16,
+    # so its minimum must be read from a second table, mod 2^64
+    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [16, 64]),
+    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [16]),
+])
+def test_valuations_reexpand_mod_2_64_only_when_a_row_vanishes_mod_2_16(
+        monkeypatch, t, want, tables):
+    read = []
+
+    def residues(t, ring, m, n_max):
+        read.append(ring.k)
+        return overpartition_residues(t, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+    assert observed_two_adic_valuations(t, 8, 50) == want
+    assert read == tables
 
 
 def test_monotone_moduli():

@@ -184,10 +184,18 @@ def test_overpartition_residues_match_extract(monkeypatch, t, ring):
     gf = eta.overpartition_gf(t, ring, 56 * (n_max + 1))
     for m in (8, 56):
         table = overpartition_residues(t, ring, m, n_max)
-        assert table.shape == (m, n_max + 1) and not table.flags.writeable
-        for j in range(m):
-            assert table[j].tolist() == \
-                extract(gf, Progression(m, j)).coeffs()[:n_max + 1]
+        rows = [list(row) for row in table]
+        assert len(rows) == m
+        for j, row in enumerate(rows):
+            assert row == extract(gf, Progression(m, j)).coeffs()[:n_max + 1]
+        # a row is a copy over Z and a read-only view mod 2^k: writing to
+        # one changes neither the expansion nor the next table
+        for row in table:
+            if ring.is_exact:
+                row[0] += 1
+            else:
+                assert row.readonly
+        assert [list(row) for row in overpartition_residues(t, ring, m, n_max)] == rows
 
 
 @pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(64)])

@@ -1,7 +1,11 @@
 """Core truncated-series arithmetic, checked against the naive oracles and
 the ring-series invariants (property tests use fixed-seed hypothesis)."""
 
+import copy
+import pickle
 import random
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +16,8 @@ from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 agree, euler_factor, first_difference, mod2k,
                                 pentagonal_series, theta_f)
 
-from oracles import (count_partitions, generalized_pentagonal, naive_euler,
-                     naive_mul, naive_product)
+from oracles import (binomial_product, count_partitions, generalized_pentagonal,
+                     naive_euler, naive_mul, naive_pow, naive_product)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -51,6 +55,13 @@ def test_ring_validation():
         mod2k(0)
     with pytest.raises(ValueError):
         mod2k(65)
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2k(3), mod2k(64)], ids=str)
+def test_series_pickle_and_deepcopy(ring):
+    s = series(-2, [0, 5, -1, 2**70], ring)
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert copied == s and copied.trunc == s.trunc
 
 
 def test_empty_series_rejected():
@@ -195,10 +206,12 @@ def test_euler_factor_pentagonal_signs():
     assert got == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
-def test_euler_factor_general_progression_matches_naive():
+def test_euler_factor_refuses_partial_products():
+    # (q^a; q^m) with a != m is left to the theta routes and the test oracle
     for (a, m, e) in ((2, 5, 1), (3, 5, 1), (1, 4, 2), (2, 3, -1)):
-        got = euler_factor(a, m, e, EXACT, 60).coeffs()
-        assert got == naive_euler(a, m, e, 60)
+        with pytest.raises(ValueError, match=f"a={a}, m={m}"):
+            euler_factor(a, m, e, EXACT, 60)
+        assert naive_pow(binomial_product(a, m, 60), e, 60) == naive_euler(a, m, e, 60)
 
 
 def test_pentagonal_support_through_1000():
@@ -392,6 +405,26 @@ def test_exact_series_from_numpy_scalars_holds_python_ints():
     assert s.scale(2**64).coeffs() == [-5 << 64, (2**64 - 1) << 64, 7 << 64]
 
 
+@pytest.mark.parametrize("ring", [EXACT, mod2k(3), mod2k(64)], ids=str)
+@pytest.mark.parametrize("coeffs", [[1.5, 2.9], [Fraction(7, 2)], ["12"], [3, 2.0],
+                                    np.array([2.7, -1.2])], ids=repr)
+def test_non_integer_coefficients_are_type_errors(ring, coeffs):
+    # no truncation to int: 1.5 is not the ring element 1, nor "12" 12
+    with pytest.raises(TypeError):
+        LaurentSeries(0, coeffs, ring)
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2k(3), mod2k(64)], ids=str)
+def test_non_integer_scalars_are_type_errors(ring):
+    s = series(0, [1, 2], ring)
+    for c in (2.5, Fraction(5, 2), Fraction(4, 2), "2"):
+        with pytest.raises(TypeError):
+            s.scale(c)
+    # integers of every kind still pass
+    for c in (2, True, np.int64(2), np.uint64(2)):
+        assert s.scale(c).coeffs() == [int(c), 2 * int(c)]
+
+
 @given(unit_series())
 def test_inverse_two_sided_property(a):
     inv = a.inverse()
@@ -477,7 +510,7 @@ def test_packed_mod2k_matches_schoolbook_on_raw_words(seed, k, na, nb):
     a = [rnd.getrandbits(64) for _ in range(na)]
     b = [rnd.getrandbits(64) for _ in range(nb)]
     n = min(na, nb)
-    got = _conv_mod2k(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), n, k)
+    got = _conv_mod2k(array("Q", a), array("Q", b), n, k)
     assert [c % (1 << k) for c in got.tolist()] == \
         [c % (1 << k) for c in naive_mul(a, b, n)]
 
@@ -496,21 +529,16 @@ def test_packed_mod2k_slots_at_the_bound(k, n):
     assert raw.tolist() == [(j + 1) * top * top for j in range(n)]
 
 
-def test_packed_mod2k_branch_boundary(monkeypatch):
-    # k = 27: 2k + bitlen(1023) = 64 bits packs, 2k + bitlen(1024) = 65 bits
-    # goes to np.convolve; both agree with the schoolbook product
-    calls = []
-    convolve = np.convolve
-    monkeypatch.setattr(np, "convolve",
-                        lambda *args: calls.append(1) or convolve(*args))
+def test_packed_mod2k_branch_boundary():
+    # k = 27: 2k + bitlen(1023) = 64 bits fills 8-byte slots, 2k + bitlen(1024)
+    # = 65 bits takes 9-byte ones; k = 64 slots are 17 or 18 bytes, of which
+    # the result keeps the low 8; each agrees with the schoolbook product
     rnd = random.Random(27)
-    for n, convolved in ((1023, []), (1024, [1])):
-        a = [rnd.getrandbits(27) | 1 for _ in range(n)]
-        b = [rnd.getrandbits(27) | 1 for _ in range(n)]
-        got = series(0, a, mod2k(27)).mul(series(0, b, mod2k(27))).coeffs()
-        assert got == [c % (1 << 27) for c in naive_mul(a, b, n)]
-        assert calls == convolved
-        calls.clear()
+    for k, n in ((27, 1023), (27, 1024), (64, 1), (64, 2), (64, 700), (64, 1024)):
+        a = [rnd.getrandbits(k) | 1 for _ in range(n)]
+        b = [rnd.getrandbits(k) | 1 for _ in range(n)]
+        got = series(0, a, mod2k(k)).mul(series(0, b, mod2k(k))).coeffs()
+        assert got == [c % (1 << k) for c in naive_mul(a, b, n)], (k, n)
 
 
 def test_packed_mod8_matches_convolve_at_8000_terms():
