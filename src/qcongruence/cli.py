@@ -26,13 +26,6 @@ from .witness import (WitnessReport, builtin_certificate, load_certificate,
 
 DEFAULT_T = 500
 DEFAULT_CONJECTURE_PRIMES = (3, 17, 19, 23, 29, 31)
-DEFAULT_FAMILY_INSTANCES = (
-    (0, 0, 0, "inf"), (1, 0, 0, "inf"), (0, 1, 0, "inf"), (0, 0, 1, "inf"),
-    (0, 0, 0, "inf2"), (0, 0, 0, "inf3"), (0, 0, 0, "inf4"),
-)
-# Per-instance n_max targets roughly this expansion length; each instance
-# computes its own mod-8 overpartition series of about this many terms.
-_FAMILY_TARGET_T = 20000
 
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
@@ -218,17 +211,20 @@ def _verify_conjecture(rep: Report, args):
                     f"valuation t={p} m={m} j={j} claimed_k={k} observed_min_v2={v}")
 
 
+def _add_identities(rep: Report, reports):
+    for r in reports:
+        rep.add(r.summary(), _identity_record(r), ok=r.matched)
+
+
 def _verify_dissections(rep: Report, args):
-    checks = [
+    _add_identities(rep, [
         dissect.dissection3_f1cubed(args.T),
         dissect.dissection5(args.T),
         dissect.dissection7(args.T),
         dissect.ramanathan(5, args.T),
         dissect.ramanathan(7, args.T),
         dissect.ramanathan(13, args.T),
-    ]
-    for r in checks:
-        rep.add(r.summary(), _identity_record(r), ok=r.matched)
+    ])
 
 
 def _verify_witness(rep: Report, args):
@@ -239,31 +235,12 @@ def _verify_witness(rep: Report, args):
         rep.add(r.summary(), _witness_record(r), ok=r.identity_matched)
 
 
-def _family_n_max(s: int, o: int, requested: int | None) -> int:
-    auto = max(10, (_FAMILY_TARGET_T - o) // s)
-    cap = (families.DEFAULT_BUDGET - o) // s
-    return min(requested if requested is not None else auto, cap)
-
-
 def _verify_families(rep: Report, args):
-    for a, b, c, variant in DEFAULT_FAMILY_INSTANCES:
-        fi = families.FamilyInstance(a, b, c, variant)
-        s, o = fi.progression()
-        r = families.verify_family_instance(fi, _family_n_max(s, o, args.family_n_max))
-        rep.add(r.summary(), _identity_record(r), ok=r.matched)
-        if variant == "inf4":
-            s, o = fi.corrected_progression()
-            r = families.verify_family_instance(
-                fi, _family_n_max(s, o, args.family_n_max), corrected_offset=True)
-            rep.add(r.summary(), _identity_record(r), ok=r.matched)
-    for base in (3, 5, 7):
-        r = families.verify_induction_step(base, args.T)
-        rep.add(r.summary(), _identity_record(r), ok=r.matched)
+    _add_identities(rep, families.verify_suite(args.T))
 
 
 def _verify_eq1(rep: Report, args):
-    r = families.verify_eq1(args.T)
-    rep.add(r.summary(), _identity_record(r), ok=r.matched)
+    _add_identities(rep, [families.verify_eq1(args.T)])
 
 
 class _Target(NamedTuple):
@@ -280,7 +257,7 @@ _TARGETS = {
     "dissections": _Target(_verify_dissections, ("--T",)),
     "witness": _Target(_verify_witness, ("--T",),
                        ("CERT", str, "builtin or certificate file paths (default builtin)")),
-    "families": _Target(_verify_families, ("--T", "--family-n-max")),
+    "families": _Target(_verify_families, ("--T",)),
     "eq1": _Target(_verify_eq1, ("--T",)),
 }
 
@@ -302,7 +279,6 @@ def cmd_verify(args) -> int:
 _INPUT_FLAGS = {
     "--T": (_size, f"series truncation (default {DEFAULT_T})"),
     "--n-max": (_size, f"progression bound (default {DEFAULT_N_MAX})"),
-    "--family-n-max": (_size, "per-instance bound for family checks (default: auto)"),
     "--ring": (_parse_ring, "coefficient ring: exact or mod2k:K (default exact)"),
 }
 
@@ -349,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, target.reads)
         # every header names T and n_max, even for a target that reads neither
         p.set_defaults(func=cmd_verify, run=target.run, T=DEFAULT_T,
-                       n_max=DEFAULT_N_MAX, family_n_max=None, args=[])
+                       n_max=DEFAULT_N_MAX, args=[])
 
     p = sub.add_parser("oracle", help="cross-check series coefficients "
                        "against direct enumeration")

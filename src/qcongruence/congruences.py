@@ -55,13 +55,12 @@ class CongruenceClaim:
 class ClaimReport:
     claim: CongruenceClaim
     n_max: int
-    holds: bool
     counterexample: tuple[int, int] | None = None  # (n, value mod 2^k)
     ms: float = 0.0
 
-    def __post_init__(self):
-        if self.holds == (self.counterexample is not None):
-            raise ValueError("holds and counterexample are mutually exclusive")
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
 
     @property
     def verdict(self) -> str:
@@ -128,8 +127,7 @@ def check_claim(c: CongruenceClaim, n_max: int) -> ClaimReport:
     row = overpartition_residues(c.t, mod2k(c.k), c.m, n_max)[c.j]
     counter = next(compress(enumerate(row), row), None)
     ms = (time.perf_counter() - start) * 1000.0
-    return ClaimReport(claim=c, n_max=n_max, holds=counter is None,
-                       counterexample=counter, ms=ms)
+    return ClaimReport(claim=c, n_max=n_max, counterexample=counter, ms=ms)
 
 
 def run_theorems(n_max: int = DEFAULT_N_MAX) -> list[ClaimReport]:

@@ -34,18 +34,17 @@ class IdentityReport:
     """Outcome of a coefficient-wise identity check.
 
     ``truncation`` is the exclusive exponent bound actually compared.
-    ``first_mismatch`` is (exponent, lhs, rhs), present iff not matched.
+    ``first_mismatch`` is (exponent, lhs, rhs), or None when matched.
     """
 
     name: str
     truncation: int
-    matched: bool
     first_mismatch: tuple[int, int, int] | None = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.matched == (self.first_mismatch is not None):
-            raise ValueError("matched and first_mismatch must be mutually exclusive")
+    @property
+    def matched(self) -> bool:
+        return self.first_mismatch is None
 
     def summary(self) -> str:
         if self.matched:
@@ -65,8 +64,7 @@ def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,
     if hi <= lo:
         raise InsufficientTruncation(f"{name}: no common coefficient window")
     diff = first_difference(lhs, rhs, through=hi)
-    return IdentityReport(name=name, truncation=hi, matched=diff is None,
-                          first_mismatch=diff, note=note)
+    return IdentityReport(name=name, truncation=hi, first_mismatch=diff, note=note)
 
 
 def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:

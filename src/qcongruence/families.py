@@ -21,7 +21,7 @@ that repaired progression (which matches 4*q*f7^6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
@@ -73,21 +73,52 @@ class FamilyInstance:
                 f"gamma={self.gamma})")
 
 
+def _budgeted(size: int, what: str) -> int:
+    """``size``, or a ValueError naming ``what`` if it is over the budget."""
+    if size > DEFAULT_BUDGET:
+        raise ValueError(f"{what}, over the budget of {DEFAULT_BUDGET}")
+    return size
+
+
+def _four_f6(d: int, shift: int, T: int) -> LaurentSeries:
+    """4*q^shift*f_d^6 mod 8 through q^(T-1)."""
+    return euler_factor(d, d, 6, _MOD8, T - shift).scale(4).shift(shift)
+
+
 def _rhs_candidates(variant: str, T: int) -> list[tuple[str, LaurentSeries]]:
     """Stated right-hand side first; for inf3/inf4 the q-toggled variant is
     offered second so the checker can record which one the data selects."""
-    if variant == "inf":
-        return [("4*f1^6", euler_factor(1, 1, 6, _MOD8, T).scale(4))]
-    if variant == "inf2":
-        return [("4*f3^6", euler_factor(3, 3, 6, _MOD8, T).scale(4))]
-    d = 5 if variant == "inf3" else 7
-    plain = euler_factor(d, d, 6, _MOD8, T).scale(4)
-    shifted = plain.truncate(T - 1).shift(1) if T > 1 else None
-    out = []
-    if shifted is not None:
-        out.append((f"4*q*f{d}^6", shifted))
-    out.append((f"4*f{d}^6", plain))
-    return out
+    d = {"inf": 1, "inf2": 3, "inf3": 5, "inf4": 7}[variant]
+    plain = _four_f6(d, 0, T)
+    if d < 5 or T == 1:
+        return [(f"4*f{d}^6", plain)]
+    return [(f"4*q*f{d}^6", plain.truncate(T - 1).shift(1)), (f"4*f{d}^6", plain)]
+
+
+def _first_match(name: str, lhs: LaurentSeries, through: int,
+                 candidates: list[tuple[str, LaurentSeries]]) -> IdentityReport:
+    """Compare ``lhs`` with each candidate right-hand side in turn and report
+    the first that matches.  ``name`` may hold ``{}`` for the candidate's
+    label.  If none matches, the first candidate's mismatch is reported,
+    noted as neither matching when there were two."""
+    failures = []
+    for label, rhs in candidates:
+        rep = report_from_comparison(name.format(label), lhs, rhs,
+                                     through=through, note=f"rhs {label}")
+        if rep.matched:
+            return rep
+        failures.append(rep)
+    if len(failures) > 1:
+        return replace(failures[0], note="neither q-factor candidate matched")
+    return failures[0]
+
+
+def _all_matched(name: str, note: str, *reports: IdentityReport) -> IdentityReport:
+    """The first report that failed, else one matched report named ``name``
+    through the shortest of their truncations."""
+    failed = [r for r in reports if not r.matched]
+    return failed[0] if failed else IdentityReport(
+        name=name, truncation=min(r.truncation for r in reports), note=note)
 
 
 def verify_family_instance(fi: FamilyInstance, n_max: int,
@@ -98,28 +129,12 @@ def verify_family_instance(fi: FamilyInstance, n_max: int,
     The report's note records which candidate right-hand side matched (or
     that neither did)."""
     s, o = fi.corrected_progression() if corrected_offset else fi.progression()
-    if s * n_max + o > DEFAULT_BUDGET:
-        raise ValueError(
-            f"instance needs expansion through q^{s * n_max + o}, over the "
-            f"budget of {DEFAULT_BUDGET}")
+    top = s * n_max + o
+    _budgeted(top, f"instance {fi.describe()} at n_max={n_max} reads q^{top}")
     stream = LaurentSeries(0, overpartition_residues(5, _MOD8, s, n_max)[o], _MOD8)
-    through = n_max + 1
     name = fi.describe() + (" [corrected offset]" if corrected_offset else "")
-    candidates = _rhs_candidates(fi.variant, through)
-    first_report = None
-    for label, rhs in candidates:
-        rep = report_from_comparison(name, stream, rhs, through=through,
-                                     note=f"rhs {label}")
-        if rep.matched:
-            return rep
-        if first_report is None:
-            first_report = rep
-    if len(candidates) > 1:
-        return IdentityReport(
-            name=name, truncation=first_report.truncation, matched=False,
-            first_mismatch=first_report.first_mismatch,
-            note="neither q-factor candidate matched")
-    return first_report
+    return _first_match(name, stream, n_max + 1,
+                        _rhs_candidates(fi.variant, n_max + 1))
 
 
 def verify_eq1(T: int) -> IdentityReport:
@@ -132,21 +147,23 @@ def verify_eq1(T: int) -> IdentityReport:
     fails its first coefficient, and the report records that resolution.
     """
     stream = LaurentSeries(0, overpartition_residues(5, _MOD8, 8, T - 1)[2], _MOD8)
-    quotient = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), _MOD8, T)
-    rhs = quotient.scale(4)
-    rep = report_from_comparison(
-        "8n+2 stream = 4*f4^179/(f1^78*f2^36*f8^70) (mod 8)", stream, rhs,
-        through=T, note="stream read as overpartitions")
-    if not rep.matched:
-        return rep
-    reduced = euler_factor(1, 1, 6, _MOD8, T).scale(4)
-    rep2 = report_from_comparison("rhs = 4*f1^6 (mod 8)", rhs, reduced, through=T)
-    if not rep2.matched:
-        return rep2
-    return IdentityReport(
-        name="8n+2 stream = 4*f4^179/(f1^78*f2^36*f8^70) = 4*f1^6 (mod 8)",
-        truncation=min(rep.truncation, rep2.truncation), matched=True,
-        note="stream read as overpartitions; reduction to 4*f1^6 checked")
+    rhs = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), _MOD8, T).scale(4)
+    return _all_matched(
+        "8n+2 stream = 4*f4^179/(f1^78*f2^36*f8^70) = 4*f1^6 (mod 8)",
+        "stream read as overpartitions; reduction to 4*f1^6 checked",
+        report_from_comparison(
+            "8n+2 stream = 4*f4^179/(f1^78*f2^36*f8^70) (mod 8)", stream, rhs,
+            through=T, note="stream read as overpartitions"),
+        report_from_comparison("rhs = 4*f1^6 (mod 8)", rhs, _four_f6(1, 0, T),
+                               through=T))
+
+
+def _step_terms(base: int, T: int) -> int:
+    """Terms of 4*f1^6 the induction step expands so that its extracted
+    stream reaches q^(T-1), checked against the budget."""
+    terms = {3: 3 * T + 3, 5: 5 * T + 2, 7: 49 * T + 13}[base]
+    return _budgeted(terms, f"the base-{base} induction step at T={T} "
+                            f"expands {terms} terms")
 
 
 def verify_induction_step(base: int, T: int) -> IdentityReport:
@@ -161,40 +178,46 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
         raise ValueError("induction step base must be 3, 5 or 7")
     if T < 2:
         raise ValueError("induction step checks need T >= 2")
+    big = _four_f6(1, 0, _step_terms(base, T))
     if base == 3:
-        # input expanded far enough that the extracted stream reaches T too
-        big = euler_factor(1, 1, 6, _MOD8, 3 * T + 3).scale(4)
-        rhs = euler_factor(3, 3, 2, _MOD8, T).scale(4)
-        rhs = rhs.add(euler_factor(9, 9, 6, _MOD8, T - 2).scale(4).shift(2))
-        rep = report_from_comparison("4*f1^6 = 4*f3^2 + 4*q^2*f9^6 (mod 8)",
-                                     big, rhs, through=T)
-        if not rep.matched:
-            return rep
+        split = euler_factor(3, 3, 2, _MOD8, T).scale(4).add(_four_f6(9, 2, T))
         ext = extract(big, Progression(3, 2)).truncate(T)
-        target = euler_factor(3, 3, 6, _MOD8, T).scale(4)
-        rep2 = report_from_comparison("extract(4*f1^6, 3n+2) = 4*f3^6 (mod 8)",
-                                      ext, target, through=T)
-        if not rep2.matched:
-            return rep2
-        return IdentityReport(
-            name="base-3 induction step (mod 8)",
-            truncation=min(rep.truncation, rep2.truncation), matched=True,
-            note="split and 3n+2 extraction both verified")
+        return _all_matched(
+            "base-3 induction step (mod 8)",
+            "split and 3n+2 extraction both verified",
+            report_from_comparison("4*f1^6 = 4*f3^2 + 4*q^2*f9^6 (mod 8)",
+                                   big, split, through=T),
+            report_from_comparison("extract(4*f1^6, 3n+2) = 4*f3^6 (mod 8)",
+                                   ext, _four_f6(3, 0, T), through=T))
     if base == 5:
-        big = euler_factor(1, 1, 6, _MOD8, 5 * T + 2).scale(4)
         ext = extract(big, Progression(5, 1)).truncate(T)
-        stated = euler_factor(5, 5, 6, _MOD8, T - 1).scale(4).shift(1)
-        rep = report_from_comparison("extract(4*f1^6, 5n+1) = 4*q*f5^6 (mod 8)",
-                                     ext, stated, through=T, note="rhs 4*q*f5^6")
-        if rep.matched:
-            return rep
-        alt = euler_factor(5, 5, 6, _MOD8, T).scale(4)
-        rep2 = report_from_comparison("extract(4*f1^6, 5n+1) = 4*f5^6 (mod 8)",
-                                      ext, alt, through=T, note="rhs 4*f5^6")
-        return rep2 if rep2.matched else rep
-    big = euler_factor(1, 1, 6, _MOD8, 49 * T + 13).scale(4)
+        return _first_match("extract(4*f1^6, 5n+1) = {} (mod 8)", ext, T,
+                            _rhs_candidates("inf3", T))
     ext = extract(extract(big, Progression(7, 5)), Progression(7, 1)).truncate(T)
-    target = euler_factor(1, 1, 6, _MOD8, T).scale(4)
     return report_from_comparison(
-        "extract(extract(4*f1^6, 7n+5), 7n+1) = 4*f1^6 (mod 8)", ext, target,
-        through=T)
+        "extract(extract(4*f1^6, 7n+5), 7n+1) = 4*f1^6 (mod 8)", ext,
+        _four_f6(1, 0, T), through=T)
+
+
+# The instances ``verify_suite`` checks, in report order.
+_SUITE_INSTANCES = tuple(FamilyInstance(a, b, c, v) for a, b, c, v in (
+    (0, 0, 0, "inf"), (1, 0, 0, "inf"), (0, 1, 0, "inf"), (0, 0, 1, "inf"),
+    (0, 0, 0, "inf2"), (0, 0, 0, "inf3"), (0, 0, 0, "inf4")))
+
+
+def verify_suite(T: int) -> list[IdentityReport]:
+    """Every family check, in report order: seven instances, inf4 again at
+    its corrected offset, then the base-3, 5 and 7 induction steps through
+    q^(T-1).  An instance s*n + o is read to n_max = max(10, (20000 - o) // s),
+    about 20,000 terms of its own mod-8 expansion.  A T whose induction steps
+    are over the budget is refused before any expansion."""
+    for base in (3, 5, 7):
+        _step_terms(base, T)
+    reports = []
+    for fi in _SUITE_INSTANCES:
+        for corrected in (False, True) if fi.variant == "inf4" else (False,):
+            s, o = fi.corrected_progression() if corrected else fi.progression()
+            n_max = max(10, (20_000 - o) // s)
+            reports.append(verify_family_instance(
+                fi, n_max, corrected_offset=corrected))
+    return reports + [verify_induction_step(base, T) for base in (3, 5, 7)]

@@ -81,14 +81,17 @@ class WitnessCertificate:
 class WitnessReport:
     certificate_id: str
     truncation: int
-    identity_matched: bool
     first_mismatch: tuple[int, int, int] | None
     gcd_of_poly: int
-    implied_modulus: int | None  # largest power of 2 dividing the gcd
 
-    def __post_init__(self):
-        if self.implied_modulus is not None and self.gcd_of_poly % self.implied_modulus:
-            raise ValueError("implied modulus must divide the polynomial gcd")
+    @property
+    def identity_matched(self) -> bool:
+        return self.first_mismatch is None
+
+    @property
+    def implied_modulus(self) -> int | None:
+        """The largest power of 2 dividing the gcd; None when the gcd is 0."""
+        return (self.gcd_of_poly & -self.gcd_of_poly) or None
 
     def summary(self) -> str:
         state = ("matched" if self.identity_matched
@@ -159,15 +162,11 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     if min(lhs.trunc, rhs.trunc) < through:
         raise InsufficientTruncation(
             "internal truncation plan fell short of the comparison window")
-    diff = first_difference(lhs, rhs, through=through)
-    gcd, v2 = certificate_common_factor(c)
     return WitnessReport(
         certificate_id=c.id,
         truncation=through,
-        identity_matched=diff is None,
-        first_mismatch=diff,
-        gcd_of_poly=gcd,
-        implied_modulus=None if v2 is None else 1 << v2,
+        first_mismatch=first_difference(lhs, rhs, through=through),
+        gcd_of_poly=certificate_common_factor(c)[0],
     )
 
 
@@ -218,6 +217,10 @@ def format_certificate(c: WitnessCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIELDS = ("id", "N", "M", "r", "m", "j", "P", "AB", "prefactor", "hauptmodul",
+           "poly_min_degree", "poly", "common_factor")
+
+
 def parse_certificate(text: str) -> WitnessCertificate:
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -227,6 +230,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
         key, _, value = line.partition(" ")
         if not value.strip():
             raise ValueError(f"line {lineno}: field {key!r} has no value")
+        if key not in _FIELDS:
+            raise ValueError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = value.strip()

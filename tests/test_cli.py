@@ -1,13 +1,14 @@
 """Command-line surface: output formats, exit codes, regression blessing."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qcongruence import cli, eta, witness
+from qcongruence import cli, eta, families, witness
 from qcongruence.cli import main
 from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
@@ -129,6 +130,8 @@ def test_verify_theorems_records_format(capsys):
     ("verify", "dissections", "3"),
     ("verify", "families", "3"),
     ("verify", "all", "17"),
+    ("verify", "families", "--family-n-max", "3"),
+    ("verify", "all", "--family-n-max", "3"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -140,13 +143,12 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
 def test_verify_all_reads_every_flag(capsys, monkeypatch):
     seen = {}
     monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
-    assert main(["verify", "all", "--T", "50", "--n-max", "5",
-                 "--family-n-max", "3"]) == 0
-    assert (seen["T"], seen["n_max"], seen["family_n_max"]) == (50, 5, 3)
+    assert main(["verify", "all", "--T", "50", "--n-max", "5"]) == 0
+    assert (seen["T"], seen["n_max"]) == (50, 5)
 
 
 def test_each_verify_target_reads_exactly_its_flags(capsys, monkeypatch):
-    values = {"--T": "50", "--n-max": "5", "--family-n-max": "3", "--ring": "exact"}
+    values = {"--T": "50", "--n-max": "5", "--ring": "exact"}
     assert set(values) == set(cli._INPUT_FLAGS)
     seen = {}
     monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
@@ -181,7 +183,7 @@ def test_verify_header_names_default_options(capsys):
     (("extract", "f1^1", "2", "0", "--T", "0"), "--T"),
     (("verify", "theorems", "--n-max", "-6"), "--n-max"),
     (("verify", "witness", "--T", str(DEFAULT_BUDGET + 1)), "--T"),
-    (("verify", "families", "--family-n-max", "0"), "--family-n-max"),
+    (("verify", "families", "--T", "0"), "--T"),
     (("oracle", "--n-max", "100001"), "--n-max"),
     (("oracle", "--t", "5", "--n-max", "15"), "--n-max"),
     (("oracle", "--t", "6"), "--t"),
@@ -348,8 +350,7 @@ def test_verify_eq1(capsys):
 
 
 def test_verify_families_reports_inf4_both_ways(capsys):
-    code, out, _ = run(capsys, "verify", "families", "--T", "60",
-                       "--family-n-max", "25")
+    code, out, _ = run(capsys, "verify", "families", "--T", "60")
     # the stated inf4 instance fails, so the suite exit code is 1 and both
     # the stated and corrected-offset reports appear
     assert code == 1
@@ -420,10 +421,46 @@ def test_families_records_match_golden(capsys):
     # matches; the base-7 step runs mod-8 products of up to 9,813 terms
     path = GOLDEN / "verify_families.txt"
     code, out, _ = run(capsys, "verify", "families", "--T", "200",
-                       "--family-n-max", "40", "--format", "records",
-                       "--check", str(path))
+                       "--format", "records", "--check", str(path))
     assert f"# matches {path}" in out
     assert code == 1
+    # the CLI only formats what the suite returns
+    records = [l for l in out.splitlines() if l.startswith("identity ")]
+    assert records == [cli._identity_record(r) for r in families.verify_suite(200)]
+
+
+@pytest.mark.parametrize("target", ["families", "all"])
+def test_families_steps_over_the_budget_are_usage_errors(capsys, monkeypatch, target):
+    # --T 2041 asks the base-7 step for 49*2041 + 13 = 100,022 terms of
+    # 4*f1^6; the suite refuses it before expanding any family series
+    def no_expansion(*args):
+        raise AssertionError("expanded a family series")
+
+    monkeypatch.setattr(families, "euler_factor", no_expansion)
+    monkeypatch.setattr(families, "overpartition_residues", no_expansion)
+    # `verify all` runs the witness check first; at T = 2041 it takes
+    # seconds and has nothing to do with the families budget
+    real = witness.verify_witness
+    monkeypatch.setattr(cli, "verify_witness", lambda cert, T: real(cert, 120))
+    code, _, err = run(capsys, "verify", target, "--T", "2041")
+    assert code == 2
+    assert (f"the base-7 induction step at T=2041 expands 100022 terms, "
+            f"over the budget of {DEFAULT_BUDGET}") in err
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each `verify` row of README's subcommand table lists exactly the flags
+    # its subparser reads; `all` reads their union
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        if line.startswith("| `verify "):
+            names, flags = line.split(" | ")[:2]
+            for name in re.findall(r"`verify (\w+)`", names):
+                rows[name] = set(re.findall(r"`(--[\w-]+)", flags))
+    want = {name: set(t.reads) for name, t in cli._TARGETS.items()}
+    want["all"] = set().union(*want.values())
+    assert rows == want
 
 
 def test_cli_runs_without_numpy():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
-                                     ClaimReport, CongruenceClaim,
-                                     check_claim, check_lift_congruence,
+                                     CongruenceClaim, check_claim,
+                                     check_lift_congruence,
                                      conjecture_claims,
                                      enumerate_colored_overpartitions,
                                      enumerate_colored_partitions, is_prime,
@@ -182,14 +182,6 @@ def test_claim_validation():
     # residue tables mod 2^k are uint64 words, so k stops at 64
     with pytest.raises(ValueError, match="k=65 is over 64"):
         CongruenceClaim(5, 8, 7, 65)
-
-
-def test_claim_report_invariant():
-    c = claim(5, 8, 7, 7)
-    with pytest.raises(ValueError):
-        ClaimReport(claim=c, n_max=5, holds=True, counterexample=(0, 1))
-    with pytest.raises(ValueError):
-        ClaimReport(claim=c, n_max=5, holds=False)
 
 
 # -- enumeration oracle --------------------------------------------------------

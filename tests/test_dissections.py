@@ -242,17 +242,8 @@ def test_induction_split_identity_mod8():
 # -- report type ----------------------------------------------------------------
 
 
-def test_identity_report_invariant():
-    with pytest.raises(ValueError):
-        IdentityReport(name="x", truncation=10, matched=True,
-                       first_mismatch=(1, 2, 3))
-    with pytest.raises(ValueError):
-        IdentityReport(name="x", truncation=10, matched=False)
-
-
 def test_identity_report_summary_lines():
-    ok = IdentityReport(name="id", truncation=10, matched=True)
-    assert "matched" in ok.summary()
-    bad = IdentityReport(name="id", truncation=10, matched=False,
-                         first_mismatch=(3, 1, 2))
-    assert "q^3" in bad.summary()
+    ok = IdentityReport(name="id", truncation=10)
+    assert ok.matched and "matched" in ok.summary()
+    bad = IdentityReport(name="id", truncation=10, first_mismatch=(3, 1, 2))
+    assert not bad.matched and "q^3" in bad.summary()

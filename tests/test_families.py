@@ -3,6 +3,7 @@ witness-derived 8n+2 congruence."""
 
 import pytest
 
+from qcongruence import families
 from qcongruence.dissect import Progression, extract
 from qcongruence.eta import EtaQuotient, expand, overpartition_gf
 from qcongruence.families import (FamilyInstance, verify_eq1,
@@ -119,6 +120,19 @@ def test_induction_steps_match(base):
 def test_induction_step_base5_records_q_factor():
     rep = verify_induction_step(5, 200)
     assert rep.matched and rep.note == "rhs 4*q*f5^6"
+
+
+def test_induction_step_base5_reports_neither_candidate(monkeypatch):
+    # with both right-hand sides spoiled, the base-5 step reports the stated
+    # candidate's mismatch, noted as neither matching
+    real = families._rhs_candidates
+    monkeypatch.setattr(families, "_rhs_candidates", lambda variant, T: [
+        (label, rhs.scale(0)) for label, rhs in real(variant, T)])
+    rep = verify_induction_step(5, 200)
+    assert not rep.matched
+    assert rep.note == "neither q-factor candidate matched"
+    assert rep.name == "extract(4*f1^6, 5n+1) = 4*q*f5^6 (mod 8)"
+    assert rep.first_mismatch[0] == 1
 
 
 def test_induction_step_validation():

@@ -4,10 +4,11 @@ common-factor computation and the text format."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence.cli import main
 from qcongruence.congruences import check_claim, CongruenceClaim
 from qcongruence.eta import EtaQuotient, expand
 from qcongruence.series import EXACT
-from qcongruence.witness import (WitnessCertificate, WitnessReport,
+from qcongruence.witness import (WitnessCertificate,
                                  builtin_certificate, builtin_certificate_text,
                                  certificate_common_factor, format_certificate,
                                  load_certificate, parse_certificate,
@@ -144,10 +145,17 @@ def test_parse_rejects_bad_input():
         parse_certificate(good + "stray\n")
 
 
-def test_report_invariant():
-    with pytest.raises(ValueError):
-        WitnessReport(certificate_id="x", truncation=10, identity_matched=True,
-                      first_mismatch=None, gcd_of_poly=4, implied_modulus=8)
+def test_parse_rejects_unknown_fields(capsys, tmp_path):
+    # a misspelled key must not leave the claimed factor at 128 unnoticed
+    text = builtin_certificate_text() + "comon_factor 256\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ValueError,
+                       match=f"line {lineno}: unknown field 'comon_factor'"):
+        parse_certificate(text)
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    assert main(["verify", "witness", str(path), "--T", "20"]) == 2
+    assert "unknown field 'comon_factor'" in capsys.readouterr().err
 
 
 # -- parser fuzzing ---------------------------------------------------------------
