@@ -13,11 +13,11 @@ from qcongruence import (EXACT, EtaQuotient, colored_partition_gf,
 
 # The Euler product f1 = prod (1 - q^i) expands by the pentagonal number
 # theorem: +-1 exactly at the exponents 0, 1, 2, 5, 7, 12, 15, ...
-f1 = euler_factor(1, 1, 1, EXACT, 16)
+f1 = euler_factor(1, 1, EXACT, 16)
 print("f1           ", f1.coeffs())
 
 # Its inverse generates the partition numbers.
-print("1/f1  -> p(n)", euler_factor(1, 1, -1, EXACT, 10).coeffs())
+print("1/f1  -> p(n)", euler_factor(1, -1, EXACT, 10).coeffs())
 
 # Overpartitions: each part may carry one overline on its first occurrence.
 # The generating function is f2 / f1^2; with t colors it is f2^t / f1^(2t).
@@ -43,4 +43,4 @@ print("f(-q,-q^2)   ", theta.coeffs())
 
 # Arithmetic mod 2^k uses the same API with a different ring.  Mod 2, the
 # cube of f1 is supported exactly on the triangular numbers.
-print("f1^3 mod 2   ", euler_factor(1, 1, 3, mod2k(1), 16).coeffs())
+print("f1^3 mod 2   ", euler_factor(1, 3, mod2k(1), 16).coeffs())

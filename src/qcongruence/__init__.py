@@ -28,7 +28,7 @@ from .families import (DEFAULT_BUDGET, VARIANTS, FamilyInstance,
 from .series import (EXACT, MAX_MOD2K_BITS, InsufficientTruncation,
                      LaurentSeries, NonInvertibleSeries, Ring, RingMismatch,
                      agree, euler_factor, first_difference, mod2k,
-                     pentagonal_series, phi_power, theta_f)
+                     phi_power, shifted_sum, theta_f, theta_power)
 from .witness import (WitnessCertificate, WitnessReport, builtin_certificate,
                       builtin_certificate_text, certificate_common_factor,
                       format_certificate, load_certificate, parse_certificate,
@@ -52,8 +52,9 @@ __all__ = [
     "load_certificate", "mod2k", "observed_two_adic_valuations",
     "overpartition_eta_quotient", "overpartition_gf", "overpartition_residues",
     "parse_certificate",
-    "parse_eta_quotient", "pentagonal_series", "phi_power", "ramanathan",
+    "parse_eta_quotient", "phi_power", "ramanathan",
     "report_from_comparison", "rogers_ramanujan", "run_theorems",
-    "save_certificate", "scan_conjecture", "theta_f", "verify_eq1",
+    "save_certificate", "scan_conjecture", "shifted_sum", "theta_f",
+    "theta_power", "verify_eq1",
     "verify_family_instance", "verify_induction_step", "verify_witness",
 ]

@@ -179,8 +179,8 @@ def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     ring = mod2k(k)
-    lhs = euler_factor(m, m, 1, ring, T).pow(1 << k)
-    rhs = euler_factor(2 * m, 2 * m, 1, ring, T).pow(1 << (k - 1))
+    lhs = euler_factor(m, 1, ring, T).pow(1 << k)
+    rhs = euler_factor(2 * m, 1, ring, T).pow(1 << (k - 1))
     name = f"f{m}^{1 << k} = f{2 * m}^{1 << (k - 1)} (mod {1 << k})"
     return report_from_comparison(name, lhs, rhs, through=T)
 

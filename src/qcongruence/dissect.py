@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, euler_factor,
-                     first_difference, mod2k, theta_f)
+                     first_difference, mod2k, shifted_sum, theta_power)
 
 
 @dataclass(frozen=True)
@@ -88,43 +88,49 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
     return LaurentSeries(0, [0] * zeros + list(stream) if zeros else stream, a.ring)
 
 
+def _theta_quotient(num: tuple[int, int], den: tuple[int, int], n: int,
+                    T: int) -> LaurentSeries:
+    """f(-Q^a, -Q^b) / f(-Q^c, -Q^d) through q^(T-1), (a, b) = num and
+    (c, d) = den, formed at length ceil(T/n) in Q before Q -> q^n."""
+    m = -(-T // n)
+    quotient = theta_power(*num, 1, 1, EXACT, m).mul(theta_power(*den, -1, 1, EXACT, m))
+    return quotient.substitute_qpow(n).truncate(T)
+
+
 def rogers_ramanujan(T: int) -> LaurentSeries:
     """The quotient (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5)) through q^(T-1),
     as f(-q, -q^4) / f(-q^2, -q^3) by Jacobi's triple product (the common
     factor (q^5;q^5) cancels)."""
-    return theta_f(1, 4, T).mul(theta_f(2, 3, T).inverse())
+    return _theta_quotient((1, 4), (2, 3), 1, T)
+
+
+def _dissection(name: str, n: int, terms: list[tuple[int, int, LaurentSeries]],
+                T: int, note: str) -> IdentityReport:
+    """f_1 == f_{n^2} * sum of c * q^s * x over the (c, s, x) in ``terms``,
+    exactly through q^(T-1)."""
+    rhs = euler_factor(n * n, 1, EXACT, T).mul(shifted_sum(terms, EXACT, T))
+    return report_from_comparison(name, euler_factor(1, 1, EXACT, T), rhs,
+                                  through=T, note=note)
 
 
 def dissection3_f1cubed(T: int) -> IdentityReport:
     """f_1^3 == f_3 + q*f_9^3 as series mod 2."""
     r2 = mod2k(1)
-    lhs = euler_factor(1, 1, 3, r2, T)
-    rhs = euler_factor(3, 3, 1, r2, T)
-    if T > 1:
-        rhs = rhs.add(euler_factor(9, 9, 3, r2, T - 1).shift(1))
-    return report_from_comparison("f1^3 = f3 + q*f9^3 (mod 2)", lhs, rhs, through=T)
+    rhs = shifted_sum([(1, 0, euler_factor(3, 1, r2, T)),
+                       (1, 1, euler_factor(9, 3, r2, T))], r2, T)
+    return report_from_comparison("f1^3 = f3 + q*f9^3 (mod 2)",
+                                  euler_factor(1, 3, r2, T), rhs, through=T)
 
 
 def dissection5(T: int) -> IdentityReport:
     """f_1 == f_25 * (1/R(q^5) - q - q^2*R(q^5)) exactly, R the
-    Rogers-Ramanujan quotient."""
-    inner = -((T + 4) // -5)  # ceil(T/5)
-    r5 = rogers_ramanujan(inner).substitute_qpow(5).truncate(T)
-    bracket = r5.inverse().sub(LaurentSeries.q_power(1, EXACT, T)).sub(r5.shift(2))
-    rhs = euler_factor(25, 25, 1, EXACT, T).mul(bracket)
-    lhs = euler_factor(1, 1, 1, EXACT, T)
-    return report_from_comparison("f1 = f25*(1/R(q^5) - q - q^2*R(q^5))",
-                                  lhs, rhs, through=T)
-
-
-def _theta_quotients7(T: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    t7_42 = theta_f(7, 42, T)
-    t14_35 = theta_f(14, 35, T)
-    t21_28 = theta_f(21, 28, T)
-    a = t14_35.mul(t7_42.inverse())
-    b = t21_28.mul(t14_35.inverse())
-    c = t7_42.mul(t21_28.inverse())
-    return a, b, c
+    Rogers-Ramanujan quotient; 1/R is its Newton inverse, a route
+    independent of the theta quotients ``ramanathan(5, T)`` takes."""
+    r = rogers_ramanujan(-(-T // 5))
+    return _dissection("f1 = f25*(1/R(q^5) - q - q^2*R(q^5))", 5, [
+        (1, 0, r.inverse().substitute_qpow(5)),
+        (-1, 1, LaurentSeries.one(EXACT, T)),
+        (-1, 2, r.substitute_qpow(5))], T, "")
 
 
 def dissection7(T: int) -> IdentityReport:
@@ -134,13 +140,11 @@ def dissection7(T: int) -> IdentityReport:
         A = f(-q^14,-q^35)/f(-q^7,-q^42),  B = f(-q^21,-q^28)/f(-q^14,-q^35),
         C = f(-q^7,-q^42)/f(-q^21,-q^28).
     """
-    a, b, c = _theta_quotients7(T)
-    bracket = a.sub(b.shift(1)).sub(LaurentSeries.q_power(2, EXACT, T))
-    bracket = bracket.add(c.shift(5))
-    rhs = euler_factor(49, 49, 1, EXACT, T).mul(bracket)
-    lhs = euler_factor(1, 1, 1, EXACT, T)
-    return report_from_comparison("f1 = f49*(A - q*B - q^2 + q^5*C)",
-                                  lhs, rhs, through=T)
+    a, b, c = (_theta_quotient(num, den, 7, T)
+               for num, den in (((2, 5), (1, 6)), ((3, 4), (2, 5)), ((1, 6), (3, 4))))
+    return _dissection("f1 = f49*(A - q*B - q^2 + q^5*C)", 7, [
+        (1, 0, a), (-1, 1, b), (-1, 2, LaurentSeries.one(EXACT, T)), (1, 5, c)],
+        T, "")
 
 
 def ramanathan(n: int, T: int) -> IdentityReport:
@@ -154,29 +158,18 @@ def ramanathan(n: int, T: int) -> IdentityReport:
 
     with e(k) = (k-g)(3k-3g-1)/2 when n = 6g+1 and (k-g)(3k-3g+1)/2 when
     n = 6g-1.  The theorem is usually quoted with the n = 6g+1 hypothesis
-    only; both branches are checked here and validated against the
-    independent 5- and 7-dissections.
+    only; both branches are checked here.  The n = 5 case is checked
+    independently by ``dissection5``, whose 1/R(q^5) is a Newton inverse.
+    ``dissection7`` forms the same three quotients as n = 7 by the same
+    code, so it is no independent check; the tests compare every quotient
+    with a Newton inverse of its denominator.
     """
     if n < 5 or n % 6 not in (1, 5):
         raise ValueError(f"n={n} must be >= 5 and congruent to +-1 mod 6")
-    if n % 6 == 1:
-        g, eps = n // 6, -1
-    else:
-        g, eps = (n + 1) // 6, 1
-    lead = (n * n - 1) // 24
-    acc = LaurentSeries.q_power(lead, EXACT, T) if lead < T else None
-    if acc is not None and g % 2:
-        acc = acc.neg()
-    for k in range(1, (n - 1) // 2 + 1):
-        e = (k - g) * (3 * k - 3 * g + eps) // 2
-        num = theta_f(2 * n * k, n * n - 2 * n * k, T)
-        den = theta_f(n * k, n * n - n * k, T)
-        term = num.mul(den.inverse()).shift(e).truncate(T)
-        if (k + g) % 2:
-            term = term.neg()
-        acc = term if acc is None else acc.add(term)
-    rhs = euler_factor(n * n, n * n, 1, EXACT, T).mul(acc)
-    lhs = euler_factor(1, 1, 1, EXACT, T)
+    g, eps = (n + 1) // 6, (-1 if n % 6 == 1 else 1)
+    terms = [((-1) ** g, (n * n - 1) // 24, LaurentSeries.one(EXACT, T))]
+    terms += [((-1) ** (k + g), (k - g) * (3 * k - 3 * g + eps) // 2,
+               _theta_quotient((2 * k, n - 2 * k), (k, n - k), n, T))
+              for k in range(1, (n - 1) // 2 + 1)]
     case = f"n=6g{'+' if eps < 0 else '-'}1, g={g}"
-    return report_from_comparison(f"{n}-dissection of f1", lhs, rhs,
-                                  through=T, note=case)
+    return _dissection(f"{n}-dissection of f1", n, terms, T, case)

@@ -121,7 +121,7 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
             factors.append(phi_power(d, s, ring, n))
             rest[d] -= 2 * s
             rest[2 * d] = 0
-    factors += [euler_factor(d, d, r, ring, n) for d, r in sorted(rest.items()) if r]
+    factors += [euler_factor(d, r, ring, n) for d, r in sorted(rest.items()) if r]
     acc = factors[0] if factors else LaurentSeries.one(ring, n)
     for factor in factors[1:]:
         acc = acc.mul(factor)
@@ -152,4 +152,4 @@ def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
     """Generating function of t-colored partitions, 1 / f_1^t."""
     if t < 1:
         raise ValueError("color count t must be >= 1")
-    return euler_factor(1, 1, -t, ring, T)
+    return euler_factor(1, -t, ring, T)

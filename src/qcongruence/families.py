@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
 from .eta import EtaQuotient, expand, overpartition_residues
-from .series import LaurentSeries, euler_factor, mod2k
+from .series import LaurentSeries, euler_factor, mod2k, shifted_sum
 
 VARIANTS = ("inf", "inf2", "inf3", "inf4")
 
@@ -80,19 +80,20 @@ def _budgeted(size: int, what: str) -> int:
     return size
 
 
-def _four_f6(d: int, shift: int, T: int) -> LaurentSeries:
-    """4*q^shift*f_d^6 mod 8 through q^(T-1)."""
-    return euler_factor(d, d, 6, _MOD8, T - shift).scale(4).shift(shift)
+def _four_f6(d: int, T: int) -> LaurentSeries:
+    """4*f_d^6 mod 8 through q^(T-1)."""
+    return euler_factor(d, 6, _MOD8, T).scale(4)
 
 
 def _rhs_candidates(variant: str, T: int) -> list[tuple[str, LaurentSeries]]:
     """Stated right-hand side first; for inf3/inf4 the q-toggled variant is
     offered second so the checker can record which one the data selects."""
     d = {"inf": 1, "inf2": 3, "inf3": 5, "inf4": 7}[variant]
-    plain = _four_f6(d, 0, T)
-    if d < 5 or T == 1:
+    plain = _four_f6(d, T)
+    if d < 5:
         return [(f"4*f{d}^6", plain)]
-    return [(f"4*q*f{d}^6", plain.truncate(T - 1).shift(1)), (f"4*f{d}^6", plain)]
+    return [(f"4*q*f{d}^6", shifted_sum([(1, 1, plain)], _MOD8, T)),
+            (f"4*f{d}^6", plain)]
 
 
 def _first_match(name: str, lhs: LaurentSeries, through: int,
@@ -154,7 +155,7 @@ def verify_eq1(T: int) -> IdentityReport:
         report_from_comparison(
             "8n+2 stream = 4*f4^179/(f1^78*f2^36*f8^70) (mod 8)", stream, rhs,
             through=T, note="stream read as overpartitions"),
-        report_from_comparison("rhs = 4*f1^6 (mod 8)", rhs, _four_f6(1, 0, T),
+        report_from_comparison("rhs = 4*f1^6 (mod 8)", rhs, _four_f6(1, T),
                                through=T))
 
 
@@ -176,11 +177,10 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
     """
     if base not in (3, 5, 7):
         raise ValueError("induction step base must be 3, 5 or 7")
-    if T < 2:
-        raise ValueError("induction step checks need T >= 2")
-    big = _four_f6(1, 0, _step_terms(base, T))
+    big = _four_f6(1, _step_terms(base, T))
     if base == 3:
-        split = euler_factor(3, 3, 2, _MOD8, T).scale(4).add(_four_f6(9, 2, T))
+        split = shifted_sum([(4, 0, euler_factor(3, 2, _MOD8, T)),
+                             (1, 2, _four_f6(9, T))], _MOD8, T)
         ext = extract(big, Progression(3, 2)).truncate(T)
         return _all_matched(
             "base-3 induction step (mod 8)",
@@ -188,7 +188,7 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
             report_from_comparison("4*f1^6 = 4*f3^2 + 4*q^2*f9^6 (mod 8)",
                                    big, split, through=T),
             report_from_comparison("extract(4*f1^6, 3n+2) = 4*f3^6 (mod 8)",
-                                   ext, _four_f6(3, 0, T), through=T))
+                                   ext, _four_f6(3, T), through=T))
     if base == 5:
         ext = extract(big, Progression(5, 1)).truncate(T)
         return _first_match("extract(4*f1^6, 5n+1) = {} (mod 8)", ext, T,
@@ -196,7 +196,7 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
     ext = extract(extract(big, Progression(7, 5)), Progression(7, 1)).truncate(T)
     return report_from_comparison(
         "extract(extract(4*f1^6, 7n+5), 7n+1) = 4*f1^6 (mod 8)", ext,
-        _four_f6(1, 0, T), through=T)
+        _four_f6(1, T), through=T)
 
 
 # The instances ``verify_suite`` checks, in report order.

@@ -114,15 +114,6 @@ class LaurentSeries:
         c[0] = 1
         return cls(0, c, ring)
 
-    @classmethod
-    def q_power(cls, e: int, ring: Ring, trunc: int) -> "LaurentSeries":
-        """The monomial q^e, represented on [e, trunc)."""
-        if trunc <= e:
-            raise InsufficientTruncation(f"q^{e} needs trunc > {e}")
-        c = [0] * (trunc - e)
-        c[0] = 1
-        return cls(e, c, ring)
-
     # -- inspection -----------------------------------------------------------
 
     @property
@@ -440,27 +431,10 @@ def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
 # -- classic q-series building blocks ----------------------------------------
 
 
-def pentagonal_series(ring: Ring, T: int) -> LaurentSeries:
-    """Euler's expansion of prod_{i>=1}(1 - q^i) = f(-q, -q^2): +-1 at
-    generalized pentagonal exponents k(3k-1)/2, zero elsewhere."""
-    return theta_f(1, 2, T, ring)
-
-
-def euler_factor(a: int, m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
-    """Expansion of prod_{i>=0}(1 - q^(a+m*i))^e through q^(T-1).
-
-    Only the full Euler product f_m^e (a == m) is supported; it is
-    f(-q^m, -q^(2m))^e, by ``_theta_power``.  Other (q^a; q^m) factors
-    are theta quotients (see ``dissect.rogers_ramanujan``).
-    """
-    if a < 1 or m < 1:
-        raise ValueError("euler_factor needs a >= 1 and m >= 1")
-    if a != m:
-        raise ValueError(f"euler_factor takes the full product f_m (a == m), "
-                         f"got a={a}, m={m}")
-    if T < 1:
-        raise InsufficientTruncation("need T >= 1")
-    return _theta_power(2, e, m, ring, T)
+def euler_factor(m: int, e: int, ring: Ring, T: int) -> LaurentSeries:
+    """Expansion of f_m^e = prod_{i>=1}(1 - q^(m*i))^e through q^(T-1):
+    f(-q, -q^2)^e after q -> q^m, by ``theta_power``."""
+    return theta_power(1, 2, e, m, ring, T)
 
 
 def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
@@ -468,34 +442,50 @@ def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
 
     Gauss's identity phi(-q) = f(-q, -q) = f_1^2 / f_2 = 1 + 2X, X =
     sum_{n>=1} (-1)^n q^(n^2), has about sqrt(T) nonzero terms; it is
-    raised to the power e by ``_theta_power``, with no inverse and no
+    raised to the power e by ``theta_power``, with no inverse and no
     dense product.
     """
+    return theta_power(1, 1, e, d, ring, T)
+
+
+def theta_power(x: int, y: int, e: int, d: int, ring: Ring, T: int) -> LaurentSeries:
+    """f(-q^x, -q^y)^e through q^(T-1) after q -> q^d.
+
+    The power is taken at length ceil(T/d) before the substitution: mod 2^k
+    for phi = f(-q, -q) as sum_{i<k} C(e, i) 2^i X^i by Horner's rule in
+    the sparse X; over Z by Miller's recurrence on the sparse theta series,
+    e = -1 included; otherwise by binary powering, since the recurrence's
+    division by k is unavailable mod 2^k.
+    """
     if d < 1:
-        raise ValueError("phi_power needs d >= 1")
+        raise ValueError(f"theta_power needs d >= 1, got {d}")
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
-    return _theta_power(1, e, d, ring, T)
-
-
-def _theta_power(y: int, e: int, d: int, ring: Ring, T: int) -> LaurentSeries:
-    """f(-q, -q^y)^e through q^(T-1) after q -> q^d, for y in (1, 2).
-
-    The power is taken at length ceil(T/d) before the substitution: over Z
-    by Miller's recurrence on the sparse theta series; mod 2^k for phi
-    (y == 1) as sum_{i<k} C(e, i) 2^i X^i, whose terms with i >= k vanish,
-    by Horner's rule in the sparse X; mod 2^k for f_1 (y == 2) by binary
-    powering, since the recurrence's division by k is unavailable there.
-    """
     n = (T - 1) // d + 1
-    if not ring.is_exact and y == 1:
+    if not ring.is_exact and (x, y) == (1, 1):
         base = LaurentSeries(0, _gauss_power_mod2k(e, ring.k, n), ring)
     else:
-        base = theta_f(1, y, n, ring)
+        base = theta_f(x, y, n, ring)
         if e != 1:
             base = (LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
                     if ring.is_exact else base.pow(e))
     return base.substitute_qpow(d).truncate(T)
+
+
+def shifted_sum(terms: Sequence[tuple[int, int, LaurentSeries]], ring: Ring,
+                T: int) -> LaurentSeries:
+    """sum of c * q^s * x over the (c, s, x) in ``terms``, through q^(T-1).
+    A term with s >= T adds nothing; one whose x stops before q^(T-1-s)
+    raises, so the sum is never silently shorter than T."""
+    acc = LaurentSeries(0, [0] * T, ring)
+    for c, s, x in terms:
+        if s >= T:
+            continue
+        if x.trunc + s < T:
+            raise InsufficientTruncation(f"q^{s} times a series known below "
+                                         f"q^{x.trunc} does not reach q^{T - 1}")
+        acc = acc.add(x.truncate(T - s).scale(c).shift(s))
+    return acc
 
 
 def _miller_power(p: Sequence[int], e: int) -> list[int]:

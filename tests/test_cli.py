@@ -364,6 +364,28 @@ def test_verify_dissections(capsys):
     assert out.count("matched") == 6
 
 
+@pytest.mark.parametrize("argv, code, records", [
+    *[(("verify", target, "--T", str(T)), code, n)
+      for target, code, n in (("dissections", 0, 6), ("eq1", 0, 1), ("families", 1, 11))
+      for T in (1, 2, 3, 22, 23)],
+    (("verify", "theorems", "--n-max", "1"), 0, 24),
+    (("verify", "conjecture", "3", "--n-max", "1"), 0, 14),
+    # the builtin certificate's comparison window starts at its pole q^-17
+    (("verify", "witness", "--T", "17"), 2, 0),
+])
+def test_verify_targets_at_their_smallest_sizes(capsys, argv, code, records):
+    # a q-shifted term past the truncation drops out of a right side, so
+    # every record is printed; only inf4 as stated fails, by design
+    got, out, err = run(capsys, *argv, "--format", "records")
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    failed = [l.split(" T=")[0] for l in lines if "matched=false" in l
+              or (l.startswith("claim ") and "verdict=holds" not in l)]
+    assert (got, len(lines)) == (code, records), err
+    assert failed == (['identity name="inf4(alpha=0, beta=0, gamma=0)"']
+                      if code == 1 else [])
+    assert code < 2 or "pole order 17" in err
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--t", "2", "--n-max", "6")
     assert code == 0

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcongruence.dissect import (IdentityReport, Progression,
+from qcongruence.dissect import (IdentityReport, Progression, _theta_quotient,
                                  dissection3_f1cubed, dissection5,
                                  dissection7, extract, ramanathan,
                                  report_from_comparison, rogers_ramanujan)
@@ -153,9 +153,9 @@ def test_dissection3_tiny_truncation():
 def test_dissection3_mutation_detected():
     # wrong identity f3 + q*f9^2 must fail at a small exponent
     r = mod2k(1)
-    lhs = euler_factor(1, 1, 3, r, 60)
-    wrong = euler_factor(3, 3, 1, r, 60).add(
-        euler_factor(9, 9, 2, r, 59).shift(1))
+    lhs = euler_factor(1, 3, r, 60)
+    wrong = euler_factor(3, 1, r, 60).add(
+        euler_factor(9, 2, r, 59).shift(1))
     rep = report_from_comparison("mutated 3-dissection", lhs, wrong, through=60)
     assert not rep.matched
     assert rep.first_mismatch[0] <= 20
@@ -167,7 +167,7 @@ def test_dissection5_matches():
 
 
 def test_dissection5_constant_terms():
-    assert euler_factor(1, 1, 1, EXACT, 2).coefficient(0) == 1
+    assert euler_factor(1, 1, EXACT, 2).coefficient(0) == 1
     inner = rogers_ramanujan(2)
     assert inner.coefficient(0) == 1
 
@@ -176,9 +176,9 @@ def test_dissection5_extract_5n2_gives_minus_f5_R():
     # the only residue-2 term in the 5-dissection is -q^2 R(q^5), so both
     # sides extracted at 5n+2 equal -f5(q)*R(q)
     T = 300
-    f1 = euler_factor(1, 1, 1, EXACT, 5 * T + 3)
+    f1 = euler_factor(1, 1, EXACT, 5 * T + 3)
     lhs = extract(f1, Progression(5, 2)).truncate(T)
-    rhs = euler_factor(5, 5, 1, EXACT, T).mul(rogers_ramanujan(T)).neg()
+    rhs = euler_factor(5, 1, EXACT, T).mul(rogers_ramanujan(T)).neg()
     assert agree(lhs, rhs, through=T)
 
 
@@ -208,11 +208,11 @@ def test_ramanathan_7_equals_dissection7_bracket():
     a = theta_f(14, 35, T).mul(theta_f(7, 42, T).inverse())
     b = theta_f(21, 28, T).mul(theta_f(14, 35, T).inverse())
     c = theta_f(7, 42, T).mul(theta_f(21, 28, T).inverse())
-    bracket = a.sub(b.shift(1)).sub(LaurentSeries.q_power(2, EXACT, T))
+    bracket = a.sub(b.shift(1)).sub(LaurentSeries.one(EXACT, T).shift(2))
     bracket = bracket.add(c.shift(5))
     # rebuild the ramanathan bracket: g=1, n=7, case 6g+1
     g, n = 1, 7
-    acc = LaurentSeries.q_power((n * n - 1) // 24, EXACT, T).neg()
+    acc = LaurentSeries.one(EXACT, T).shift((n * n - 1) // 24).neg()
     for k in range(1, 4):
         e = (k - g) * (3 * k - 3 * g - 1) // 2
         term = theta_f(2 * n * k, n * n - 2 * n * k, T).mul(
@@ -221,6 +221,25 @@ def test_ramanathan_7_equals_dissection7_bracket():
             term = term.neg()
         acc = acc.add(term)
     assert agree(acc, bracket, through=min(acc.trunc, bracket.trunc))
+
+
+# every theta quotient the dissections form: dissection7's A, B and C, and
+# ramanathan's f(-q^(2nk), -q^(n^2-2nk)) / f(-q^(nk), -q^(n^2-nk)) for n = 5,
+# 7 and 13, as (num, den, n) with the thetas' exponents divided by n
+_DISSECTION_QUOTIENTS = [
+    ((2, 5), (1, 6), 7), ((3, 4), (2, 5), 7), ((1, 6), (3, 4), 7),
+    *(((2 * k, n - 2 * k), (k, n - k), n)
+      for n in (5, 7, 13) for k in range(1, (n - 1) // 2 + 1))]
+
+
+@pytest.mark.parametrize("num, den, n", _DISSECTION_QUOTIENTS)
+def test_theta_quotients_match_newton_inverses(num, den, n):
+    # Miller's recurrence in q^n against a Newton inverse of the denominator
+    # taken in q, at a size in the thousands
+    T = 3000
+    newton = theta_f(n * num[0], n * num[1], T).mul(
+        theta_f(n * den[0], n * den[1], T).inverse())
+    assert _theta_quotient(num, den, n, T) == newton
 
 
 def test_ramanathan_rejects_bad_n():
@@ -233,9 +252,9 @@ def test_induction_split_identity_mod8():
     # 4*f1^6 == 4*f3^2 + 4*q^2*f9^6 (mod 8)
     r = mod2k(3)
     T = 600
-    lhs = euler_factor(1, 1, 6, r, T).scale(4)
-    rhs = euler_factor(3, 3, 2, r, T).scale(4).add(
-        euler_factor(9, 9, 6, r, T - 2).scale(4).shift(2))
+    lhs = euler_factor(1, 6, r, T).scale(4)
+    rhs = euler_factor(3, 2, r, T).scale(4).add(
+        euler_factor(9, 6, r, T - 2).scale(4).shift(2))
     assert agree(lhs, rhs, through=T)
 
 

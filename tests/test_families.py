@@ -94,7 +94,7 @@ def test_eq1_matches_with_overpartition_reading():
 def test_eq1_colored_partition_reading_fails():
     # the literal 5-colored-partition stream does not satisfy the congruence
     T = 40
-    gf = euler_factor(1, 1, -5, MOD8, 8 * T + 3)
+    gf = euler_factor(1, -5, MOD8, 8 * T + 3)
     stream = extract(gf, Progression(8, 2)).truncate(T)
     rhs = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), MOD8, T).scale(4)
     assert not agree(stream, rhs, through=T)
