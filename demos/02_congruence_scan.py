@@ -9,14 +9,13 @@ pattern for arbitrary primes; this script checks them to a desk-scale bound
 and probes how sharp each modulus is.
 """
 
-from qcongruence import (THEOREM_CLAIMS, CongruenceClaim, check_claim,
-                         observed_two_adic_valuations, run_theorems,
-                         scan_conjecture)
+from qcongruence import (THEOREM_CLAIMS, CongruenceClaim, check_claims,
+                         conjecture_claims, observed_two_adic_valuations)
 
 # Every proved claim, checked for n <= 300 (a few seconds; the acceptance
 # suite runs n <= 2000).
 print("-- proved claims --")
-for report in run_theorems(n_max=300):
+for report in check_claims(THEOREM_CLAIMS, 300):
     print(" ", report.summary())
 
 # How sharp are the moduli?  The observed minimal 2-adic valuation on each
@@ -27,8 +26,8 @@ for claim in THEOREM_CLAIMS:
     if claim.j != 7:
         continue
     v = observed_two_adic_valuations(claim.t, claim.m, 300)[claim.j]
-    stronger = check_claim(
-        CongruenceClaim(claim.t, claim.m, claim.j, claim.k + 1), 300)
+    [stronger] = check_claims(
+        [CongruenceClaim(claim.t, claim.m, claim.j, claim.k + 1)], 300)
     print(f"  t={claim.t:2d} j=7: claimed 2^{claim.k}, observed min "
           f"valuation {v}, mod 2^{claim.k + 1} {stronger.verdict} "
           f"{stronger.counterexample or ''}")
@@ -36,5 +35,5 @@ for claim in THEOREM_CLAIMS:
 # The conjectured pattern at a prime the theorems do not cover.  A failure
 # here would be a counterexample record, not a crash.
 print("-- conjecture at q=19 --")
-for report in scan_conjecture(19, n_max=300):
+for report in check_claims(conjecture_claims(19), 300):
     print(" ", report.summary())

@@ -10,12 +10,11 @@ with the finite induction-step identities behind them.
 """
 
 from .congruences import (CONJECTURE_PATTERN, DEFAULT_N_MAX, THEOREM_CLAIMS,
-                          ClaimReport, CongruenceClaim, check_claim,
+                          ClaimReport, CongruenceClaim, check_claims,
                           check_lift_congruence, conjecture_claims,
                           enumerate_colored_overpartitions,
                           enumerate_colored_partitions, is_prime,
-                          observed_two_adic_valuations, run_theorems,
-                          scan_conjecture)
+                          observed_two_adic_valuations)
 from .dissect import (IdentityReport, Progression, dissection3_f1cubed,
                       dissection5, dissection7, extract, ramanathan,
                       report_from_comparison, rogers_ramanujan)
@@ -43,7 +42,7 @@ __all__ = [
     "NonInvertibleSeries", "Progression", "Ring", "RingMismatch",
     "THEOREM_CLAIMS", "VARIANTS", "WitnessCertificate", "WitnessReport",
     "agree", "builtin_certificate", "builtin_certificate_text",
-    "certificate_common_factor", "check_claim", "check_lift_congruence",
+    "certificate_common_factor", "check_claims", "check_lift_congruence",
     "ClaimReport", "colored_partition_gf", "CongruenceClaim",
     "conjecture_claims", "dissection3_f1cubed", "dissection5", "dissection7",
     "enumerate_colored_overpartitions", "enumerate_colored_partitions",
@@ -53,8 +52,7 @@ __all__ = [
     "overpartition_eta_quotient", "overpartition_gf", "overpartition_residues",
     "parse_certificate",
     "parse_eta_quotient", "phi_power", "ramanathan",
-    "report_from_comparison", "rogers_ramanujan", "run_theorems",
-    "save_certificate", "scan_conjecture", "shifted_sum", "theta_f",
-    "theta_power", "verify_eq1",
+    "report_from_comparison", "rogers_ramanujan", "save_certificate",
+    "shifted_sum", "theta_f", "theta_power", "verify_eq1",
     "verify_family_instance", "verify_induction_step", "verify_witness",
 ]

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from . import congruences, dissect, families
 from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
-                          check_claim, conjecture_claims,
+                          check_claims, conjecture_claims,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
@@ -187,21 +187,21 @@ def cmd_oracle(args) -> int:
     return _emit(rep, args)
 
 
-def _run_claims(rep: Report, claims, n_max: int):
-    for c in claims:
-        r = check_claim(c, n_max)
+def _add_claims(rep: Report, reports):
+    for r in reports:
         rep.add(r.summary(), _claim_record(r), ok=r.holds)
 
 
 def _verify_theorems(rep: Report, args):
-    _run_claims(rep, THEOREM_CLAIMS, args.n_max)
+    _add_claims(rep, check_claims(THEOREM_CLAIMS, args.n_max))
 
 
 def _verify_conjecture(rep: Report, args):
     primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
-    _run_claims(rep, claims, args.n_max)
-    # how sharp each claimed modulus is, from one mod-2^64 table per prime
+    _add_claims(rep, check_claims(claims, args.n_max))
+    # how sharp each claimed modulus is: one table per prime mod 2^16, and
+    # one mod 2^64 only when a class vanishes mod 2^16
     for p in primes:
         observed = congruences.observed_two_adic_valuations(p, 8, args.n_max)
         for m, j, k in congruences.CONJECTURE_PATTERN:  # m = 8 in every row

@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import groupby, repeat
+from operator import and_, attrgetter, itemgetter, or_
 
 from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
@@ -120,19 +120,26 @@ def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
                  for m, j, k in CONJECTURE_PATTERN)
 
 
-def check_claim(c: CongruenceClaim, n_max: int) -> ClaimReport:
-    """Read the claim's progression from the residue table mod 2^k and
-    assert every coefficient vanishes; the first failure is recorded."""
+def check_claims(claims, n_max: int) -> list[ClaimReport]:
+    """Check each claim for n <= n_max, in order.  A run of consecutive
+    claims on one (t, m) reads one residue table, mod 2^K for the run's
+    largest k; each claim masks its row to its own k bits, and its
+    counterexample is the first nonzero entry.  ``ms`` is the wall time
+    since the previous report, so a run's table is charged to its first
+    claim and the ``ms`` fields add up to the call's time."""
+    reports = []
     start = time.perf_counter()
-    row = overpartition_residues(c.t, mod2k(c.k), c.m, n_max)[c.j]
-    counter = next(compress(enumerate(row), row), None)
-    ms = (time.perf_counter() - start) * 1000.0
-    return ClaimReport(claim=c, n_max=n_max, counterexample=counter, ms=ms)
-
-
-def run_theorems(n_max: int = DEFAULT_N_MAX) -> list[ClaimReport]:
-    """Check all 24 built-in theorem congruences to the given bound."""
-    return [check_claim(c, n_max) for c in THEOREM_CLAIMS]
+    for (t, m), run in groupby(claims, key=attrgetter("t", "m")):
+        run = list(run)
+        table = overpartition_residues(t, mod2k(max(c.k for c in run)), m, n_max)
+        for c in run:
+            low = map(and_, table[c.j], repeat((1 << c.k) - 1))
+            counter = next(filter(itemgetter(1), enumerate(low)), None)
+            now = time.perf_counter()
+            reports.append(ClaimReport(c, n_max, counter, (now - start) * 1000.0))
+            start = now
+        del table, low  # the next run's table is built with none alive
+    return reports
 
 
 def is_prime(q: int) -> bool:
@@ -145,12 +152,6 @@ def is_prime(q: int) -> bool:
             return False
         d += 1
     return True
-
-
-def scan_conjecture(q: int, n_max: int = 1000) -> list[ClaimReport]:
-    """Instantiate the seven conjectured congruences at prime q and check
-    each to n_max.  A failure is a counterexample record, not an error."""
-    return [check_claim(c, n_max) for c in conjecture_claims(q)]
 
 
 def observed_two_adic_valuations(t: int, m: int, n_max: int) -> list[int]:

@@ -14,13 +14,13 @@ import time
 
 from qcongruence import (EXACT, FamilyInstance, LaurentSeries, Progression,
                          builtin_certificate, certificate_common_factor,
-                         check_claim, check_lift_congruence, CongruenceClaim,
+                         THEOREM_CLAIMS, check_claims, check_lift_congruence,
+                         CongruenceClaim, conjecture_claims,
                          dissection3_f1cubed, dissection5, dissection7,
                          enumerate_colored_overpartitions, extract, agree,
-                         mod2k, overpartition_gf, ramanathan, run_theorems,
-                         scan_conjecture, verify_eq1, verify_family_instance,
-                         verify_witness)
-from qcongruence.cli import Report, _run_claims
+                         mod2k, overpartition_gf, ramanathan, verify_eq1,
+                         verify_family_instance, verify_witness)
+from qcongruence.cli import Report, _add_claims
 
 
 def _line(criterion: str, ok: bool, detail: str = ""):
@@ -30,7 +30,7 @@ def _line(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_theorem_suite():
     start = time.perf_counter()
-    reports = run_theorems(n_max=2000)
+    reports = check_claims(THEOREM_CLAIMS, 2000)
     elapsed = time.perf_counter() - start
     failures = [r for r in reports if not r.holds]
     ok = len(reports) == 24 and not failures and elapsed < 120
@@ -124,13 +124,13 @@ def test_criterion_5_companion_corrected_inf4():
 
 def test_criterion_6_conjecture_scan():
     failures = []
-    for q in (3, 17, 19, 23, 29, 31):
-        for rep in scan_conjecture(q, n_max=1000):
-            if not rep.holds:
-                failures.append(rep)
-                # behavior contract: a counterexample must be structured
-                n, v = rep.counterexample
-                assert v % (1 << rep.claim.k) != 0
+    claims = [c for q in (3, 17, 19, 23, 29, 31) for c in conjecture_claims(q)]
+    for rep in check_claims(claims, 1000):
+        if not rep.holds:
+            failures.append(rep)
+            # behavior contract: a counterexample must be structured
+            n, v = rep.counterexample
+            assert v % (1 << rep.claim.k) != 0
     _line("6 conjecture scan (6 primes, n <= 1000)", True,
           "all hold" if not failures else
           f"{len(failures)} counterexamples recorded")
@@ -142,10 +142,11 @@ def test_criterion_6_counterexample_contract():
     # the scanner's failure path: a false claim yields a structured record
     # and drives the CLI report (hence exit code) to failure
     false_claim = CongruenceClaim(1, 8, 7, 7)
-    rep = check_claim(false_claim, 50)
+    reports = check_claims([false_claim], 50)
+    rep = reports[0]
     assert not rep.holds and rep.counterexample == (0, 64)
     cli_report = Report("verify conjecture", {})
-    _run_claims(cli_report, [false_claim], 50)
+    _add_claims(cli_report, reports)
     assert not cli_report.ok
     assert "counterexample_n=0" in cli_report.records[0]
     _line("6b counterexample behavior contract", True,

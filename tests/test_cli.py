@@ -239,16 +239,20 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
     assert "not prime" in err
 
 
-def test_verify_conjecture_expands_once_per_claim_plus_one_table(capsys, monkeypatch):
-    # 7 claims mod 2^k and one mod-2^64 valuation table per prime
+@pytest.mark.parametrize("argv, want", [
+    # one table per t, mod 2^(largest k on that t)
+    (["theorems"], [(5, 7), (7, 7), (11, 6), (13, 8)]),
+    # per prime: the claims' table mod 2^5, then the valuation table mod 2^16
+    (["conjecture", "3", "17"], [(3, 5), (17, 5), (3, 16), (17, 16)]),
+], ids=["theorems", "conjecture"])
+def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, want):
     calls = []
     real = eta.overpartition_gf
     monkeypatch.setattr(eta, "overpartition_gf",
-                        lambda t, ring, T: calls.append(t) or real(t, ring, T))
-    code, out, _ = run(capsys, "verify", "conjecture", "3", "17", "--n-max", "50")
+                        lambda t, ring, T: calls.append((t, ring.k)) or real(t, ring, T))
+    code, _, _ = run(capsys, "verify", *argv, "--n-max", "50")
     assert code == 0
-    assert out.count("observed min 2-adic valuation") == 14
-    assert sorted(calls) == [3] * 8 + [17] * 8
+    assert calls == want
 
 
 def test_verify_witness_builtin(capsys):

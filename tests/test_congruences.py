@@ -1,19 +1,20 @@
 """Congruence claims, the theorem/conjecture tables, the enumeration oracle
 and the power-lifting congruence."""
 
+import random
+import time
 from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
-                                     CongruenceClaim, check_claim,
+                                     CongruenceClaim, check_claims,
                                      check_lift_congruence,
                                      conjecture_claims,
                                      enumerate_colored_overpartitions,
                                      enumerate_colored_partitions, is_prime,
                                      observed_two_adic_valuations,
-                                     run_theorems, scan_conjecture,
                                      _min_two_adic_valuation)
 from qcongruence.dissect import Progression, extract
 from qcongruence import congruences
@@ -39,30 +40,30 @@ def test_claim_tables_have_expected_shape():
 
 
 def test_check_claim_t5_mod128_holds():
-    rep = check_claim(claim(5, 8, 7, 7), 500)
+    [rep] = check_claims([claim(5, 8, 7, 7)], 500)
     assert rep.holds and rep.counterexample is None
 
 
 def test_check_claim_t13_mod256_holds():
-    rep = check_claim(claim(13, 8, 7, 8), 500)
+    [rep] = check_claims([claim(13, 8, 7, 8)], 500)
     assert rep.holds
 
 
 def test_check_claim_t5_mod256_fails_at_n0():
     # 37760 = 128 * 295 with 295 odd, so the very first value refutes 2^8
-    rep = check_claim(claim(5, 8, 7, 8), 500)
+    [rep] = check_claims([claim(5, 8, 7, 8)], 500)
     assert not rep.holds
     assert rep.counterexample == (0, 128)
 
 
 def test_run_theorems_small_bound():
-    reports = run_theorems(n_max=60)
+    reports = check_claims(THEOREM_CLAIMS, 60)
     assert len(reports) == 24
     assert all(r.holds for r in reports)
 
 
 def test_run_theorems_n_max_zero():
-    reports = run_theorems(n_max=0)
+    reports = check_claims(THEOREM_CLAIMS, 0)
     assert all(r.holds for r in reports)
     assert all(r.n_max == 0 for r in reports)
 
@@ -72,8 +73,50 @@ def test_all_theorem_claims_are_sharp():
     # minimal 2-adic valuations equal the claimed k everywhere
     for c in THEOREM_CLAIMS:
         assert observed_two_adic_valuations(c.t, c.m, 400)[c.j] == c.k
-        strengthened = CongruenceClaim(c.t, c.m, c.j, c.k + 1, c.source)
-        assert not check_claim(strengthened, 400).holds
+    strengthened = [CongruenceClaim(c.t, c.m, c.j, c.k + 1, c.source)
+                    for c in THEOREM_CLAIMS]
+    assert not any(r.holds for r in check_claims(strengthened, 400))
+
+
+def _oracle_claim_runs():
+    """About 80 claims in runs of 1..6 on one (t, m), with t in {1, 2, 5, 13},
+    m in {1, 4, 8, 16}, any j and k in {1, 2, 3, 5, 8, 16, 40, 64}; the
+    first run pins the k-bit mask: p-bar_{-1}(7) = 64 fails 2^7 and not 2^3."""
+    rng = random.Random(20261018)
+    runs = [[claim(1, 8, 7, 7), claim(1, 8, 7, 3), claim(1, 8, 0, 1)]]
+    while sum(map(len, runs)) < 80:
+        t, m = rng.choice((1, 2, 5, 13)), rng.choice((1, 4, 8, 16))
+        if (t, m) == (runs[-1][0].t, runs[-1][0].m):
+            continue  # keep the runs apart
+        runs.append([claim(t, m, rng.randrange(m),
+                           rng.choice((1, 2, 3, 5, 8, 16, 40, 64)))
+                     for _ in range(rng.randint(1, 6))])
+    return runs
+
+
+@pytest.mark.parametrize("n_max", [0, 37])
+def test_check_claims_matches_exact_scan_per_claim(n_max):
+    runs = _oracle_claim_runs()
+    claims = [c for run in runs for c in run]
+    # the list exercises what a run may share: a (t, m) in several runs, a
+    # t next to itself with another m, and runs mixing k
+    heads = [(run[0].t, run[0].m) for run in runs]
+    assert len(set(heads)) < len(heads)
+    assert any(a[0] == b[0] for a, b in zip(heads, heads[1:]))
+    assert sum(len({c.k for c in run}) > 1 for run in runs) >= 5
+    gfs = {t: overpartition_gf(t, EXACT, 16 * (n_max + 1)) for t in (1, 2, 5, 13)}
+    start = time.perf_counter()
+    reports = check_claims(claims, n_max)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    assert [r.claim for r in reports] == claims
+    for rep in reports:
+        c = rep.claim
+        row = extract(gfs[c.t], Progression(c.m, c.j)).coeffs()[:n_max + 1]
+        want = next(((n, v % (1 << c.k)) for n, v in enumerate(row)
+                     if v % (1 << c.k)), None)
+        assert (rep.n_max, rep.counterexample) == (n_max, want), c
+    assert reports[0].counterexample == (0, 64) and reports[1].holds
+    assert 0 < sum(r.ms for r in reports) <= elapsed_ms
 
 
 _WORD = st.builds(lambda u, v: (u << v) % (1 << 64),
@@ -113,44 +156,42 @@ def test_valuations_reexpand_mod_2_64_only_when_a_row_vanishes_mod_2_16(
 
 def test_monotone_moduli():
     # holding mod 2^k implies holding mod 2^(k-1)
-    for c in THEOREM_CLAIMS:
-        if c.k == 1:
-            continue
-        weakened = CongruenceClaim(c.t, c.m, c.j, c.k - 1, c.source)
-        assert check_claim(weakened, 120).holds
+    weakened = [CongruenceClaim(c.t, c.m, c.j, c.k - 1, c.source)
+                for c in THEOREM_CLAIMS if c.k > 1]
+    assert all(r.holds for r in check_claims(weakened, 120))
 
 
 def test_t5_j7_previously_known_mod32_also_holds():
-    assert check_claim(claim(5, 8, 7, 5), 500).holds
+    assert check_claims([claim(5, 8, 7, 5)], 500)[0].holds
 
 
 def test_verdicts_ring_independent():
     # recompute every claim exactly and reduce, comparing verdicts
     n_max = 50
-    for t in (5, 7, 11, 13):
-        gf = overpartition_gf(t, EXACT, 8 * n_max + 8)
-        for c in (c for c in THEOREM_CLAIMS if c.t == t):
-            stream = extract(gf, Progression(c.m, c.j)).coeffs()[:n_max + 1]
-            exact_holds = all(v % (1 << c.k) == 0 for v in stream)
-            assert exact_holds == check_claim(c, n_max).holds
+    gfs = {t: overpartition_gf(t, EXACT, 8 * n_max + 8) for t in (5, 7, 11, 13)}
+    for rep in check_claims(THEOREM_CLAIMS, n_max):
+        c = rep.claim
+        stream = extract(gfs[c.t], Progression(c.m, c.j)).coeffs()[:n_max + 1]
+        exact_holds = all(v % (1 << c.k) == 0 for v in stream)
+        assert exact_holds == rep.holds
 
 
 def test_scan_conjecture_subsumed_prime():
     # t=5 instances are implied by the proved theorem claims
-    reports = scan_conjecture(5, n_max=1000)
+    reports = check_claims(conjecture_claims(5), 1000)
     assert len(reports) == 7
     assert all(r.holds for r in reports)
 
 
 def test_scan_conjecture_small_prime():
-    assert all(r.holds for r in scan_conjecture(3, n_max=1000))
+    assert all(r.holds for r in check_claims(conjecture_claims(3), 1000))
 
 
 def test_scan_conjecture_rejects_nonprime_and_big():
-    with pytest.raises(ValueError):
-        scan_conjecture(4)
-    with pytest.raises(ValueError):
-        scan_conjecture(10007)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        conjecture_claims(4)
+    with pytest.raises(ValueError, match="primes q <= 10"):
+        conjecture_claims(10007)
 
 
 def test_conjecture_claims_pattern():
@@ -165,7 +206,7 @@ def test_is_prime_basics():
 
 def test_failing_claim_is_a_verdict_not_an_error():
     # a deliberately false user claim: single overpartitions at 8n+7 mod 128
-    rep = check_claim(claim(1, 8, 7, 7), 10)
+    [rep] = check_claims([claim(1, 8, 7, 7)], 10)
     assert not rep.holds
     n, value = rep.counterexample
     assert n == 0 and value == 64  # 64 overpartitions of 7

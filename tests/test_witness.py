@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcongruence.cli import main
-from qcongruence.congruences import check_claim, CongruenceClaim
+from qcongruence.congruences import check_claims, CongruenceClaim
 from qcongruence.eta import EtaQuotient, expand
 from qcongruence.series import EXACT
 from qcongruence.witness import (WitnessCertificate,
@@ -77,7 +77,7 @@ def test_witness_cross_checks_congruence_claim():
     rep = verify_witness(builtin_certificate(), 120)
     assert rep.identity_matched
     k = rep.implied_modulus.bit_length() - 1
-    assert check_claim(CongruenceClaim(5, 8, 7, k), 200).holds
+    assert check_claims([CongruenceClaim(5, 8, 7, k)], 200)[0].holds
 
 
 def test_certificate_validation():
