@@ -56,11 +56,9 @@ class IdentityReport:
 
 
 def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,
-                           through: int | None = None, note: str = "") -> IdentityReport:
+                           through: int, note: str = "") -> IdentityReport:
     lo = min(lhs.offset, rhs.offset)
-    hi = min(lhs.trunc, rhs.trunc)
-    if through is not None:
-        hi = min(hi, through)
+    hi = min(lhs.trunc, rhs.trunc, through)
     if hi <= lo:
         raise InsufficientTruncation(f"{name}: no common coefficient window")
     diff = first_difference(lhs, rhs, through=hi)

@@ -52,11 +52,11 @@ _TOKEN_Q = re.compile(r"^q\^(-?\d+)$")
 _TOKEN_F = re.compile(r"^f(\d+)(?:\^(-?\d+))?$")
 
 
-def parse_eta_quotient(text: str, M: int | None = None) -> EtaQuotient:
+def parse_eta_quotient(text: str) -> EtaQuotient:
     """Parse the textual grammar ``q^-17 * f1^79 * f2^-38`` (whitespace-free
     or not).  Omitted exponents default to 1; repeated divisors accumulate.
 
-    The level defaults to the lcm of the divisors present.
+    The level is the lcm of the divisors present.
     """
     compact = "".join(text.split())
     if not compact:
@@ -82,11 +82,7 @@ def parse_eta_quotient(text: str, M: int | None = None) -> EtaQuotient:
             raise ValueError(f"unrecognized factor {piece!r} at position {pos} "
                              f"in {text!r} (expected q^INT or fD^INT)")
         pos += len(piece) + 1
-    if M is None:
-        M = 1
-        for d in exponents:
-            M = math.lcm(M, d)
-    return EtaQuotient(M, exponents, qshift)
+    return EtaQuotient(math.lcm(1, *exponents), exponents, qshift)
 
 
 def format_eta_quotient(eq: EtaQuotient) -> str:

@@ -8,8 +8,9 @@ to report coefficients beyond it.
 Two coefficient rings are supported: exact arbitrary-precision integers, and
 integers modulo 2^k for 1 <= k <= 64.  Over Z a series keeps a list of
 Python ints; mod 2^k it keeps canonical residues as a read-only view of an
-``array('Q')`` of little-endian uint64 words.  Only :class:`Ring` and the
-convolution kernels know which ring they serve.  The mod-2^k kernels work
+``array('Q')`` of little-endian uint64 words.  Only :class:`Ring`, the
+convolution kernels and ``theta_power``, which picks its power routine by
+ring, know which ring they serve.  The mod-2^k kernels work
 on one big integer whose byte-aligned slots hold one coefficient each:
 packing and unpacking are ``bytearray`` extended-slice copies, a product is
 one CPython multiply, and one AND reduces every slot mod 2^k at once.

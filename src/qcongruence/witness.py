@@ -248,6 +248,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
     r = {}
     for pair in fields["r"].split():
         d, _, e = pair.partition(":")
+        if int(d) in r:
+            raise ValueError(f"field 'r' repeats divisor {int(d)}")
         r[int(d)] = int(e)
     return WitnessCertificate(
         N=int(fields["N"]),

@@ -444,7 +444,7 @@ def test_records_match_golden(capsys, name, argv):
 
 def test_families_records_match_golden(capsys):
     # inf4 fails by design, so the suite exits 1 even when every record
-    # matches; the base-7 step runs mod-8 products of up to 9,813 terms
+    # matches; the base-7 step reads 9,813 terms of 4*f1^6
     path = GOLDEN / "verify_families.txt"
     code, out, _ = run(capsys, "verify", "families", "--T", "200",
                        "--format", "records", "--check", str(path))
@@ -455,23 +455,34 @@ def test_families_records_match_golden(capsys):
     assert records == [cli._identity_record(r) for r in families.verify_suite(200)]
 
 
-@pytest.mark.parametrize("target", ["families", "all"])
-def test_families_steps_over_the_budget_are_usage_errors(capsys, monkeypatch, target):
-    # --T 2041 asks the base-7 step for 49*2041 + 13 = 100,022 terms of
-    # 4*f1^6; the suite refuses it before expanding any family series
-    def no_expansion(*args):
-        raise AssertionError("expanded a family series")
+def test_families_records_at_T_2040_match_golden(capsys):
+    # the base-7 step reads 100,013 terms of 4*f1^6, the most any --T took
+    # before the right sides became theta series; blessed with that route
+    path = GOLDEN / "verify_families_T2040.txt"
+    code, out, _ = run(capsys, "verify", "families", "--T", "2040",
+                       "--format", "records", "--check", str(path))
+    assert f"# matches {path}" in out
+    assert code == 1
 
-    monkeypatch.setattr(families, "euler_factor", no_expansion)
-    monkeypatch.setattr(families, "overpartition_residues", no_expansion)
+
+@pytest.mark.parametrize("target, records", [("families", 11), ("all", 127)])
+def test_families_take_T_past_2040(capsys, monkeypatch, target, records):
+    # --T 2041 asks the base-7 step for 49*2041 + 13 = 100,022 terms of
+    # 4*f1^6; every record is printed and only inf4 as stated fails
     # `verify all` runs the witness check first; at T = 2041 it takes
-    # seconds and has nothing to do with the families budget
+    # seconds and has nothing to do with the families
     real = witness.verify_witness
     monkeypatch.setattr(cli, "verify_witness", lambda cert, T: real(cert, 120))
-    code, _, err = run(capsys, "verify", target, "--T", "2041")
-    assert code == 2
-    assert (f"the base-7 induction step at T=2041 expands 100022 terms, "
-            f"over the budget of {DEFAULT_BUDGET}") in err
+    code, out, err = run(capsys, "verify", target, "--T", "2041",
+                         "--format", "records")
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    failed = [l.split(" T=")[0] for l in lines if "matched=false" in l
+              or (l.startswith("claim ") and "verdict=holds" not in l)]
+    assert (code, len(lines)) == (1, records), err
+    assert failed == ['identity name="inf4(alpha=0, beta=0, gamma=0)"']
+    steps = [l for l in lines if "induction step" in l
+             or l.startswith('identity name="extract(')]
+    assert len(steps) == 3 and all(" T=2041 " in l for l in steps)
 
 
 def test_readme_flag_table_matches_the_parser():

@@ -3,7 +3,7 @@ witness-derived 8n+2 congruence."""
 
 import pytest
 
-from qcongruence import families
+from qcongruence import families, series
 from qcongruence.dissect import Progression, extract
 from qcongruence.eta import EtaQuotient, expand, overpartition_gf
 from qcongruence.families import (FamilyInstance, verify_eq1,
@@ -100,12 +100,54 @@ def test_eq1_colored_partition_reading_fails():
     assert not agree(stream, rhs, through=T)
 
 
+def test_eq1_rhs_lifted_from_mod2_is_the_mod8_expansion_times_4():
+    # 4*X mod 8 reads only X mod 2, so verify_eq1 expands its quotient mod 2
+    T = 1600
+    eq = EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70})
+    lifted = expand(eq, mod2k(1), T).to_ring(MOD8).scale(4)
+    assert lifted == expand(eq, MOD8, T).scale(4)
+
+
 def test_eq1_mutated_exponent_detected():
     T = 60
     gf = overpartition_gf(5, MOD8, 8 * T + 3)
     stream = extract(gf, Progression(8, 2)).truncate(T)
     wrong = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 178, 8: -70}), MOD8, T).scale(4)
     assert not agree(stream, wrong, through=T)
+
+
+# -- right-hand sides ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_four_f6_is_binary_powering_times_4(d):
+    # mod 2, f^2 = f(q^2) and f1^3 == f(-q, -q^3), so 4*f_d^6 is one sparse
+    # theta series mod 8; pinned against the binary-powering route
+    T = 3000
+    assert families._four_f6(d, T) == euler_factor(d, 6, MOD8, T).scale(4)
+
+
+def test_four_f3_squared_is_four_f6():
+    # the base-3 split's 4*f3^2, taken as 4*f6 = 4*f(-q^6, -q^12)
+    T = 3000
+    assert (euler_factor(3, 2, MOD8, T).scale(4)
+            == euler_factor(6, 1, MOD8, T).scale(4))
+
+
+@pytest.mark.parametrize("T", [500, 2040])
+def test_verify_suite_runs_no_mod2k_product(monkeypatch, T):
+    # every right side is a theta series and every stream a Gauss-Horner
+    # table, so the suite never calls the dense mod-2^k kernel
+    calls = []
+    real = series._conv_mod2k
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(series, "_conv_mod2k", spy)
+    families.verify_suite(T)
+    assert calls == []
 
 
 # -- induction steps ----------------------------------------------------------
@@ -115,6 +157,13 @@ def test_eq1_mutated_exponent_detected():
 def test_induction_steps_match(base):
     rep = verify_induction_step(base, 600)
     assert rep.matched, rep.summary()
+
+
+@pytest.mark.parametrize("base", [3, 5, 7])
+def test_induction_steps_match_at_the_top_of_the_T_range(base):
+    # the base-7 step reads 4,900,013 terms of 4*f1^6
+    rep = verify_induction_step(base, 100_000)
+    assert rep.matched and rep.truncation == 100_000, rep.summary()
 
 
 def test_induction_step_base5_records_q_factor():

@@ -145,6 +145,18 @@ def test_parse_rejects_bad_input():
         parse_certificate(good + "stray\n")
 
 
+def test_parse_rejects_a_repeated_r_divisor(capsys, tmp_path):
+    # keeping the last pair would check f1^3 * f2^5 in place of the stated
+    # quotient; the certificate is rejected as input instead
+    text = builtin_certificate_text().replace("r 1:-10 2:5", "r 1:-10 2:5 1:3")
+    with pytest.raises(ValueError, match="field 'r' repeats divisor 1"):
+        parse_certificate(text)
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    assert main(["verify", "witness", str(path), "--T", "60"]) == 2
+    assert "field 'r' repeats divisor 1" in capsys.readouterr().err
+
+
 def test_parse_rejects_unknown_fields(capsys, tmp_path):
     # a misspelled key must not leave the claimed factor at 128 unnoticed
     text = builtin_certificate_text() + "comon_factor 256\n"
