@@ -20,7 +20,7 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, mod2k
+from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, int_text, mod2k
 from .witness import (WitnessReport, builtin_certificate, load_certificate,
                       verify_witness)
 
@@ -63,7 +63,7 @@ def _ring_name(ring: Ring) -> str:
 
 
 def _fmt_value(v) -> str:
-    return "-" if v is None else str(v)
+    return "-" if v is None else int_text(v)
 
 
 def _claim_record(rep: ClaimReport) -> str:
@@ -92,7 +92,7 @@ def _witness_record(rep: WitnessReport) -> str:
     return (f"witness id={rep.certificate_id} T={rep.truncation} "
             f"matched={str(rep.identity_matched).lower()} "
             f"mismatch_exponent={_fmt_value(e)} lhs={_fmt_value(lhs)} "
-            f"rhs={_fmt_value(rhs)} gcd={rep.gcd_of_poly} "
+            f"rhs={_fmt_value(rhs)} gcd={_fmt_value(rep.gcd_of_poly)} "
             f"implied_modulus={_fmt_value(rep.implied_modulus)}")
 
 
@@ -157,7 +157,7 @@ def cmd_expand(args) -> int:
     series = _expand_spec(args)
     rep = Report("expand", {"spec": f'"{args.spec}"', "T": args.T,
                             "ring": _ring_name(args.ring)})
-    for i, c in enumerate(series.coeffs()):
+    for i, c in enumerate(map(int_text, series.coeffs())):
         e = series.offset + i
         rep.add(f"q^{e}: {c}", f"coeff e={e} value={c}")
     return _emit(rep, args)
@@ -168,7 +168,7 @@ def cmd_extract(args) -> int:
     stream = extract(series, Progression(args.m, args.j))
     rep = Report("extract", {"spec": f'"{args.spec}"', "m": args.m, "j": args.j,
                              "T": args.T, "ring": _ring_name(args.ring)})
-    for n, c in enumerate(stream.coeffs()):
+    for n, c in enumerate(map(int_text, stream.coeffs())):
         rep.add(f"n={n} (q^{args.m * n + args.j}): {c}", f"coeff n={n} value={c}")
     return _emit(rep, args)
 
@@ -180,6 +180,7 @@ def cmd_oracle(args) -> int:
         enum = enumerate_colored_overpartitions(args.t, n)
         coeff = gf.coefficient(n)
         match = enum == coeff
+        enum, coeff = int_text(enum), int_text(coeff)
         rep.add(f"n={n}: enumeration {enum}, series {coeff}"
                 + ("" if match else "  <-- DISAGREE"),
                 f"oracle t={args.t} n={n} enumeration={enum} series={coeff} "
@@ -217,14 +218,7 @@ def _add_identities(rep: Report, reports):
 
 
 def _verify_dissections(rep: Report, args):
-    _add_identities(rep, [
-        dissect.dissection3_f1cubed(args.T),
-        dissect.dissection5(args.T),
-        dissect.dissection7(args.T),
-        dissect.ramanathan(5, args.T),
-        dissect.ramanathan(7, args.T),
-        dissect.ramanathan(13, args.T),
-    ])
+    _add_identities(rep, dissect.verify_suite(args.T))
 
 
 def _verify_witness(rep: Report, args):

@@ -9,10 +9,11 @@ the stated truncation, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, euler_factor,
-                     first_difference, mod2k, shifted_sum, theta_power)
+                     first_difference, int_text, mod2k, shifted_sum,
+                     theta_power)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ class IdentityReport:
             return f"{self.name}: matched through q^{self.truncation - 1}{tail}"
         e, lhs, rhs = self.first_mismatch
         tail = f" [{self.note}]" if self.note else ""
-        return f"{self.name}: MISMATCH at q^{e}: {lhs} != {rhs}{tail}"
+        return (f"{self.name}: MISMATCH at q^{e}: "
+                f"{int_text(lhs)} != {int_text(rhs)}{tail}")
 
 
 def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,
@@ -138,11 +140,11 @@ def dissection7(T: int) -> IdentityReport:
         A = f(-q^14,-q^35)/f(-q^7,-q^42),  B = f(-q^21,-q^28)/f(-q^14,-q^35),
         C = f(-q^7,-q^42)/f(-q^21,-q^28).
     """
-    a, b, c = (_theta_quotient(num, den, 7, T)
-               for num, den in (((2, 5), (1, 6)), ((3, 4), (2, 5)), ((1, 6), (3, 4))))
-    return _dissection("f1 = f49*(A - q*B - q^2 + q^5*C)", 7, [
-        (1, 0, a), (-1, 1, b), (-1, 2, LaurentSeries.one(EXACT, T)), (1, 5, c)],
-        T, "")
+    return _as_dissection7(ramanathan(7, T))
+
+
+def _as_dissection7(r7: IdentityReport) -> IdentityReport:
+    return replace(r7, name="f1 = f49*(A - q*B - q^2 + q^5*C)", note="")
 
 
 def ramanathan(n: int, T: int) -> IdentityReport:
@@ -157,10 +159,8 @@ def ramanathan(n: int, T: int) -> IdentityReport:
     with e(k) = (k-g)(3k-3g-1)/2 when n = 6g+1 and (k-g)(3k-3g+1)/2 when
     n = 6g-1.  The theorem is usually quoted with the n = 6g+1 hypothesis
     only; both branches are checked here.  The n = 5 case is checked
-    independently by ``dissection5``, whose 1/R(q^5) is a Newton inverse.
-    ``dissection7`` forms the same three quotients as n = 7 by the same
-    code, so it is no independent check; the tests compare every quotient
-    with a Newton inverse of its denominator.
+    independently by ``dissection5``, whose 1/R(q^5) is a Newton inverse;
+    ``dissection7`` is the n = 7 case under its textbook name.
     """
     if n < 5 or n % 6 not in (1, 5):
         raise ValueError(f"n={n} must be >= 5 and congruent to +-1 mod 6")
@@ -171,3 +171,11 @@ def ramanathan(n: int, T: int) -> IdentityReport:
               for k in range(1, (n - 1) // 2 + 1)]
     case = f"n=6g{'+' if eps < 0 else '-'}1, g={g}"
     return _dissection(f"{n}-dissection of f1", n, terms, T, case)
+
+
+def verify_suite(T: int) -> list[IdentityReport]:
+    """Every dissection check through q^(T-1), in report order; the n = 7
+    case is computed once and reported under both of its names."""
+    r7 = ramanathan(7, T)
+    return [dissection3_f1cubed(T), dissection5(T), _as_dissection7(r7),
+            ramanathan(5, T), r7, ramanathan(13, T)]

@@ -27,8 +27,15 @@ from typing import Sequence
 
 MAX_MOD2K_BITS = 64
 
-# Dense exact multiplications above this many coefficient products switch to
-# Kronecker substitution (pack into one big integer, use CPython's int mul).
+# Exact multiplications above this many coefficient products switch to
+# Kronecker substitution (pack into one big integer, use CPython's int mul),
+# unless one factor is sparse (under out_len / 16 nonzero terms) and its
+# term products are cheaper.  CPython multiplies the two packings, of
+# X = w * out_len bytes each, in about X^1.5 steps (Karatsuba), and a term
+# product with the sparse factor's narrow coefficients costs about 64 of
+# them, so P term products stay term by term while 64 P < X^1.5: against a
+# factor with wide coefficients, as in the dissections.  Two dense factors
+# always pack: a term product of two wide coefficients costs far more.
 _SCHOOLBOOK_OP_LIMIT = 1 << 18
 
 
@@ -163,11 +170,11 @@ class LaurentSeries:
                 continue
             e = self.offset + i
             if e == 0:
-                terms.append(str(c))
+                terms.append(int_text(c))
             elif e == 1:
-                terms.append(f"{c}*q")
+                terms.append(f"{int_text(c)}*q")
             else:
-                terms.append(f"{c}*q^{e}")
+                terms.append(f"{int_text(c)}*q^{e}")
             shown += 1
             if shown >= 8:
                 terms.append("...")
@@ -286,6 +293,14 @@ class LaurentSeries:
         return LaurentSeries(self.offset, self._coeffs, ring)
 
 
+def int_text(n: int) -> str:
+    """n in decimal, exactly, at any size: ``str`` refuses an int of more
+    than 4,300 digits, ``Decimal`` has no such limit.  ``decimal`` is
+    imported here, so a run that prints no integer does not pay for it."""
+    from decimal import Decimal
+    return str(Decimal(n))
+
+
 def first_difference(a: LaurentSeries, b: LaurentSeries,
                      through: int | None = None):
     """First exponent where two series disagree on their common known window.
@@ -394,26 +409,29 @@ def _conv_exact(a: list[int], b: list[int], out_len: int) -> list[int]:
     if len(nza) > len(nzb):
         a, b = b, a
         nza, nzb = nzb, nza
-    if len(nza) * len(nzb) <= _SCHOOLBOOK_OP_LIMIT:
-        out = [0] * out_len
-        for i in nza:
-            ai = a[i]
-            m = out_len - i
-            for j in nzb:
-                if j >= m:
-                    break
-                out[i + j] += ai * b[j]
-        return out
-    return _kronecker_signed(a, b, out_len)
+    terms = len(nza) * len(nzb)
+    if terms > _SCHOOLBOOK_OP_LIMIT:
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
+        if len(nza) * 16 >= out_len or (64 * terms) ** 2 >= (w * out_len) ** 3:
+            return _kronecker_signed(a, b, out_len, w)
+    out = [0] * out_len
+    for i in nza:
+        ai = a[i]
+        m = out_len - i
+        for j in nzb:
+            if j >= m:
+                break
+            out[i + j] += ai * b[j]
+    return out
 
 
-def _kronecker_signed(a: list[int], b: list[int], out_len: int) -> list[int]:
+def _kronecker_signed(a: list[int], b: list[int], out_len: int, w: int) -> list[int]:
     """Exact polynomial product by one big-integer product (Kronecker
     substitution): each operand packs as positive part minus negative part
-    in w-byte slots, and a bias of 2^(8w-1) per slot makes every slot of the
+    in w-byte slots, where every product coefficient is below 2^(8w-1) in
+    absolute value, and a bias of 2^(8w-1) per slot makes every slot of the
     low out_len slots decode with no borrow."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
     bias = 1 << (8 * w - 1)
 
     def pack(cs: list[int]) -> int:
@@ -503,8 +521,9 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
 
 def _gauss_power_mod2k(e: int, k: int, n: int) -> array:
     """(1 + 2X)^e mod 2^k to n terms, as uint64 words, by Horner's rule in X
-    over the terms C(e, i) 2^i X^i with i < k (and i <= e when e >= 0, since
-    C(e, i) = 0 past e), on one int of n w-byte slots.  The first step,
+    over the terms C(e, i) 2^i X^i with i < k and i <= e, on one int of n
+    w-byte slots.  (1 + 2X)^(2^(k-1)) == 1 (mod 2^k), so e is first reduced
+    mod 2^(k-1), and C(e, i) = 0 past e.  The first step,
     a constant times X, is written slot by slot; each of the at most k - 2
     others is sqrt(n) shifted adds.
 
@@ -519,10 +538,10 @@ def _gauss_power_mod2k(e: int, k: int, n: int) -> array:
     roots = range(math.isqrt(n - 1), 0, -1)
     g = len(roots).bit_length()
     w = (k + g + 8) // 8  # k + g + 1 bits per slot
-    top = k if e < 0 else min(k, e + 1)
+    e %= 1 << (k - 1)
+    top = min(k, e + 1)
     low = (1 << k) - 1
-    terms = [(math.comb(e, i) if e >= 0 else (-1) ** i * math.comb(i - e - 1, i)) << i & low
-             for i in range(top)]
+    terms = [math.comb(e, i) << i & low for i in range(top)]
     start = bytearray(w * n)  # terms[-1] * X + terms[-2], or terms[0] alone
     if top > 1:
         for r in roots:

@@ -21,7 +21,8 @@ from pathlib import Path
 from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
 from .families import DEFAULT_BUDGET
-from .series import EXACT, InsufficientTruncation, LaurentSeries, first_difference
+from .series import (EXACT, InsufficientTruncation, LaurentSeries, first_difference,
+                     int_text)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class WitnessCertificate:
             if c % self.claimed_common_factor != 0:
                 raise ValueError(
                     f"claimed common factor {self.claimed_common_factor} does not "
-                    f"divide polynomial coefficient {c}")
+                    f"divide polynomial coefficient {int_text(c)}")
         if not self.id:
             object.__setattr__(self, "id", f"M{self.M}-m{self.m}-j{self.j}")
 
@@ -96,12 +97,13 @@ class WitnessReport:
     def summary(self) -> str:
         state = ("matched" if self.identity_matched
                  else f"MISMATCH at q^{self.first_mismatch[0]}: "
-                      f"{self.first_mismatch[1]} != {self.first_mismatch[2]}")
+                      f"{int_text(self.first_mismatch[1])} != "
+                      f"{int_text(self.first_mismatch[2])}")
         mod = ("undefined" if self.implied_modulus is None
-               else str(self.implied_modulus))
+               else int_text(self.implied_modulus))
         return (f"witness {self.certificate_id}: identity {state} "
                 f"(checked through q^{self.truncation - 1}); "
-                f"poly gcd {self.gcd_of_poly}, 2-power part {mod}")
+                f"poly gcd {int_text(self.gcd_of_poly)}, 2-power part {mod}")
 
 
 def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:

@@ -4,15 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from qcongruence import cli, eta, families, witness
+from qcongruence import cli, dissect, eta, families, witness
 from qcongruence.cli import main
 from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
-from qcongruence.series import LaurentSeries
+from qcongruence.series import EXACT, LaurentSeries, euler_factor
 from qcongruence.witness import builtin_certificate, format_certificate
 
 
@@ -368,6 +369,17 @@ def test_verify_dissections(capsys):
     assert out.count("matched") == 6
 
 
+def test_verify_dissections_forms_the_n7_quotients_once(capsys, monkeypatch):
+    # dissection7 is ramanathan(7, T) under its textbook name
+    calls = []
+    real = dissect._theta_quotient
+    monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
+                        calls.append(n) or real(num, den, n, T))
+    code, out, _ = run(capsys, "verify", "dissections")
+    assert code == 0 and out.count("matched") == 6
+    assert calls.count(7) == 3
+
+
 @pytest.mark.parametrize("argv, code, records", [
     *[(("verify", target, "--T", str(T)), code, n)
       for target, code, n in (("dissections", 0, 6), ("eq1", 0, 1), ("families", 1, 11))
@@ -427,14 +439,23 @@ def test_blessed_output_is_byte_stable(capsys, tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name, argv", [
+GOLDEN_RUNS = [
     ("verify_witness", ["verify", "witness", "--T", "120"]),
     ("verify_theorems", ["verify", "theorems", "--n-max", "200"]),
     ("verify_dissections", ["verify", "dissections", "--T", "200"]),
     ("verify_eq1", ["verify", "eq1", "--T", "100"]),
     ("extract_witness_base", ["extract", "f2^5 * f1^-10", "8", "7", "--T", "400"]),
     ("verify_conjecture", ["verify", "conjecture", "3", "17", "--n-max", "200"]),
-])
+    ("verify_dissections_T3000", ["verify", "dissections", "--T", "3000"]),
+]
+
+
+def test_every_golden_file_is_checked():
+    checked = {name for name, _ in GOLDEN_RUNS} | {"verify_families", "verify_families_T2040"}
+    assert {p.stem for p in GOLDEN.glob("*.txt")} == checked
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_RUNS)
 def test_records_match_golden(capsys, name, argv):
     path = GOLDEN / f"{name}.txt"
     code, out, _ = run(capsys, *argv, "--format", "records", "--check", str(path))
@@ -483,6 +504,17 @@ def test_families_take_T_past_2040(capsys, monkeypatch, target, records):
     steps = [l for l in lines if "induction step" in l
              or l.startswith('identity name="extract(')]
     assert len(steps) == 3 and all(" T=2041 " in l for l in steps)
+
+
+def test_expand_prints_coefficients_past_4300_digits(capsys):
+    code, out, err = run(capsys, "expand", "f1^-100000", "--T", "3000",
+                         "--format", "records")
+    assert code == 0, err
+    last = out.splitlines()[-1]
+    assert last.startswith("coeff e=2999 value=")
+    value = Decimal(last.removeprefix("coeff e=2999 value="))
+    assert len(str(value)) > 4300
+    assert value == euler_factor(1, -100000, EXACT, 3000).coefficient(2999)
 
 
 def test_readme_flag_table_matches_the_parser():

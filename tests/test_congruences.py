@@ -119,6 +119,17 @@ def test_check_claims_matches_exact_scan_per_claim(n_max):
     assert 0 < sum(r.ms for r in reports) <= elapsed_ms
 
 
+@pytest.mark.parametrize("row", THEOREM_CLAIMS, ids=lambda c: f"t{c.t}-j{c.j}-k{c.k}")
+def test_claims_have_period_two_to_the_k_minus_1_in_t(row):
+    # the overpartition series is phi(-q)^-t, and (1 + 2X)^(2^(k-1)) == 1
+    # (mod 2^k); one bit more than claimed gives counterexamples to compare
+    for k in (row.k, row.k + 1):
+        at_t, shifted = check_claims(
+            [claim(t, row.m, row.j, k) for t in (row.t, row.t + (1 << (k - 1)))], 150)
+        assert (at_t.verdict, at_t.counterexample) == \
+            (shifted.verdict, shifted.counterexample)
+
+
 _WORD = st.builds(lambda u, v: (u << v) % (1 << 64),
                   st.integers(0, (1 << 64) - 1), st.integers(0, 63))
 

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import dissect
 from qcongruence.dissect import (IdentityReport, Progression, _theta_quotient,
                                  dissection3_f1cubed, dissection5,
                                  dissection7, extract, ramanathan,
-                                 report_from_comparison, rogers_ramanujan)
+                                 report_from_comparison, rogers_ramanujan,
+                                 verify_suite)
 from qcongruence.eta import overpartition_gf
 from qcongruence.series import (EXACT, LaurentSeries, agree, euler_factor,
                                 mod2k, theta_f)
@@ -248,6 +250,23 @@ def test_ramanathan_rejects_bad_n():
             ramanathan(bad, 100)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 200, 2000])
+def test_verify_suite_equals_the_separate_checks(T):
+    assert verify_suite(T) == [dissection3_f1cubed(T), dissection5(T), dissection7(T),
+                               ramanathan(5, T), ramanathan(7, T), ramanathan(13, T)]
+
+
+def test_verify_suite_reports_the_n7_case_under_both_names(monkeypatch):
+    # a wrong n = 7 quotient shows in dissection7 and ramanathan(7), only there
+    real = dissect._theta_quotient
+    monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
+                        real(num, den, n, T).scale(2 if n == 7 else 1))
+    reports = verify_suite(300)
+    assert [r.matched for r in reports] == [True, True, False, True, False, True]
+    assert reports[2].first_mismatch == reports[4].first_mismatch
+    assert reports[2] == dissection7(300)
+
+
 def test_induction_split_identity_mod8():
     # 4*f1^6 == 4*f3^2 + 4*q^2*f9^6 (mod 8)
     r = mod2k(3)
@@ -266,3 +285,10 @@ def test_identity_report_summary_lines():
     assert ok.matched and "matched" in ok.summary()
     bad = IdentityReport(name="id", truncation=10, first_mismatch=(3, 1, 2))
     assert not bad.matched and "q^3" in bad.summary()
+
+
+def test_identity_report_summarizes_a_5000_digit_mismatch():
+    # str() of an int refuses more than 4,300 digits
+    big = -(10**4999 + 7)
+    bad = IdentityReport(name="id", truncation=10, first_mismatch=(3, big, 0))
+    assert bad.summary() == f"id: MISMATCH at q^3: -1{'0' * 4998}7 != 0"

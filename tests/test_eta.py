@@ -139,6 +139,16 @@ def test_phi_power_matches_factor_product(d, e, T, k):
     assert phi_power(d, e, ring, T) == _factor_product(d, e, ring, T)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("e", [-9, -1, 0, 1, 5, 200])
+def test_phi_power_mod2k_has_period_two_to_the_k_minus_1(k, e):
+    # (1 + 2X)^(2^(k-1)) == 1 (mod 2^k), X = sum (-1)^n q^(n^2)
+    ring = mod2k(k)
+    want = phi_power(1, e, ring, 300)
+    for shifted in (e + (1 << (k - 1)), e - (1 << (k - 1))):
+        assert phi_power(1, shifted, ring, 300) == want
+
+
 def test_expand_pair_beside_leftover_factor():
     # f1^79 * f2^-38 = f1^3 * phi(-q)^38
     T = 300

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import series as series_module
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, _conv_mod2k,
                                 agree, euler_factor, first_difference, mod2k,
@@ -522,6 +523,45 @@ def test_signed_kronecker_slots_at_the_bound(bits):
     assert series(0, alt).mul(series(0, alt)).coeffs() == \
         [(-1) ** j * (j + 1) << 2 * bits for j in range(n)]
     assert series(0, neg).mul(series(0, alt)).coeffs() == naive_mul(neg, alt, n)
+
+
+def _spy_kronecker(monkeypatch) -> list:
+    calls = []
+    real = series_module._kronecker_signed
+    monkeypatch.setattr(series_module, "_kronecker_signed",
+                        lambda a, b, out_len, w: calls.append(out_len) or real(a, b, out_len, w))
+    return calls
+
+
+def test_sparse_exact_factor_is_summed_term_by_term(monkeypatch):
+    # 20 nonzero terms by 20,000 dense ones is 400,000 term products, past
+    # the schoolbook limit, but far cheaper than multiplying two packings
+    # of 20,000 20-byte slots
+    calls = _spy_kronecker(monkeypatch)
+    rnd = random.Random(20)
+    n = 20_000
+    sparse = [0] * n
+    for i in rnd.sample(range(n), 20):
+        sparse[i] = rnd.choice((-1, 1)) * rnd.randint(1, 10**30)
+    dense = [rnd.randint(-10**12, 10**12) for _ in range(n)]
+    got = series(0, sparse).mul(series(0, dense)).coeffs()
+    assert calls == []
+    assert got == naive_mul(sparse, dense, n)
+
+
+def test_sparse_factor_against_narrow_coefficients_packs(monkeypatch):
+    # 240 of 4,000 terms is sparse, but against 4-byte slots its 960,000
+    # term products cost more than the one big-integer product
+    calls = _spy_kronecker(monkeypatch)
+    rnd = random.Random(21)
+    n = 4_000
+    sparse = [0] * n
+    for i in rnd.sample(range(n), 240):
+        sparse[i] = rnd.choice((-9, -1, 1, 9))
+    dense = [rnd.randint(-1000, 1000) or 1 for _ in range(n)]
+    got = series(0, sparse).mul(series(0, dense)).coeffs()
+    assert calls == [n]
+    assert got == naive_mul(sparse, dense, n)
 
 
 def test_exact_mul_by_zero_operand():
