@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from . import congruences, dissect, families
 from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
@@ -20,7 +19,8 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
                           enumerate_colored_overpartitions)
 from .dissect import IdentityReport, Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, int_text, mod2k
+from .series import (EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, _Record, int_text,
+                     mod2k)
 from .witness import (WitnessReport, builtin_certificate, load_certificate,
                       verify_witness)
 
@@ -128,10 +128,12 @@ def _emit(report: Report, args) -> int:
     sys.stdout.write(text)
     stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
     if args.bless:
-        Path(args.bless).write_text(stable)
+        with open(args.bless, "w") as f:
+            f.write(stable)
         sys.stdout.write(f"# blessed -> {args.bless}\n")
     elif args.check:
-        expected = Path(args.check).read_text()
+        with open(args.check) as f:
+            expected = f.read()
         if expected != stable:
             sys.stdout.write(f"# REGRESSION: output differs from {args.check}\n")
             return VERIFY_FAILURE
@@ -237,7 +239,7 @@ def _verify_eq1(rep: Report, args):
     _add_identities(rep, [families.verify_eq1(args.T)])
 
 
-class _Target(NamedTuple):
+class _Target(_Record):
     run: Callable[[Report, argparse.Namespace], None]
     reads: tuple[str, ...]  # its input flags; any other is a usage error
     # (metavar, type, help text) of its positionals, if it takes any

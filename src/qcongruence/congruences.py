@@ -10,14 +10,13 @@ legitimate output of the scanner.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby, repeat
 from operator import and_, attrgetter, itemgetter, or_
 
 from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, euler_factor, mod2k
+from .series import MAX_MOD2K_BITS, _Record, euler_factor, mod2k
 
 DEFAULT_N_MAX = 2000
 
@@ -25,8 +24,7 @@ SOURCES = ("Theorem5col", "Theorem7col", "Theorem11col", "Theorem13col",
            "Conjecture", "UserSupplied")
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class CongruenceClaim(_Record):
     """One congruence: t-colored overpartition counts on the progression
     m*n + j vanish mod 2^k."""
 
@@ -51,8 +49,7 @@ class CongruenceClaim:
         return f"p̄_-{self.t}({self.m}n+{self.j}) ≡ 0 (mod {1 << self.k})"
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(_Record):
     claim: CongruenceClaim
     n_max: int
     counterexample: tuple[int, int] | None = None  # (n, value mod 2^k)

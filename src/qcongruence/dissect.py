@@ -9,15 +9,12 @@ the stated truncation, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .series import (EXACT, InsufficientTruncation, LaurentSeries, euler_factor,
-                     first_difference, int_text, mod2k, shifted_sum,
+from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record,
+                     euler_factor, first_difference, int_text, mod2k, shifted_sum,
                      theta_power)
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(_Record):
     """Arithmetic progression m*n + j of exponents, 0 <= j < m."""
 
     m: int
@@ -30,8 +27,7 @@ class Progression:
             raise ValueError(f"residue j={self.j} not in [0, {self.m})")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome of a coefficient-wise identity check.
 
     ``truncation`` is the exclusive exponent bound actually compared.
@@ -144,7 +140,8 @@ def dissection7(T: int) -> IdentityReport:
 
 
 def _as_dissection7(r7: IdentityReport) -> IdentityReport:
-    return replace(r7, name="f1 = f49*(A - q*B - q^2 + q^5*C)", note="")
+    return IdentityReport("f1 = f49*(A - q*B - q^2 + q^5*C)", r7.truncation,
+                          r7.first_mismatch)
 
 
 def ramanathan(n: int, T: int) -> IdentityReport:

@@ -11,38 +11,27 @@ from __future__ import annotations
 import math
 import re
 
-from .series import (InsufficientTruncation, LaurentSeries, Ring, euler_factor,
-                     phi_power)
+from .series import (InsufficientTruncation, LaurentSeries, Ring, _Record,
+                     euler_factor, phi_power)
 
 
-class EtaQuotient:
+class EtaQuotient(_Record):
     """Level ``M``, map divisor -> exponent, and an explicit q-power shift."""
 
-    __slots__ = ("M", "exponents", "qshift")
+    M: int
+    exponents: dict[int, int]
+    qshift: int = 0
 
-    def __init__(self, M: int, exponents: dict[int, int], qshift: int = 0):
-        if M < 1:
+    def __post_init__(self):
+        if self.M < 1:
             raise ValueError("level M must be positive")
         cleaned = {}
-        for d, r in sorted(exponents.items()):
-            if d < 1 or M % d != 0:
-                raise ValueError(f"divisor {d} does not divide level {M}")
+        for d, r in sorted(self.exponents.items()):
+            if d < 1 or self.M % d != 0:
+                raise ValueError(f"divisor {d} does not divide level {self.M}")
             if r != 0:
                 cleaned[int(d)] = int(r)
-        self.M = int(M)
-        self.exponents = cleaned
-        self.qshift = int(qshift)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EtaQuotient):
-            return NotImplemented
-        return (self.M == other.M and self.exponents == other.exponents
-                and self.qshift == other.qshift)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EtaQuotient(M={self.M}, exponents={self.exponents}, qshift={self.qshift})"
+        self.__dict__.update(M=int(self.M), exponents=cleaned, qshift=int(self.qshift))
 
     def __str__(self) -> str:
         return format_eta_quotient(self)

@@ -27,12 +27,11 @@ series, with no power and no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
 from .eta import EtaQuotient, expand, overpartition_residues
-from .series import LaurentSeries, euler_factor, mod2k, shifted_sum, theta_power
+from .series import (LaurentSeries, _Record, euler_factor, mod2k, shifted_sum,
+                     theta_power)
 
 # Each variant's step and offset factors over 8n+2; the step factor is also
 # the d of its right-hand side 4*f_d^6.
@@ -44,8 +43,7 @@ DEFAULT_BUDGET = 100_000
 _MOD8 = mod2k(3)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Record):
     alpha: int
     beta: int
     gamma: int
@@ -106,7 +104,9 @@ def _first_match(name: str, lhs: LaurentSeries, through: int,
             return rep
         failures.append(rep)
     if len(failures) > 1:
-        return replace(failures[0], note="neither q-factor candidate matched")
+        first = failures[0]
+        return IdentityReport(first.name, first.truncation, first.first_mismatch,
+                              "neither q-factor candidate matched")
     return failures[0]
 
 

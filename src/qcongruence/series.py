@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import compress, count
-from typing import Sequence
 
 MAX_MOD2K_BITS = 64
 
@@ -51,8 +50,48 @@ class InsufficientTruncation(ValueError):
     """A coefficient beyond the known window was requested."""
 
 
-@dataclass(frozen=True)
-class Ring:
+class _Record:
+    """An immutable record that behaves as a frozen dataclass, written out so
+    that start-up need not import ``inspect``.  A subclass's annotated names
+    are its fields, in order; a class attribute of that name is a default,
+    and ``__post_init__`` validates the fields once they are set."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        named = dict(zip(self._fields, args))
+        values = {**self._defaults, **named, **kwargs}
+        if (len(args) > len(self._fields) or named.keys() & kwargs.keys()
+                or values.keys() != set(self._fields)):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update((f, values[f]) for f in self._fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    # __dict__ holds exactly the fields, in order
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Ring(_Record):
     """Coefficient ring: exact integers when ``k`` is None, else Z/2^k."""
 
     k: int | None = None
@@ -295,10 +334,13 @@ class LaurentSeries:
 
 def int_text(n: int) -> str:
     """n in decimal, exactly, at any size: ``str`` refuses an int of more
-    than 4,300 digits, ``Decimal`` has no such limit.  ``decimal`` is
-    imported here, so a run that prints no integer does not pay for it."""
-    from decimal import Decimal
-    return str(Decimal(n))
+    digits than ``sys.get_int_max_str_digits()`` (4,300 by default), and
+    ``Decimal`` has no such limit.  It is imported only for such an int."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def first_difference(a: LaurentSeries, b: LaurentSeries,

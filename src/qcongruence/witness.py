@@ -14,19 +14,16 @@ data only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+import os
 
 from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
 from .families import DEFAULT_BUDGET
-from .series import (EXACT, InsufficientTruncation, LaurentSeries, first_difference,
-                     int_text)
+from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record,
+                     first_difference, int_text)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(_Record):
     """One witness-identity record.
 
     ``r`` is the input eta-quotient (divisor -> exponent on divisors of M)
@@ -78,8 +75,7 @@ class WitnessCertificate:
         return self.poly_min_degree + len(self.poly) - 1
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Record):
     certificate_id: str
     truncation: int
     first_mismatch: tuple[int, int, int] | None
@@ -269,15 +265,18 @@ def parse_certificate(text: str) -> WitnessCertificate:
     )
 
 
-def load_certificate(path: str | Path) -> WitnessCertificate:
-    return parse_certificate(Path(path).read_text())
+def load_certificate(path: str | os.PathLike) -> WitnessCertificate:
+    with open(path) as f:
+        return parse_certificate(f.read())
 
 
-def save_certificate(c: WitnessCertificate, path: str | Path) -> None:
-    Path(path).write_text(format_certificate(c))
+def save_certificate(c: WitnessCertificate, path: str | os.PathLike) -> None:
+    with open(path, "w") as f:
+        f.write(format_certificate(c))
 
 
 def builtin_certificate_text() -> str:
     """The shipped certificate file, as packaged."""
+    from importlib import resources
     return resources.files("qcongruence").joinpath(
         "data/builtin_certificate.txt").read_text()

@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, regression blessing."""
 
+import ast
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from qcongruence import cli, dissect, eta, families, witness
 from qcongruence.cli import main
 from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
 from qcongruence.families import DEFAULT_BUDGET
-from qcongruence.series import EXACT, LaurentSeries, euler_factor
+from qcongruence.series import EXACT, LaurentSeries, euler_factor, int_text
 from qcongruence.witness import builtin_certificate, format_certificate
 
 
@@ -517,6 +518,27 @@ def test_expand_prints_coefficients_past_4300_digits(capsys):
     assert value == euler_factor(1, -100000, EXACT, 3000).coefficient(2999)
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_int_text_at_the_digit_limit():
+    # str() below the limit, Decimal past it, and the limit left as it was
+    for n in (7 * (10**4300 - 1) // 9, 7 * (10**4301 - 1) // 9, -(10**4999 + 12345)):
+        assert int_text(n) == str(Decimal(n))
+    script = ("import sys\n"
+              "from qcongruence.series import int_text\n"
+              "print(int_text(10**699 + 1))\n"
+              "print(sys.get_int_max_str_digits())\n")
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-c", script],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1" + "0" * 698 + "1", "640"]
+
+
 def test_readme_flag_table_matches_the_parser():
     # each `verify` row of README's subcommand table lists exactly the flags
     # its subparser reads; `all` reads their union
@@ -534,15 +556,33 @@ def test_readme_flag_table_matches_the_parser():
 
 def test_cli_runs_without_numpy():
     # numpy costs every CLI start-up about 0.15 s; the package never needs it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("import sys\n"
               "from qcongruence.cli import main\n"
               "code = main(['expand', 'f1^1', '--T', '1'])\n"
               "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
               "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "q^0: 1" in proc.stdout
+
+
+def test_cli_start_up_imports_only_what_it_uses():
+    # each of these costs a CLI run milliseconds of start-up (dataclasses
+    # pulls in inspect, ast, dis and tokenize) and none is needed there;
+    # -S keeps site's own imports out, and what the interpreter loaded
+    # before the package does not count
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from qcongruence.cli import main\n"
+              "codes = [main(['expand', 'f1^1', '--T', '1']),\n"
+              "         main(['verify', 'theorems', '--n-max', '10'])]\n"
+              "print(repr((codes, sorted(set(sys.modules) - before))), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    codes, new = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert codes == [0, 0]
+    unused = {"dataclasses", "inspect", "typing", "decimal", "pathlib",
+              "importlib.resources"}
+    assert not unused & set(new), sorted(unused & set(new))

@@ -6,12 +6,18 @@ import pickle
 import random
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import (ClaimReport, CongruenceClaim, EtaQuotient,
+                         FamilyInstance, IdentityReport, Progression,
+                         WitnessCertificate, WitnessReport, builtin_certificate,
+                         ramanathan, verify_family_instance)
 from qcongruence import series as series_module
+from qcongruence.dissect import dissection7
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, _conv_mod2k,
                                 agree, euler_factor, first_difference, mod2k,
@@ -68,6 +74,121 @@ def test_series_pickle_and_deepcopy(ring):
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         series(0, [])
+
+
+# -- immutable records -------------------------------------------------------
+
+_CERT = builtin_certificate()
+_CLAIM = CongruenceClaim(5, 8, 1, 1, "Theorem5col")
+
+# name -> (an instance, its fields in order, its repr); the certificate's
+# repr, too long to spell out, is checked against its fields' reprs
+_RECORDS = {
+    "Ring": (mod2k(5), ("k",), "Ring(k=5)"),
+    "CongruenceClaim": (_CLAIM, ("t", "m", "j", "k", "source"),
+                        "CongruenceClaim(t=5, m=8, j=1, k=1, source='Theorem5col')"),
+    "ClaimReport": (ClaimReport(_CLAIM, 100, (3, 1), 1.5),
+                    ("claim", "n_max", "counterexample", "ms"),
+                    "ClaimReport(claim=CongruenceClaim(t=5, m=8, j=1, k=1, "
+                    "source='Theorem5col'), n_max=100, counterexample=(3, 1), ms=1.5)"),
+    "Progression": (Progression(5, 4), ("m", "j"), "Progression(m=5, j=4)"),
+    "IdentityReport": (IdentityReport("f1", 10, (3, 1, 2), "rhs 4*f1^6"),
+                       ("name", "truncation", "first_mismatch", "note"),
+                       "IdentityReport(name='f1', truncation=10, "
+                       "first_mismatch=(3, 1, 2), note='rhs 4*f1^6')"),
+    "FamilyInstance": (FamilyInstance(0, 1, 0, "inf3"),
+                       ("alpha", "beta", "gamma", "variant"),
+                       "FamilyInstance(alpha=0, beta=1, gamma=0, variant='inf3')"),
+    "EtaQuotient": (EtaQuotient(8, {2: 1, 1: -2, 4: 0}), ("M", "exponents", "qshift"),
+                    "EtaQuotient(M=8, exponents={1: -2, 2: 1}, qshift=0)"),
+    "WitnessCertificate": (_CERT, ("N", "M", "r", "m", "j", "pset", "prefactor",
+                                   "hauptmodul", "poly", "poly_min_degree",
+                                   "claimed_common_factor", "id"), None),
+    "WitnessReport": (WitnessReport("t5", 50, (3, 1, 2), 384),
+                      ("certificate_id", "truncation", "first_mismatch", "gcd_of_poly"),
+                      "WitnessReport(certificate_id='t5', truncation=50, "
+                      "first_mismatch=(3, 1, 2), gcd_of_poly=384)"),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_frozen_values(name):
+    record, fields, text = _RECORDS[name]
+    cls = type(record)
+    values = tuple(getattr(record, f) for f in fields)
+    assert cls.__name__ == name and list(vars(record)) == list(fields)
+    rebuilt = cls(**dict(zip(fields, values)))
+    for same in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                 cls(*values), rebuilt):
+        assert type(same) is cls and same == record and not same != record
+    # equal only to the same class with equal fields
+    assert record != values and record != SimpleNamespace(**vars(record))
+    assert all(record != other for other, _, _ in _RECORDS.values() if other is not record)
+    if name in ("EtaQuotient", "WitnessCertificate"):  # a field is a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(rebuilt) == hash(values)
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    assert tuple(getattr(record, f) for f in fields) == values
+    if text is None:
+        text = f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    assert repr(record) == text
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+
+
+def _cert_with(**changes):
+    fields = _RECORDS["WitnessCertificate"][1]
+    return WitnessCertificate(**{f: getattr(_CERT, f) for f in fields} | changes)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mod2k(0), "mod-2^k ring needs 1 <= k <= 64, got 0"),
+    (lambda: CongruenceClaim(0, 8, 1, 1), "t, m, k must be positive"),
+    (lambda: CongruenceClaim(5, 8, 1, 65),
+     "k=65 is over 64: claims are checked mod 2^k with k <= 64"),
+    (lambda: CongruenceClaim(5, 8, 8, 1), "residue j=8 not in [0, 8)"),
+    (lambda: CongruenceClaim(5, 8, 1, 1, "Paper"), "unknown claim source 'Paper'"),
+    (lambda: Progression(0, 0), "progression step m must be positive"),
+    (lambda: Progression(5, 5), "residue j=5 not in [0, 5)"),
+    (lambda: FamilyInstance(-1, 0, 0, "inf"), "family exponents must be nonnegative"),
+    (lambda: FamilyInstance(0, 0, 0, "inf5"),
+     "variant must be one of ('inf', 'inf2', 'inf3', 'inf4')"),
+    (lambda: EtaQuotient(0, {}), "level M must be positive"),
+    (lambda: EtaQuotient(4, {5: 1, 3: 1}), "divisor 3 does not divide level 4"),
+    (lambda: _cert_with(N=0), "N, M, m must be positive"),
+    (lambda: _cert_with(r={3: 1}), "input divisor 3 does not divide M=2"),
+    (lambda: _cert_with(j=6), "j=6 must belong to the residue set {7}"),
+    (lambda: _cert_with(pset=frozenset({7, 9})), "residue 9 not in [0, 8)"),
+    (lambda: _cert_with(poly=()), "certificate polynomial must be nonempty"),
+    (lambda: _cert_with(poly_min_degree=2), "poly_min_degree must be 0 or 1"),
+    (lambda: _cert_with(claimed_common_factor=0), "claimed common factor must be positive"),
+    (lambda: _cert_with(claimed_common_factor=256),
+     "claimed common factor 256 does not divide polynomial coefficient 37760"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_record_defaults_and_derived_fields():
+    assert mod2k(5) != EXACT and repr(EXACT) == "Ring(k=None)"
+    assert CongruenceClaim(5, 8, 1, 1).source == "UserSupplied"
+    assert _cert_with(id="").id == "M2-m8-j7"
+    # the reports that copy another with a new name or note
+    r7, d7 = ramanathan(7, 60), dissection7(60)
+    assert (d7.truncation, d7.first_mismatch) == (r7.truncation, r7.first_mismatch)
+    assert repr(d7) == ("IdentityReport(name='f1 = f49*(A - q*B - q^2 + q^5*C)', "
+                        "truncation=60, first_mismatch=None, note='')")
+    assert repr(verify_family_instance(FamilyInstance(0, 0, 0, "inf4"), 40)) == (
+        "IdentityReport(name='inf4(alpha=0, beta=0, gamma=0)', truncation=41, "
+        "first_mismatch=(1, 0, 4), note='neither q-factor candidate matched')")
 
 
 # -- mul ----------------------------------------------------------------------
