@@ -14,15 +14,13 @@ import sys
 from collections.abc import Callable
 
 from . import congruences, dissect, families
-from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, ClaimReport,
-                          check_claims, conjecture_claims,
-                          enumerate_colored_overpartitions)
-from .dissect import IdentityReport, Progression, extract
+from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, check_claims,
+                          conjecture_claims, enumerate_colored_overpartitions)
+from .dissect import Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
 from .series import (EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, _Record, int_text,
                      mod2k)
-from .witness import (WitnessReport, builtin_certificate, load_certificate,
-                      verify_witness)
+from .witness import builtin_certificate, load_certificate, verify_witness
 
 DEFAULT_T = 500
 DEFAULT_CONJECTURE_PRIMES = (3, 17, 19, 23, 29, 31)
@@ -62,40 +60,6 @@ def _ring_name(ring: Ring) -> str:
     return "exact" if ring.is_exact else f"mod2k:{ring.k}"
 
 
-def _fmt_value(v) -> str:
-    return "-" if v is None else int_text(v)
-
-
-def _claim_record(rep: ClaimReport) -> str:
-    c = rep.claim
-    cn, cv = rep.counterexample if rep.counterexample else (None, None)
-    return (f"claim t={c.t} m={c.m} j={c.j} k={c.k} n_max={rep.n_max} "
-            f"verdict={rep.verdict} counterexample_n={_fmt_value(cn)} "
-            f"counterexample_value={_fmt_value(cv)} ms={rep.ms:.1f}")
-
-
-def _identity_record(rep: IdentityReport) -> str:
-    if rep.first_mismatch:
-        e, lhs, rhs = rep.first_mismatch
-    else:
-        e = lhs = rhs = None
-    return (f'identity name="{rep.name}" T={rep.truncation} '
-            f"matched={str(rep.matched).lower()} mismatch_exponent={_fmt_value(e)} "
-            f'lhs={_fmt_value(lhs)} rhs={_fmt_value(rhs)} note="{rep.note}"')
-
-
-def _witness_record(rep: WitnessReport) -> str:
-    if rep.first_mismatch:
-        e, lhs, rhs = rep.first_mismatch
-    else:
-        e = lhs = rhs = None
-    return (f"witness id={rep.certificate_id} T={rep.truncation} "
-            f"matched={str(rep.identity_matched).lower()} "
-            f"mismatch_exponent={_fmt_value(e)} lhs={_fmt_value(lhs)} "
-            f"rhs={_fmt_value(rhs)} gcd={_fmt_value(rep.gcd_of_poly)} "
-            f"implied_modulus={_fmt_value(rep.implied_modulus)}")
-
-
 class Report:
     """Collects result lines in both human and record form."""
 
@@ -113,6 +77,12 @@ class Report:
         self.records.append(record)
         if not ok:
             self.ok = False
+
+    def add_reports(self, reports):
+        """Add each report's ``summary()`` and ``record()``; any failed
+        report fails the run."""
+        for r in reports:
+            self.add(r.summary(), r.record(), ok=r.ok)
 
     def lines(self, fmt: str) -> list[str]:
         return self.header + (self.records if fmt == "records" else self.table)
@@ -190,19 +160,10 @@ def cmd_oracle(args) -> int:
     return _emit(rep, args)
 
 
-def _add_claims(rep: Report, reports):
-    for r in reports:
-        rep.add(r.summary(), _claim_record(r), ok=r.holds)
-
-
-def _verify_theorems(rep: Report, args):
-    _add_claims(rep, check_claims(THEOREM_CLAIMS, args.n_max))
-
-
 def _verify_conjecture(rep: Report, args):
     primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
-    _add_claims(rep, check_claims(claims, args.n_max))
+    rep.add_reports(check_claims(claims, args.n_max))
     # how sharp each claimed modulus is: one table per prime mod 2^16, and
     # one mod 2^64 only when a class vanishes mod 2^16
     for p in primes:
@@ -214,31 +175,6 @@ def _verify_conjecture(rep: Report, args):
                     f"valuation t={p} m={m} j={j} claimed_k={k} observed_min_v2={v}")
 
 
-def _add_identities(rep: Report, reports):
-    for r in reports:
-        rep.add(r.summary(), _identity_record(r), ok=r.matched)
-
-
-def _verify_dissections(rep: Report, args):
-    _add_identities(rep, dissect.verify_suite(args.T))
-
-
-def _verify_witness(rep: Report, args):
-    sources = args.args or ["builtin"]
-    for src in sources:
-        cert = builtin_certificate() if src == "builtin" else load_certificate(src)
-        r = verify_witness(cert, args.T)
-        rep.add(r.summary(), _witness_record(r), ok=r.identity_matched)
-
-
-def _verify_families(rep: Report, args):
-    _add_identities(rep, families.verify_suite(args.T))
-
-
-def _verify_eq1(rep: Report, args):
-    _add_identities(rep, [families.verify_eq1(args.T)])
-
-
 class _Target(_Record):
     run: Callable[[Report, argparse.Namespace], None]
     reads: tuple[str, ...]  # its input flags; any other is a usage error
@@ -247,14 +183,21 @@ class _Target(_Record):
 
 
 _TARGETS = {
-    "theorems": _Target(_verify_theorems, ("--n-max",)),
+    "theorems": _Target(lambda rep, args: rep.add_reports(
+        check_claims(THEOREM_CLAIMS, args.n_max)), ("--n-max",)),
     "conjecture": _Target(_verify_conjecture, ("--n-max",),
                           ("PRIME", int, "primes to scan (default: the built-in six)")),
-    "dissections": _Target(_verify_dissections, ("--T",)),
-    "witness": _Target(_verify_witness, ("--T",),
-                       ("CERT", str, "builtin or certificate file paths (default builtin)")),
-    "families": _Target(_verify_families, ("--T",)),
-    "eq1": _Target(_verify_eq1, ("--T",)),
+    "dissections": _Target(lambda rep, args: rep.add_reports(
+        dissect.verify_suite(args.T)), ("--T",)),
+    "witness": _Target(lambda rep, args: rep.add_reports(
+        verify_witness(builtin_certificate() if src == "builtin"
+                       else load_certificate(src), args.T)
+        for src in args.args or ["builtin"]),
+        ("--T",), ("CERT", str, "builtin or certificate file paths (default builtin)")),
+    "families": _Target(lambda rep, args: rep.add_reports(
+        families.verify_suite(args.T)), ("--T",)),
+    "eq1": _Target(lambda rep, args: rep.add_reports(
+        [families.verify_eq1(args.T)]), ("--T",)),
 }
 
 

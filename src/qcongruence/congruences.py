@@ -16,7 +16,7 @@ from operator import and_, attrgetter, itemgetter, or_
 
 from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, _Record, euler_factor, mod2k
+from .series import MAX_MOD2K_BITS, _Record, euler_factor, field_text, mod2k
 
 DEFAULT_N_MAX = 2000
 
@@ -59,6 +59,8 @@ class ClaimReport(_Record):
     def holds(self) -> bool:
         return self.counterexample is None
 
+    ok = holds
+
     @property
     def verdict(self) -> str:
         return "holds" if self.holds else "fails"
@@ -69,6 +71,13 @@ class ClaimReport(_Record):
             n, v = self.counterexample
             base += f" (n={n}: value ≡ {v} mod {1 << self.claim.k})"
         return base
+
+    def record(self) -> str:
+        c = self.claim
+        n, v = self.counterexample or (None, None)
+        return (f"claim t={c.t} m={c.m} j={c.j} k={c.k} n_max={self.n_max} "
+                f"verdict={self.verdict} counterexample_n={field_text(n)} "
+                f"counterexample_value={field_text(v)} ms={self.ms:.1f}")
 
 
 # (t, m, j, k) rows asserting == 0 mod 2^k; 7 + 5 + 5 + 7 = 24 claims.

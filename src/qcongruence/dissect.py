@@ -10,8 +10,8 @@ the stated truncation, never a proof.
 from __future__ import annotations
 
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record,
-                     euler_factor, first_difference, int_text, mod2k, shifted_sum,
-                     theta_power)
+                     euler_factor, field_text, first_difference, int_text, mod2k,
+                     shifted_sum, theta_power)
 
 
 class Progression(_Record):
@@ -43,14 +43,21 @@ class IdentityReport(_Record):
     def matched(self) -> bool:
         return self.first_mismatch is None
 
+    ok = matched
+
     def summary(self) -> str:
+        tail = f" [{self.note}]" if self.note else ""
         if self.matched:
-            tail = f" [{self.note}]" if self.note else ""
             return f"{self.name}: matched through q^{self.truncation - 1}{tail}"
         e, lhs, rhs = self.first_mismatch
-        tail = f" [{self.note}]" if self.note else ""
         return (f"{self.name}: MISMATCH at q^{e}: "
                 f"{int_text(lhs)} != {int_text(rhs)}{tail}")
+
+    def record(self) -> str:
+        e, lhs, rhs = self.first_mismatch or (None, None, None)
+        return (f'identity name="{self.name}" T={self.truncation} '
+                f"matched={str(self.matched).lower()} mismatch_exponent={field_text(e)} "
+                f'lhs={field_text(lhs)} rhs={field_text(rhs)} note="{self.note}"')
 
 
 def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,

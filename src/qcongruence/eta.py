@@ -91,8 +91,11 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
     In increasing divisor order, each f_{2d}^(-s) whose f_d also appears
     is taken with f_d^(2s) as phi(-q^d)^s (see ``phi_power``), leaving
     f_d^(r_d - 2s); a divisor joins at most one pair, so the factor count
-    never grows.  Every factor has valuation 0 and unit leading
-    coefficient, so the result's offset is exactly the q-shift.
+    never grows.  A pair is skipped when both exponents are positive
+    (s < 0 < r_d): f_1 * f_2^5 would become phi(-q)^(-5) * f_1^11, whose
+    exact coefficients grow exponentially only to cancel.  Every factor
+    has valuation 0 and unit leading coefficient, so the result's offset
+    is exactly the q-shift.
     """
     if T <= eq.qshift:
         raise InsufficientTruncation(
@@ -102,7 +105,7 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
     factors = []
     for d in sorted(rest):
         s = -rest.get(2 * d, 0)
-        if s and rest[d]:
+        if s and rest[d] and (s > 0 or rest[d] < 0):
             factors.append(phi_power(d, s, ring, n))
             rest[d] -= 2 * s
             rest[2 * d] = 0

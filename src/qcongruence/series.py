@@ -343,6 +343,11 @@ def int_text(n: int) -> str:
         return str(Decimal(n))
 
 
+def field_text(v: int | None) -> str:
+    """A record's integer field: ``int_text(v)``, or "-" when v is None."""
+    return "-" if v is None else int_text(v)
+
+
 def first_difference(a: LaurentSeries, b: LaurentSeries,
                      through: int | None = None):
     """First exponent where two series disagree on their common known window.

@@ -20,7 +20,7 @@ from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
 from .families import DEFAULT_BUDGET
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record,
-                     first_difference, int_text)
+                     field_text, first_difference, int_text)
 
 
 class WitnessCertificate(_Record):
@@ -85,6 +85,8 @@ class WitnessReport(_Record):
     def identity_matched(self) -> bool:
         return self.first_mismatch is None
 
+    ok = identity_matched
+
     @property
     def implied_modulus(self) -> int | None:
         """The largest power of 2 dividing the gcd; None when the gcd is 0."""
@@ -100,6 +102,14 @@ class WitnessReport(_Record):
         return (f"witness {self.certificate_id}: identity {state} "
                 f"(checked through q^{self.truncation - 1}); "
                 f"poly gcd {int_text(self.gcd_of_poly)}, 2-power part {mod}")
+
+    def record(self) -> str:
+        e, lhs, rhs = self.first_mismatch or (None, None, None)
+        return (f"witness id={self.certificate_id} T={self.truncation} "
+                f"matched={str(self.identity_matched).lower()} "
+                f"mismatch_exponent={field_text(e)} lhs={field_text(lhs)} "
+                f"rhs={field_text(rhs)} gcd={field_text(self.gcd_of_poly)} "
+                f"implied_modulus={field_text(self.implied_modulus)}")
 
 
 def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:

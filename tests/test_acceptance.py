@@ -20,7 +20,7 @@ from qcongruence import (EXACT, FamilyInstance, LaurentSeries, Progression,
                          enumerate_colored_overpartitions, extract, agree,
                          mod2k, overpartition_gf, ramanathan, verify_eq1,
                          verify_family_instance, verify_witness)
-from qcongruence.cli import Report, _add_claims
+from qcongruence.cli import Report
 
 
 def _line(criterion: str, ok: bool, detail: str = ""):
@@ -146,7 +146,7 @@ def test_criterion_6_counterexample_contract():
     rep = reports[0]
     assert not rep.holds and rep.counterexample == (0, 64)
     cli_report = Report("verify conjecture", {})
-    _add_claims(cli_report, reports)
+    cli_report.add_reports(reports)
     assert not cli_report.ok
     assert "counterexample_n=0" in cli_report.records[0]
     _line("6b counterexample behavior contract", True,

@@ -12,10 +12,12 @@ import pytest
 
 from qcongruence import cli, dissect, eta, families, witness
 from qcongruence.cli import main
-from qcongruence.congruences import _ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX
+from qcongruence.congruences import (_ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX,
+                                     ClaimReport, CongruenceClaim)
+from qcongruence.dissect import IdentityReport
 from qcongruence.families import DEFAULT_BUDGET
 from qcongruence.series import EXACT, LaurentSeries, euler_factor, int_text
-from qcongruence.witness import builtin_certificate, format_certificate
+from qcongruence.witness import WitnessReport, builtin_certificate, format_certificate
 
 
 def run(capsys, *argv):
@@ -472,9 +474,9 @@ def test_families_records_match_golden(capsys):
                        "--format", "records", "--check", str(path))
     assert f"# matches {path}" in out
     assert code == 1
-    # the CLI only formats what the suite returns
+    # the CLI only prints what the suite returns
     records = [l for l in out.splitlines() if l.startswith("identity ")]
-    assert records == [cli._identity_record(r) for r in families.verify_suite(200)]
+    assert records == [r.record() for r in families.verify_suite(200)]
 
 
 def test_families_records_at_T_2040_match_golden(capsys):
@@ -537,6 +539,36 @@ def test_int_text_at_the_digit_limit():
                           env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["1" + "0" * 698 + "1", "640"]
+
+
+_BIG = 10**4400 + 1  # past str()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("report, ok, record", [
+    (ClaimReport(CongruenceClaim(5, 8, 7, 7, "Theorem5col"), 2000, None, 12.34), True,
+     "claim t=5 m=8 j=7 k=7 n_max=2000 verdict=holds counterexample_n=- "
+     "counterexample_value=- ms=12.3"),
+    (ClaimReport(CongruenceClaim(1, 8, 7, 7), 50, (0, 64)), False,
+     "claim t=1 m=8 j=7 k=7 n_max=50 verdict=fails counterexample_n=0 "
+     "counterexample_value=64 ms=0.0"),
+    (IdentityReport("eq1", 800), True,
+     'identity name="eq1" T=800 matched=true mismatch_exponent=- lhs=- rhs=- note=""'),
+    (IdentityReport("big", 10, (3, _BIG, -2), "rhs"), False,
+     'identity name="big" T=10 matched=false mismatch_exponent=3 '
+     f'lhs=1{"0" * 4399}1 rhs=-2 note="rhs"'),
+    (WitnessReport("t5-8n+7-mod128", 400, None, 384), True,
+     "witness id=t5-8n+7-mod128 T=400 matched=true mismatch_exponent=- lhs=- rhs=- "
+     "gcd=384 implied_modulus=128"),
+    (WitnessReport("w", 5, (-2, 7, 9), 0), False,
+     "witness id=w T=5 matched=false mismatch_exponent=-2 lhs=7 rhs=9 gcd=0 "
+     "implied_modulus=-"),
+], ids=["claim-holds", "claim-fails", "identity-matched", "identity-past-4300-digits",
+        "witness-matched", "witness-gcd-0"])
+def test_report_record_line(report, ok, record):
+    # the golden files hold no failed witness, no gcd 0 and no value past
+    # 4,300 digits, so each record line is pinned here
+    assert report.ok is ok
+    assert report.record() == record
 
 
 def test_readme_flag_table_matches_the_parser():

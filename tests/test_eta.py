@@ -158,6 +158,23 @@ def test_expand_pair_beside_leftover_factor():
         euler_factor(2, -38, EXACT, T))
 
 
+@pytest.mark.parametrize("spec, paired", [
+    ("f1 * f2^5", False), ("f2^5 * f1^-10", True), ("f1^79 * f2^-38", True)])
+def test_expand_skips_a_pair_of_positive_exponents(monkeypatch, spec, paired):
+    # phi(-q)^(-5) * f1^11 for f1 * f2^5 has exact coefficients that grow
+    # exponentially and cancel, so a pair needs a negative exponent; the
+    # values are pinned by test_expand_matches_euler_factors_one_at_a_time
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return phi_power(*args)
+
+    monkeypatch.setattr(eta, "phi_power", spy)
+    expand(parse_eta_quotient(spec), EXACT, 100)
+    assert len(calls) == paired
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.dictionaries(st.sampled_from([1, 2, 3, 4, 6, 8]),
                        st.integers(-40, 40), max_size=5),
