@@ -93,25 +93,32 @@ def expand(eq: EtaQuotient, ring: Ring, T: int) -> LaurentSeries:
     f_d^(r_d - 2s); a divisor joins at most one pair, so the factor count
     never grows.  A pair is skipped when both exponents are positive
     (s < 0 < r_d): f_1 * f_2^5 would become phi(-q)^(-5) * f_1^11, whose
-    exact coefficients grow exponentially only to cancel.  Every factor
-    has valuation 0 and unit leading coefficient, so the result's offset
-    is exactly the q-shift.
+    exact coefficients grow exponentially only to cancel.
+
+    The factors multiply in decreasing d, a pair before f_d at equal d.
+    Both are series in q^d, which an exact product takes compressed (see
+    ``series._conv_exact``), so the large-d factors combine before a small
+    d spreads the product out: f_4 * phi(-q^4), then f_8 * phi(-q^2) *
+    f_2, in the witness's prefactor and hauptmodul.  Every factor has
+    valuation 0 and unit leading coefficient, so the result's offset is
+    exactly the q-shift.
     """
     if T <= eq.qshift:
         raise InsufficientTruncation(
             f"T={T} must exceed the q-shift {eq.qshift}")
     n = T - eq.qshift
     rest = dict(eq.exponents)
-    factors = []
+    factors = []  # (d, a series in q^d)
     for d in sorted(rest):
         s = -rest.get(2 * d, 0)
         if s and rest[d] and (s > 0 or rest[d] < 0):
-            factors.append(phi_power(d, s, ring, n))
+            factors.append((d, phi_power(d, s, ring, n)))
             rest[d] -= 2 * s
             rest[2 * d] = 0
-    factors += [euler_factor(d, r, ring, n) for d, r in sorted(rest.items()) if r]
-    acc = factors[0] if factors else LaurentSeries.one(ring, n)
-    for factor in factors[1:]:
+    factors += [(d, euler_factor(d, r, ring, n)) for d, r in sorted(rest.items()) if r]
+    factors.sort(key=lambda f: -f[0])
+    acc = factors[0][1] if factors else LaurentSeries.one(ring, n)
+    for _, factor in factors[1:]:
         acc = acc.mul(factor)
     return acc.shift(eq.qshift)
 

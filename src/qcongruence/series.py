@@ -26,18 +26,6 @@ from itertools import compress, count
 
 MAX_MOD2K_BITS = 64
 
-# Exact multiplications above this many coefficient products switch to
-# Kronecker substitution (pack into one big integer, use CPython's int mul),
-# unless one factor is sparse (under out_len / 16 nonzero terms) and its
-# term products are cheaper.  CPython multiplies the two packings, of
-# X = w * out_len bytes each, in about X^1.5 steps (Karatsuba), and a term
-# product with the sparse factor's narrow coefficients costs about 64 of
-# them, so P term products stay term by term while 64 P < X^1.5: against a
-# factor with wide coefficients, as in the dissections.  Two dense factors
-# always pack: a term product of two wide coefficients costs far more.
-_SCHOOLBOOK_OP_LIMIT = 1 << 18
-
-
 class RingMismatch(ValueError):
     """Operands live in different coefficient rings."""
 
@@ -446,22 +434,32 @@ def _repeat(value: int, w: int, n: int) -> int:
 
 
 def _conv_exact(a: list[int], b: list[int], out_len: int) -> list[int]:
-    """Truncated convolution over Z of lists of Python ints."""
+    """Truncated convolution over Z of lists of Python ints.  When every
+    nonzero term of both sits at a multiple of g > 1, the product is taken
+    on the series in q^g and spread back."""
     a = a[:out_len]
     b = b[:out_len]
     nza = [i for i, c in enumerate(a) if c]
     nzb = [i for i, c in enumerate(b) if c]
     if not nza or not nzb:
         return [0] * out_len
+    g = math.gcd(*nza, *nzb)
+    if g > 1:
+        out = [0] * out_len
+        out[::g] = _conv_exact(a[::g], b[::g], -(-out_len // g))
+        return out
     if len(nza) > len(nzb):
         a, b = b, a
         nza, nzb = nzb, nza
-    terms = len(nza) * len(nzb)
-    if terms > _SCHOOLBOOK_OP_LIMIT:
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
-        if len(nza) * 16 >= out_len or (64 * terms) ** 2 >= (w * out_len) ** 3:
-            return _kronecker_signed(a, b, out_len, w)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
+    # CPython multiplies two X-byte packings in about X^1.5 steps
+    # (Karatsuba), and a term product costs about 32 of them (measured on
+    # the witness and dissection products): P term products pack when
+    # 32 P >= X^1.5.  So a factor of few terms stays term by term against
+    # wide coefficients, as in the dissections, and two dense factors pack.
+    if (32 * len(nza) * len(nzb)) ** 2 >= (w * out_len) ** 3:
+        return _kronecker_signed(a, b, out_len, w)
     out = [0] * out_len
     for i in nza:
         ai = a[i]
@@ -475,19 +473,18 @@ def _conv_exact(a: list[int], b: list[int], out_len: int) -> list[int]:
 
 def _kronecker_signed(a: list[int], b: list[int], out_len: int, w: int) -> list[int]:
     """Exact polynomial product by one big-integer product (Kronecker
-    substitution): each operand packs as positive part minus negative part
-    in w-byte slots, where every product coefficient is below 2^(8w-1) in
-    absolute value, and a bias of 2^(8w-1) per slot makes every slot of the
-    low out_len slots decode with no borrow."""
+    substitution) in w-byte slots, where every product coefficient is below
+    2^(8w-1) in absolute value.  Each operand packs in one pass as slots of
+    c + bias, bias = 2^(8w-1), less the bias in every slot; a bias per slot
+    added to the product makes every slot of the low out_len slots decode
+    with no borrow."""
     bias = 1 << (8 * w - 1)
 
     def pack(cs: list[int]) -> int:
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
+        raw = b"".join((c + bias).to_bytes(w, "little") for c in cs)
+        return int.from_bytes(raw, "little") - _repeat(bias, w, len(cs))
 
-    def pack_signed(cs: list[int]) -> int:
-        return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
-
-    prod = pack_signed(a) * pack_signed(b) + pack([bias] * out_len)
+    prod = pack(a) * pack(b) + _repeat(bias, w, out_len)
     low = prod & ((1 << (8 * w * out_len)) - 1)
     raw = low.to_bytes(w * out_len, "little")
     return [int.from_bytes(raw[i:i + w], "little") - bias
@@ -560,9 +557,13 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     vol. 2, 4.7): O(len(p) * nnz(p)) small-int steps, for any sign or size
     of e, with no inverse and no dense product."""
     terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(p) if c and i]
+    starts = [i for i, _, _ in terms]
     a = [1] + [0] * (len(p) - 1)
-    for k in range(1, len(p)):
-        a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
+    # for starts[t] <= k < starts[t + 1] the terms with i <= k are terms[:t + 1]
+    for t, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(p)])):
+        active = terms[:t + 1]
+        for k in range(lo, hi):
+            a[k] = sum((w - k * c) * a[k - i] for i, w, c in active) // k
     return a
 
 

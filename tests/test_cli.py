@@ -450,6 +450,10 @@ GOLDEN_RUNS = [
     ("extract_witness_base", ["extract", "f2^5 * f1^-10", "8", "7", "--T", "400"]),
     ("verify_conjecture", ["verify", "conjecture", "3", "17", "--n-max", "200"]),
     ("verify_dissections_T3000", ["verify", "dissections", "--T", "3000"]),
+    # the witness prefactor's exact coefficients, through both exact kernel
+    # paths and expand's factor order
+    ("expand_witness_prefactor",
+     ["expand", "q^-17 * f1^79 * f2^-38 * f4^36 * f8^-72", "--T", "400"]),
 ]
 
 

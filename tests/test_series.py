@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qcongruence import (ClaimReport, CongruenceClaim, EtaQuotient,
                          FamilyInstance, IdentityReport, Progression,
                          WitnessCertificate, WitnessReport, builtin_certificate,
-                         ramanathan, verify_family_instance)
+                         ramanathan, verify_family_instance, verify_witness)
 from qcongruence import series as series_module
 from qcongruence.dissect import dissection7
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
@@ -608,21 +608,32 @@ def test_kronecker_path_matches_schoolbook():
     assert got == naive_mul(a, b, 700)
 
 
-def test_exact_paths_agree_across_the_size_threshold():
-    # products sized just below and above the schoolbook/Kronecker switch
-    # must produce identical coefficients
-    rng = np.random.default_rng(777)
-    for n in (511, 512, 513, 520):
-        a = [int(x) for x in rng.integers(-10**6, 10**6, size=n)]
-        b = [int(x) for x in rng.integers(-10**6, 10**6, size=n)]
-        assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, n), n
+def test_exact_paths_agree_across_the_size_threshold(monkeypatch):
+    # a factor of `terms` nonzero terms by a dense one of 1,000, all below
+    # 10^6 with 10^6 reached: 7-byte slots, X = 7,000 packed bytes, and
+    # P = 1,000 * terms term products, so (32 P)^2 >= X^3 packs from 19 on
+    calls = _spy_kronecker(monkeypatch)
+    rnd = random.Random(777)
+    n = 1000
+    for terms in (17, 18, 19, 20):
+        sparse = [0] * n
+        at = rnd.sample(range(n), terms)
+        for i in at:
+            sparse[i] = rnd.choice((-1, 1)) * rnd.randint(1, 10**6)
+        sparse[at[0]] = 10**6
+        dense = [rnd.randint(-10**6, 10**6) or 1 for _ in range(n)]
+        dense[0] = -10**6
+        calls.clear()
+        got = series(0, sparse).mul(series(0, dense)).coeffs()
+        assert got == naive_mul(sparse, dense, n), terms
+        assert calls == ([n] if terms >= 19 else []), terms
 
 
 @settings(max_examples=5)
 @given(st.integers(0, 2**32), st.integers(520, 640), st.integers(520, 640),
        st.integers(1, 700), st.integers(1, 700))
 def test_signed_kronecker_matches_schoolbook(seed, na, nb, bits_a, bits_b):
-    # 520+ nonzeros per operand puts the product past the schoolbook limit;
+    # two dense operands of 520+ terms always take the Kronecker path;
     # the coefficients come from a seeded generator, too many for hypothesis
     rnd = random.Random(seed)
 
@@ -655,9 +666,8 @@ def _spy_kronecker(monkeypatch) -> list:
 
 
 def test_sparse_exact_factor_is_summed_term_by_term(monkeypatch):
-    # 20 nonzero terms by 20,000 dense ones is 400,000 term products, past
-    # the schoolbook limit, but far cheaper than multiplying two packings
-    # of 20,000 20-byte slots
+    # 20 nonzero terms by 20,000 dense ones is 400,000 term products, far
+    # cheaper than multiplying two packings of 20,000 20-byte slots
     calls = _spy_kronecker(monkeypatch)
     rnd = random.Random(20)
     n = 20_000
@@ -683,6 +693,90 @@ def test_sparse_factor_against_narrow_coefficients_packs(monkeypatch):
     got = series(0, sparse).mul(series(0, dense)).coeffs()
     assert calls == [n]
     assert got == naive_mul(sparse, dense, n)
+
+
+def _spy_conv_exact(monkeypatch) -> list:
+    """out_len of every top-level exact convolution, followed by those of
+    the calls it makes on the compressed operands."""
+    calls, depth = [], []
+    real = series_module._conv_exact
+
+    def spy(a, b, out_len):
+        if depth:
+            calls[-1].append(out_len)
+        else:
+            calls.append([out_len])
+        depth.append(out_len)
+        try:
+            return real(a, b, out_len)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(series_module, "_conv_exact", spy)
+    return calls
+
+
+def _in_qpow(g, n, terms, bits, seed, start=0):
+    """n coefficients, nonzero only at `terms` multiples of g from `start`."""
+    rnd = random.Random(seed)
+    out = [0] * n
+    for i in range(start, n, g)[:terms]:
+        out[i] = rnd.choice((-1, 1)) * rnd.randint(1, 1 << bits)
+    return out
+
+
+@pytest.mark.parametrize("g, n, terms, bits", [
+    (2, 351, 176, 100),   # dense in q^2: the compressed product packs
+    (3, 100, 34, 8),      # out_len 100 is not a multiple of 3
+    (8, 1001, 126, 60),
+    (8, 1001, 4, 60),     # few terms: term by term on the compressed operands
+])
+def test_strided_product_matches_naive(monkeypatch, g, n, terms, bits):
+    calls = _spy_conv_exact(monkeypatch)
+    a = _in_qpow(g, n, terms, bits, seed=g)
+    b = _in_qpow(g, n, n, bits, seed=n)
+    assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, n)
+    assert calls == [[n, -(-n // g)]]
+    # the common stride of the nonzero indices is what counts: 4 and 6 give 2
+    a, b = _in_qpow(4, n, n, bits, 1, start=4), _in_qpow(6, n, n, bits, 2)
+    assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, n)
+    assert calls[-1] == [n, -(-n // 2)]
+
+
+def test_strided_product_with_a_constant_operand(monkeypatch):
+    calls = _spy_conv_exact(monkeypatch)
+    b = _in_qpow(3, 50, 50, 30, seed=3)
+    const = [-7] + [0] * 49
+    assert series(0, const).mul(series(0, b)).coeffs() == [-7 * c for c in b]
+    assert calls == [[50, 17]]
+    # two constants share no stride (gcd 0): one plain product
+    assert series(0, [5, 0, 0]).mul(series(0, [7, 0, 0])).coeffs() == [35, 0, 0]
+    assert calls[-1] == [3]
+
+
+def test_inverse_of_a_series_in_q4_stays_compressed(monkeypatch):
+    calls = _spy_conv_exact(monkeypatch)
+    n = 801
+    a = _in_qpow(4, n, n, 40, seed=4)
+    a[0] = 1
+    inv = series(0, a).inverse().coeffs()
+    # every Newton product that reaches q^4 is taken on the series in q^4
+    assert all(c == ([c[0]] if c[0] <= 4 else [c[0], -(-c[0] // 4)]) for c in calls)
+    assert calls[-1] == [n, 201]
+    assert naive_mul(a, inv, n) == [1] + [0] * (n - 1)
+    assert inv[::4] == series(0, a[::4]).inverse().coeffs()
+    assert not any(c for i, c in enumerate(inv) if i % 4)
+
+
+def test_hauptmodul_powers_multiply_at_half_length(monkeypatch):
+    # h = q^-1 G(q^2) and every power of it are series in q^2: each of the
+    # degree - 1 products power.mul(h), the last ones verify_witness takes,
+    # runs on ceil(T/2) slots
+    calls = _spy_conv_exact(monkeypatch)
+    c, T = builtin_certificate(), 301
+    assert verify_witness(c, T).ok
+    products = len(c.poly) - 1
+    assert calls[-products:] == [[T, 151]] * products
 
 
 def test_exact_mul_by_zero_operand():
