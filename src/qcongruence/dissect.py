@@ -94,7 +94,9 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
 def _theta_quotient(num: tuple[int, int], den: tuple[int, int], n: int,
                     T: int) -> LaurentSeries:
     """f(-Q^a, -Q^b) / f(-Q^c, -Q^d) through q^(T-1), (a, b) = num and
-    (c, d) = den, formed at length ceil(T/n) in Q before Q -> q^n."""
+    (c, d) = den, formed at length ceil(T/n) in Q before Q -> q^n: a product
+    of the series in q^n would first scan all T terms of each, and
+    dissect.verify_suite(3000) took 10% longer that way (75 vs 68 ms)."""
     m = -(-T // n)
     quotient = theta_power(*num, 1, 1, EXACT, m).mul(theta_power(*den, -1, 1, EXACT, m))
     return quotient.substitute_qpow(n).truncate(T)

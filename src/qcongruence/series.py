@@ -26,6 +26,7 @@ from itertools import compress, count
 
 MAX_MOD2K_BITS = 64
 
+
 class RingMismatch(ValueError):
     """Operands live in different coefficient rings."""
 
@@ -454,11 +455,13 @@ def _conv_exact(a: list[int], b: list[int], out_len: int) -> list[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     w = (bound.bit_length() + 8) // 8  # |slot| <= bound < 2^(8w-1)
     # CPython multiplies two X-byte packings in about X^1.5 steps
-    # (Karatsuba), and a term product costs about 32 of them (measured on
-    # the witness and dissection products): P term products pack when
-    # 32 P >= X^1.5.  So a factor of few terms stays term by term against
-    # wide coefficients, as in the dissections, and two dense factors pack.
-    if (32 * len(nza) * len(nzb)) ** 2 >= (w * out_len) ** 3:
+    # (Karatsuba); a term product costs about 32 of them, plus (w/32)^2
+    # for wide coefficients, whose own multiply is quadratic in w (measured
+    # on the witness and dissection products, CPython 3.11 on a Xeon).  So
+    # a few terms against wide coefficients, as in the dissections, go term
+    # by term; dense factors of n terms in narrow slots pack while
+    # n >= w^3/1024, and the witness left side from T = 1500 (w = 180) on.
+    if (len(nza) * len(nzb) * (32 + (w / 32) ** 2)) ** 2 >= (w * out_len) ** 3:
         return _kronecker_signed(a, b, out_len, w)
     out = [0] * out_len
     for i in nza:
@@ -557,13 +560,9 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     vol. 2, 4.7): O(len(p) * nnz(p)) small-int steps, for any sign or size
     of e, with no inverse and no dense product."""
     terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(p) if c and i]
-    starts = [i for i, _, _ in terms]
     a = [1] + [0] * (len(p) - 1)
-    # for starts[t] <= k < starts[t + 1] the terms with i <= k are terms[:t + 1]
-    for t, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(p)])):
-        active = terms[:t + 1]
-        for k in range(lo, hi):
-            a[k] = sum((w - k * c) * a[k - i] for i, w, c in active) // k
+    for k in range(1, len(p)):
+        a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
     return a
 
 

@@ -611,7 +611,8 @@ def test_kronecker_path_matches_schoolbook():
 def test_exact_paths_agree_across_the_size_threshold(monkeypatch):
     # a factor of `terms` nonzero terms by a dense one of 1,000, all below
     # 10^6 with 10^6 reached: 7-byte slots, X = 7,000 packed bytes, and
-    # P = 1,000 * terms term products, so (32 P)^2 >= X^3 packs from 19 on
+    # P = 1,000 * terms term products, so (32 + (7/32)^2) P >= X^1.5 packs
+    # from 19 on
     calls = _spy_kronecker(monkeypatch)
     rnd = random.Random(777)
     n = 1000
@@ -629,11 +630,28 @@ def test_exact_paths_agree_across_the_size_threshold(monkeypatch):
         assert calls == ([n] if terms >= 19 else []), terms
 
 
+def test_wide_dense_product_packs(monkeypatch):
+    # two dense factors of 600 terms, 2^372 in magnitude at most and
+    # reached: 95-byte slots, X = 57,000 and P = 360,000.  At 32 steps a
+    # term product would stay term by term, (32 P)^2 < X^3; the wide
+    # coefficients add (95/32)^2 steps to each, and the product packs
+    calls = _spy_kronecker(monkeypatch)
+    rnd = random.Random(95)
+    n, top = 600, 1 << 372
+    a = [rnd.randint(-top, top) for _ in range(n)]
+    b = [rnd.randint(-top, top) for _ in range(n)]
+    a[0], b[0] = top, -top
+    assert (32 * n * n) ** 2 < (95 * n) ** 3
+    assert series(0, a).mul(series(0, b)).coeffs() == naive_mul(a, b, n)
+    assert calls == [n]
+
+
 @settings(max_examples=5)
 @given(st.integers(0, 2**32), st.integers(520, 640), st.integers(520, 640),
        st.integers(1, 700), st.integers(1, 700))
 def test_signed_kronecker_matches_schoolbook(seed, na, nb, bits_a, bits_b):
-    # two dense operands of 520+ terms always take the Kronecker path;
+    # two dense operands of 520+ terms: narrow coefficients pack and wide
+    # ones (a few hundred bits) go term by term, and both paths must agree;
     # the coefficients come from a seeded generator, too many for hypothesis
     rnd = random.Random(seed)
 
