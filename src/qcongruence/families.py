@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
-from .eta import EtaQuotient, expand, overpartition_residues
+from .eta import EtaQuotient, expand, overpartition_gf, overpartition_residues
 from .series import (LaurentSeries, _Record, euler_factor, mod2k, shifted_sum,
                      theta_power)
 
@@ -90,7 +90,7 @@ def _rhs_candidates(variant: str, T: int) -> list[tuple[str, LaurentSeries]]:
             (f"4*f{d}^6", plain)]
 
 
-def _first_match(name: str, lhs: LaurentSeries, through: int,
+def _first_match(name: str, lhs: LaurentSeries,
                  candidates: list[tuple[str, LaurentSeries]]) -> IdentityReport:
     """Compare ``lhs`` with each candidate right-hand side in turn and report
     the first that matches.  ``name`` may hold ``{}`` for the candidate's
@@ -99,7 +99,7 @@ def _first_match(name: str, lhs: LaurentSeries, through: int,
     failures = []
     for label, rhs in candidates:
         rep = report_from_comparison(name.format(label), lhs, rhs,
-                                     through=through, note=f"rhs {label}")
+                                     through=lhs.trunc, note=f"rhs {label}")
         if rep.matched:
             return rep
         failures.append(rep)
@@ -130,10 +130,18 @@ def verify_family_instance(fi: FamilyInstance, n_max: int,
     if top > DEFAULT_BUDGET:
         raise ValueError(f"instance {fi.describe()} at n_max={n_max} reads "
                          f"q^{top}, over the budget of {DEFAULT_BUDGET}")
-    stream = LaurentSeries(0, overpartition_residues(5, _MOD8, s, n_max)[o], _MOD8)
-    name = fi.describe() + (" [corrected offset]" if corrected_offset else "")
-    return _first_match(name, stream, n_max + 1,
-                        _rhs_candidates(fi.variant, n_max + 1))
+    return next(_check_instances([(fi, corrected_offset)], top))
+
+
+def _check_instances(rows, top: int):
+    """Each (instance, corrected_offset) row checked on its progression
+    s*n + o <= top, read from one expansion of p-bar_{-5} mod 8."""
+    gf = overpartition_gf(5, _MOD8, top + 1)
+    for fi, corrected in rows:
+        s, o = fi.corrected_progression() if corrected else fi.progression()
+        stream = extract(gf, Progression(s, o))
+        name = fi.describe() + (" [corrected offset]" if corrected else "")
+        yield _first_match(name, stream, _rhs_candidates(fi.variant, stream.trunc))
 
 
 def verify_eq1(T: int) -> IdentityReport:
@@ -185,7 +193,7 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
                                    ext, _four_f6(3, T), through=T))
     if base == 5:
         ext = extract(big, Progression(5, 1)).truncate(T)
-        return _first_match("extract(4*f1^6, 5n+1) = {} (mod 8)", ext, T,
+        return _first_match("extract(4*f1^6, 5n+1) = {} (mod 8)", ext,
                             _rhs_candidates("inf3", T))
     ext = extract(extract(big, Progression(7, 5)), Progression(7, 1)).truncate(T)
     return report_from_comparison(
@@ -193,23 +201,18 @@ def verify_induction_step(base: int, T: int) -> IdentityReport:
         _four_f6(1, T), through=T)
 
 
-# The instances ``verify_suite`` checks, in report order.
-_SUITE_INSTANCES = tuple(FamilyInstance(a, b, c, v) for a, b, c, v in (
+# The (instance, corrected_offset) rows ``verify_suite`` checks, in report order.
+_SUITE_ROWS = (*((FamilyInstance(a, b, c, v), False) for a, b, c, v in (
     (0, 0, 0, "inf"), (1, 0, 0, "inf"), (0, 1, 0, "inf"), (0, 0, 1, "inf"),
-    (0, 0, 0, "inf2"), (0, 0, 0, "inf3"), (0, 0, 0, "inf4")))
+    (0, 0, 0, "inf2"), (0, 0, 0, "inf3"), (0, 0, 0, "inf4"))),
+    (FamilyInstance(0, 0, 0, "inf4"), True))
 
 
 def verify_suite(T: int) -> list[IdentityReport]:
-    """Every family check, in report order: seven instances, inf4 again at
-    its corrected offset, then the base-3, 5 and 7 induction steps through
-    q^(T-1).  An instance s*n + o is read to n_max = max(10, (20000 - o) // s),
-    about 20,000 terms of its own mod-8 expansion.  Every right-hand side is
-    one sparse theta series, so every T >= 1 runs without a dense product."""
-    reports = []
-    for fi in _SUITE_INSTANCES:
-        for corrected in (False, True) if fi.variant == "inf4" else (False,):
-            s, o = fi.corrected_progression() if corrected else fi.progression()
-            n_max = max(10, (20_000 - o) // s)
-            reports.append(verify_family_instance(
-                fi, n_max, corrected_offset=corrected))
-    return reports + [verify_induction_step(base, T) for base in (3, 5, 7)]
+    """Every family check, in report order: the eight instance rows, each
+    read to n_max = (20000 - o) // s from one expansion of p-bar_{-5} mod 8
+    through q^20000, then the base-3, 5 and 7 induction steps through
+    q^(T-1).  Every right-hand side is one sparse theta series, so every
+    T >= 1 runs without a dense product."""
+    return [*_check_instances(_SUITE_ROWS, 20_000),
+            *(verify_induction_step(base, T) for base in (3, 5, 7))]

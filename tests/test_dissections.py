@@ -257,14 +257,43 @@ def test_verify_suite_equals_the_separate_checks(T):
 
 
 def test_verify_suite_reports_the_n7_case_under_both_names(monkeypatch):
-    # a wrong n = 7 quotient shows in dissection7 and ramanathan(7), only there
+    # a wrong n = 7 quotient shows in dissection7 and ramanathan(7), only
+    # there; a wrong n = 5 quotient likewise in dissection5 and ramanathan(5)
     real = dissect._theta_quotient
-    monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
-                        real(num, den, n, T).scale(2 if n == 7 else 1))
-    reports = verify_suite(300)
-    assert [r.matched for r in reports] == [True, True, False, True, False, True]
-    assert reports[2].first_mismatch == reports[4].first_mismatch
-    assert reports[2] == dissection7(300)
+    for bad, textbook, general, checker in ((7, 2, 4, dissection7),
+                                            (5, 1, 3, dissection5)):
+        monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
+                            real(num, den, n, T).scale(2 if n == bad else 1))
+        reports = verify_suite(300)
+        assert [r.matched for r in reports] == [
+            i not in (textbook, general) for i in range(6)]
+        assert reports[textbook].first_mismatch == reports[general].first_mismatch
+        assert reports[textbook] == checker(300)
+
+
+def test_verify_suite_takes_no_newton_inverse(monkeypatch):
+    # every quotient is a Miller recurrence in q^n; the Newton route is kept
+    # only as a test reference (test_r_q5_matches_its_newton_inverse)
+    calls = []
+    real = LaurentSeries.inverse
+
+    def spy(self):
+        calls.append(self.trunc)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", spy)
+    verify_suite(300)
+    assert calls == []
+
+
+def test_r_q5_matches_its_newton_inverse():
+    # dissection5's k = 1 and k = 2 quotients, 1/R(q^5) and R(q^5), against
+    # the Rogers-Ramanujan quotient and its Newton inverse taken in q, at the
+    # largest T the benchmark's dissections use
+    T = 4000
+    r = rogers_ramanujan(T // 5)
+    assert r.inverse().substitute_qpow(5) == _theta_quotient((2, 3), (1, 4), 5, T)
+    assert r.substitute_qpow(5) == _theta_quotient((4, 1), (2, 3), 5, T)
 
 
 def test_induction_split_identity_mod8():

@@ -150,6 +150,28 @@ def test_verify_suite_runs_no_mod2k_product(monkeypatch, T):
     assert calls == []
 
 
+def test_verify_suite_expands_the_stream_once(monkeypatch):
+    # all eight instance rows read one expansion of p-bar_{-5} mod 8
+    calls = []
+    real = series._gauss_power_mod2k
+
+    def spy(e, k, n):
+        calls.append((e, k, n))
+        return real(e, k, n)
+
+    monkeypatch.setattr(series, "_gauss_power_mod2k", spy)
+    families.verify_suite(500)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("row", range(8))
+def test_verify_suite_rows_equal_verify_family_instance(row):
+    fi, corrected = families._SUITE_ROWS[row]
+    s, o = fi.corrected_progression() if corrected else fi.progression()
+    assert (verify_family_instance(fi, (20_000 - o) // s, corrected)
+            == families.verify_suite(1)[row])
+
+
 # -- induction steps ----------------------------------------------------------
 
 
