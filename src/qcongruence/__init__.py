@@ -21,10 +21,10 @@ from .dissect import (IdentityReport, Progression, dissection3_f1cubed,
 from .eta import (EtaQuotient, colored_partition_gf, expand,
                   format_eta_quotient, overpartition_eta_quotient,
                   overpartition_gf, overpartition_residues, parse_eta_quotient)
-from .families import (DEFAULT_BUDGET, VARIANTS, FamilyInstance,
+from .families import (VARIANTS, FamilyInstance,
                        verify_eq1, verify_family_instance,
                        verify_induction_step)
-from .series import (EXACT, MAX_MOD2K_BITS, InsufficientTruncation,
+from .series import (DEFAULT_BUDGET, EXACT, MAX_MOD2K_BITS, InsufficientTruncation,
                      LaurentSeries, NonInvertibleSeries, Ring, RingMismatch,
                      agree, euler_factor, first_difference, mod2k,
                      phi_power, shifted_sum, theta_f, theta_power)

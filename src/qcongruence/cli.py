@@ -18,8 +18,8 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, check_claims,
                           conjecture_claims, enumerate_colored_overpartitions)
 from .dissect import Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
-from .series import (EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring, _Record, int_text,
-                     mod2k)
+from .series import (DEFAULT_BUDGET, EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring,
+                     _Record, int_text, mod2k)
 from .witness import builtin_certificate, load_certificate, verify_witness
 
 DEFAULT_T = 500
@@ -39,8 +39,8 @@ def _bounded(hi: int) -> Callable[[str], int]:
     return integer
 
 
-# A truncation or progression bound, capped by the families budget.
-_size = _bounded(families.DEFAULT_BUDGET)
+# A truncation or progression bound, capped by the expansion budget.
+_size = _bounded(DEFAULT_BUDGET)
 
 
 def _parse_ring(text: str) -> Ring:
@@ -118,10 +118,10 @@ def _expand_spec(args) -> LaurentSeries:
     """Expand ``args.spec`` to ``args.T``; a q-shift may not stretch the
     expansion past the size budget."""
     eq = parse_eta_quotient(args.spec)
-    if args.T - eq.qshift > families.DEFAULT_BUDGET:
+    if args.T - eq.qshift > DEFAULT_BUDGET:
         raise ValueError(
             f"expansion length {args.T - eq.qshift} (--T {args.T} minus q-shift "
-            f"{eq.qshift}) is over the budget of {families.DEFAULT_BUDGET}")
+            f"{eq.qshift}) is over the budget of {DEFAULT_BUDGET}")
     return expand(eq, args.ring, args.T)
 
 
@@ -164,10 +164,10 @@ def _verify_conjecture(rep: Report, args):
     primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
     rep.add_reports(check_claims(claims, args.n_max))
-    # how sharp each claimed modulus is: one table per prime mod 2^16, and
-    # one mod 2^64 only when a class vanishes mod 2^16
-    for p in primes:
-        observed = congruences.observed_two_adic_valuations(p, 8, args.n_max)
+    # how sharp each claimed modulus is: every prime's table mod 2^16, and
+    # mod 2^64 only the primes with a class that vanishes mod 2^16
+    valuations = congruences.observed_two_adic_valuations(primes, 8, args.n_max)
+    for p, observed in zip(primes, valuations):
         for m, j, k in congruences.CONJECTURE_PATTERN:  # m = 8 in every row
             v = observed[j]
             rep.add(f"  observed min 2-adic valuation of p̄_-{p}({m}n+{j}): "

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import time
 from functools import reduce
-from itertools import groupby, repeat
-from operator import and_, attrgetter, itemgetter, or_
+from itertools import repeat
+from operator import and_, itemgetter, or_
 
 from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
@@ -127,24 +127,37 @@ def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
 
 
 def check_claims(claims, n_max: int) -> list[ClaimReport]:
-    """Check each claim for n <= n_max, in order.  A run of consecutive
-    claims on one (t, m) reads one residue table, mod 2^K for the run's
-    largest k; each claim masks its row to its own k bits, and its
-    counterexample is the first nonzero entry.  ``ms`` is the wall time
-    since the previous report, so a run's table is charged to its first
-    claim and the ``ms`` fields add up to the call's time."""
-    reports = []
+    """Check each claim for n <= n_max; the reports come in claim order.
+
+    The claims on one m read their distinct t, in order of first
+    appearance, from ``overpartition_residues`` mod 2^K, K the largest k
+    among them, so every eight t share one kernel pass.  Each claim masks
+    its row to its own k bits, and its counterexample is the first nonzero
+    entry.  The tables are read one at a time and each is dropped before
+    the next is built, so what is alive is one table of m*(n_max+1) words
+    and one pass's accumulators (see ``series._GAUSS_PASS``).  ``ms`` is
+    the wall time since the report checked before it, so a pass is charged
+    to the first claim it serves and the ``ms`` fields add up to the
+    call's time."""
+    claims = list(claims)
+    by_m = {}  # m -> t -> the indices of the claims on (t, m)
+    for i, c in enumerate(claims):
+        by_m.setdefault(c.m, {}).setdefault(c.t, []).append(i)
+    reports = [None] * len(claims)
     start = time.perf_counter()
-    for (t, m), run in groupby(claims, key=attrgetter("t", "m")):
-        run = list(run)
-        table = overpartition_residues(t, mod2k(max(c.k for c in run)), m, n_max)
-        for c in run:
-            low = map(and_, table[c.j], repeat((1 << c.k) - 1))
-            counter = next(filter(itemgetter(1), enumerate(low)), None)
-            now = time.perf_counter()
-            reports.append(ClaimReport(c, n_max, counter, (now - start) * 1000.0))
-            start = now
-        del table, low  # the next run's table is built with none alive
+    for m, by_t in by_m.items():
+        ring = mod2k(max(claims[i].k for run in by_t.values() for i in run))
+        tables = overpartition_residues(list(by_t), ring, m, n_max)
+        for run in by_t.values():
+            table = next(tables)
+            for i in run:
+                c = claims[i]
+                low = map(and_, table[c.j], repeat((1 << c.k) - 1))
+                counter = next(filter(itemgetter(1), enumerate(low)), None)
+                now = time.perf_counter()
+                reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
+                start = now
+            del table, low  # the next table is built with none alive
     return reports
 
 
@@ -160,18 +173,24 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def observed_two_adic_valuations(t: int, m: int, n_max: int) -> list[int]:
-    """Minimal 2-adic valuation of p-bar_{-t}(m*n + j) over n <= n_max for
-    j = 0 .. m-1.  A minimum below 16 is decided mod 2^16, so one table mod
-    2^16 is read first, and one mod 2^64 only if some row vanishes mod 2^16.
-    A 64 means every value on that progression vanished mod 2^64: the true
-    valuation is at least 64."""
+def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
+    """For each t in ``ts``, the minimal 2-adic valuation of
+    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1.  A minimum below
+    16 is decided mod 2^16, so every t is read from tables mod 2^16 first,
+    sharing kernel passes, and only the t with a row that vanishes mod 2^16
+    again mod 2^64.  A 64 means every value on that progression vanished
+    mod 2^64: the true valuation is at least 64."""
+    ts = list(ts)
+    vals = {}
+    todo = ts
     for k in (16, MAX_MOD2K_BITS):
-        vals = [_min_two_adic_valuation(row)
-                for row in overpartition_residues(t, mod2k(k), m, n_max)]
-        if max(vals) < k:
+        tables = overpartition_residues(todo, mod2k(k), m, n_max)
+        for t in todo:
+            vals[t] = list(map(_min_two_adic_valuation, next(tables)))
+        todo = [t for t in todo if max(vals[t]) >= k]
+        if not todo:
             break
-    return vals
+    return [vals[t] for t in ts]
 
 
 def _min_two_adic_valuation(words) -> int:

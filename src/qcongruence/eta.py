@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 
 from .series import (InsufficientTruncation, LaurentSeries, Ring, _Record,
-                     euler_factor, phi_power)
+                     euler_factor, phi_power, theta_powers)
 
 
 class EtaQuotient(_Record):
@@ -136,11 +137,18 @@ def overpartition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:
     return expand(overpartition_eta_quotient(t), ring, T)
 
 
-def overpartition_residues(t: int, ring: Ring, m: int, n_max: int) -> tuple:
-    """m rows of n_max + 1 entries read from one expansion: row j is
-    p-bar_{-t}(m*n + j), a read-only strided view mod 2^k, a list over Z."""
-    coeffs = overpartition_gf(t, ring, m * (n_max + 1))._coeffs
-    return tuple(coeffs[j::m] for j in range(m))
+def overpartition_residues(ts: Sequence[int], ring: Ring, m: int, n_max: int):
+    """For each t in ``ts``, in order, a table of m rows of n_max + 1
+    entries read from one expansion: row j is p-bar_{-t}(m*n + j), a
+    read-only strided view mod 2^k, a list over Z.
+
+    The expansions are phi(-q)^(-t) = f_2^t / f_1^(2t) by
+    ``theta_powers``, so mod 2^k the t share kernel passes.  The tables
+    come as an iterator that builds each as it is read."""
+    if min(ts, default=1) < 1:
+        raise ValueError("color count t must be >= 1")
+    series = theta_powers(1, 1, [-t for t in ts], 1, ring, m * (n_max + 1))
+    return map(lambda s: tuple(s._coeffs[j::m] for j in range(m)), series)
 
 
 def colored_partition_gf(t: int, ring: Ring, T: int) -> LaurentSeries:

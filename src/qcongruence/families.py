@@ -30,15 +30,13 @@ from __future__ import annotations
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
 from .eta import EtaQuotient, expand, overpartition_gf, overpartition_residues
-from .series import (LaurentSeries, _Record, euler_factor, mod2k, shifted_sum,
-                     theta_power)
+from .series import (DEFAULT_BUDGET, LaurentSeries, _Record, euler_factor, mod2k,
+                     shifted_sum, theta_power)
 
 # Each variant's step and offset factors over 8n+2; the step factor is also
 # the d of its right-hand side 4*f_d^6.
 _VARIANTS = {"inf": (1, 1), "inf2": (3, 9), "inf3": (5, 5), "inf4": (7, 7)}
 VARIANTS = tuple(_VARIANTS)
-
-DEFAULT_BUDGET = 100_000
 
 _MOD8 = mod2k(3)
 
@@ -155,7 +153,8 @@ def verify_eq1(T: int) -> IdentityReport:
     The quotient is expanded mod 2 and lifted, since 4*X mod 8 reads only
     X mod 2.
     """
-    stream = LaurentSeries(0, overpartition_residues(5, _MOD8, 8, T - 1)[2], _MOD8)
+    [table] = overpartition_residues([5], _MOD8, 8, T - 1)
+    stream = LaurentSeries(0, table[2], _MOD8)
     rhs = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), mod2k(1),
                  T).to_ring(_MOD8).scale(4)
     return _all_matched(

@@ -9,7 +9,7 @@ Two coefficient rings are supported: exact arbitrary-precision integers, and
 integers modulo 2^k for 1 <= k <= 64.  Over Z a series keeps a list of
 Python ints; mod 2^k it keeps canonical residues as a read-only view of an
 ``array('Q')`` of little-endian uint64 words.  Only :class:`Ring`, the
-convolution kernels and ``theta_power``, which picks its power routine by
+convolution kernels and ``theta_powers``, which picks its power routine by
 ring, know which ring they serve.  The mod-2^k kernels work
 on one big integer whose byte-aligned slots hold one coefficient each:
 packing and unpacking are ``bytearray`` extended-slice copies, a product is
@@ -22,9 +22,13 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from itertools import compress, count
+from itertools import compress, count, repeat
 
 MAX_MOD2K_BITS = 64
+
+# The most terms a command expands: it bounds --T and --n-max, what
+# ``expand`` and ``extract`` read, a family instance and a witness base.
+DEFAULT_BUDGET = 100_000
 
 
 class RingMismatch(ValueError):
@@ -515,13 +519,21 @@ def phi_power(d: int, e: int, ring: Ring, T: int) -> LaurentSeries:
 
 
 def theta_power(x: int, y: int, e: int, d: int, ring: Ring, T: int) -> LaurentSeries:
-    """f(-q^x, -q^y)^e through q^(T-1) after q -> q^d.
+    """f(-q^x, -q^y)^e through q^(T-1) after q -> q^d: ``theta_powers``
+    with the one exponent e."""
+    return next(theta_powers(x, y, (e,), d, ring, T))
 
-    The power is taken at length ceil(T/d) before the substitution: mod 2^k
-    for phi = f(-q, -q) as sum_{i<k} C(e, i) 2^i X^i by Horner's rule in
-    the sparse X; over Z by Miller's recurrence on the sparse theta series,
-    e = -1 included; otherwise by binary powering, since the recurrence's
-    division by k is unavailable mod 2^k.
+
+def theta_powers(x: int, y: int, es: Sequence[int], d: int, ring: Ring, T: int):
+    """f(-q^x, -q^y)^e through q^(T-1) after q -> q^d for each e in ``es``,
+    in order, as an iterator that builds each series as it is read.
+
+    Each power is taken at length ceil(T/d) before the substitution: mod
+    2^k for phi = f(-q, -q) as sum_{i<k} C(e, i) 2^i X^i in the sparse X,
+    every e of a pass sharing one stream of powers of X
+    (``_gauss_power_mod2k``); over Z by Miller's recurrence on the sparse
+    theta series, e = -1 included; otherwise by binary powering, since the
+    recurrence's division by k is unavailable mod 2^k.
     """
     if d < 1:
         raise ValueError(f"theta_power needs d >= 1, got {d}")
@@ -529,13 +541,15 @@ def theta_power(x: int, y: int, e: int, d: int, ring: Ring, T: int) -> LaurentSe
         raise InsufficientTruncation("need T >= 1")
     n = (T - 1) // d + 1
     if not ring.is_exact and (x, y) == (1, 1):
-        base = LaurentSeries(0, _gauss_power_mod2k(e, ring.k, n), ring)
+        powers = map(LaurentSeries, repeat(0), _gauss_power_mod2k(es, ring.k, n),
+                     repeat(ring))
     else:
         base = theta_f(x, y, n, ring)
-        if e != 1:
-            base = (LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
-                    if ring.is_exact else base.pow(e))
-    return base.substitute_qpow(d).truncate(T)
+        powers = map(lambda e: base if e == 1 else
+                     LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
+                     if ring.is_exact else base.pow(e), es)
+    # map, not a generator expression: no series outlives its reader
+    return map(lambda p: p.substitute_qpow(d).truncate(T), powers)
 
 
 def shifted_sum(terms: Sequence[tuple[int, int, LaurentSeries]], ring: Ring,
@@ -566,45 +580,85 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     return a
 
 
-def _gauss_power_mod2k(e: int, k: int, n: int) -> array:
-    """(1 + 2X)^e mod 2^k to n terms, as uint64 words, by Horner's rule in X
-    over the terms C(e, i) 2^i X^i with i < k and i <= e, on one int of n
-    w-byte slots.  (1 + 2X)^(2^(k-1)) == 1 (mod 2^k), so e is first reduced
-    mod 2^(k-1), and C(e, i) = 0 past e.  The first step,
-    a constant times X, is written slot by slot; each of the at most k - 2
-    others is sqrt(n) shifted adds.
+# The exponents one _gauss_power_mod2k pass serves.  A pass holds, per
+# exponent, an accumulator of n slots of 2k bits (16 bytes at k = 64, 4 at
+# k = 16), beside a few copies of one power of X: a pass of eight peaks at
+# about 245 bytes a term at k = 64 (39 MB at n = 160,008) and 66 at k = 16
+# (tracemalloc).  Eight keeps the four theorem t and the six default
+# conjecture primes in one pass; more exponents take more passes.
+_GAUSS_PASS = 8
 
-    The slots run backwards, q^0 in the top one, so a product by q^(r^2) is
-    a right shift that drops what falls past q^(n-1); the largest squares
-    go first, so the sums grow from their shortest terms.  acc * X = P - N,
-    the sums over the even and the odd r.  A slot of either sums fewer than
-    2^g residues below 2^k, so with a bias of 2^(k+g) per slot, P + bias - N
-    borrows across no slot, and an AND with 2^k - 1 per slot drops the bias
-    and reduces mod 2^k.
+
+def _gauss_power_mod2k(es: Sequence[int], k: int, n: int):
+    """(1 + 2X)^e mod 2^k to n terms for each e in es, in order, as uint64
+    words: the sum of C(e, i) 2^i X^i over i < k and i <= e.  (1 +
+    2X)^(2^(k-1)) == 1 (mod 2^k), so e is first reduced mod 2^(k-1), and
+    C(e, i) = 0 past e.
+
+    A pass of at most _GAUSS_PASS exponents steps X^1, X^2, ... up to one
+    below its longest sum, each power once: X^1 is written slot by slot,
+    and each later power is the one before times X, sqrt(n) shifted adds.
+    Each power is widened once, added times C(e, i) 2^i into the
+    accumulator of every e that reads it, and dropped; a single e takes as
+    many steps as Horner's rule would.  A pass's words are built as they
+    are read, so a caller that drops each holds one at a time.
+
+    The narrow slots run backwards, q^0 in the top one, so a product by
+    q^(r^2) is a right shift that drops what falls past q^(n-1); the
+    largest squares go first, so the sums grow from their shortest terms.
+    X^i is read only mod 2^(k-i), so it is kept mod 2^K in w-byte slots,
+    K = 8w - g - 1 >= k - i, a byte narrower whenever k - i allows.  X^i =
+    P - N, the sums of X^(i-1)'s shifts over the even and the odd r.  A
+    slot of either sums fewer than 2^g residues below 2^K, so with a bias
+    of 2^(K+g) per slot, P + bias - N borrows across no slot, and an AND
+    with 2^K - 1 per slot drops the bias and reduces mod 2^K.  A wide slot
+    holds 1 + sum_{1<=i<k} C(e, i) 2^i X^i with the coefficient below 2^k
+    and X^i widened mod 2^(k-i): below 2^(2k).
     """
     roots = range(math.isqrt(n - 1), 0, -1)
     g = len(roots).bit_length()
-    w = (k + g + 8) // 8  # k + g + 1 bits per slot
-    e %= 1 << (k - 1)
-    top = min(k, e + 1)
+    wide = (2 * k + 7) // 8
     low = (1 << k) - 1
-    terms = [math.comb(e, i) << i & low for i in range(top)]
-    start = bytearray(w * n)  # terms[-1] * X + terms[-2], or terms[0] alone
-    if top > 1:
+    es = list(es)
+    for p in range(0, len(es), _GAUSS_PASS):
+        terms = []  # per exponent: C(e, i) 2^i mod 2^k for i < k, i <= e
+        for e in es[p:p + _GAUSS_PASS]:
+            e %= 1 << (k - 1)
+            terms.append([math.comb(e, i) << i & low for i in range(min(k, e + 1))])
+        accs = [1 << 8 * wide * (n - 1)] * len(terms)  # the constant 1 at q^0
+        w = (k + g + 7) // 8  # X, slot by slot
+        power = bytearray(w * n)
         for r in roots:
-            c = (-1) ** r * terms[-1] & low
-            start[w * (n - 1 - r * r):w * (n - r * r)] = c.to_bytes(w, "little")
-    start[-w:] = terms[max(top - 2, 0)].to_bytes(w, "little")
-    acc = int.from_bytes(start, "little")
-    mask, bias = _repeat(low, w, n), _repeat(1 << (k + g), w, n)
-    for c in reversed(terms[:top - 2]):  # acc <- acc * X + c
-        signed = [0, 0]
-        for r in roots:
-            signed[r & 1] += acc >> 8 * w * r * r
-        acc = (signed[0] + bias - signed[1]) & mask | c << 8 * w * (n - 1)
-    words = array("Q", _reslot(acc.to_bytes(w * n, "little"), w, 8, n, k))
-    words.reverse()
-    return words
+            c = (-1) ** r & (1 << 8 * w - g - 1) - 1
+            power[w * (n - 1 - r * r):w * (n - r * r)] = c.to_bytes(w, "little")
+        power = int.from_bytes(power, "little")
+        mask_w, top = 0, max(map(len, terms))
+        for i in range(1, top):
+            if i > 1:  # power <- power * X
+                if mask_w != w:
+                    mask_w, K = w, 8 * w - g - 1
+                    mask, bias = _repeat((1 << K) - 1, w, n), _repeat(1 << (K + g), w, n)
+                signed = [0, 0]
+                for r in roots:
+                    signed[r & 1] += power >> 8 * w * r * r
+                power = (signed[0] + bias - signed[1]) & mask
+            raw = power.to_bytes(w * n, "little")
+            widened = int.from_bytes(_reslot(raw, w, wide, n, k - i), "little")
+            for j, cs in enumerate(terms):
+                if i < len(cs) and cs[i]:
+                    accs[j] += cs[i] * widened
+            if i + 1 < top and (k - i + g + 7) // 8 < w:  # X^(i+1) fits a byte less
+                w -= 1
+                power = int.from_bytes(_reslot(raw, w + 1, w, n, 8 * w - g - 1),
+                                       "little")
+            raw = widened = None
+        power = None
+        while accs:  # each accumulator is dropped as its words are built
+            words = array("Q", _reslot(accs.pop(0).to_bytes(wide * n, "little"),
+                                       wide, 8, n, k))
+            words.reverse()
+            yield words
+            del words  # not kept while the next words are built
 
 
 def theta_f(x: int, y: int, T: int, ring: Ring = EXACT) -> LaurentSeries:

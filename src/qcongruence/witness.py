@@ -18,9 +18,8 @@ import os
 
 from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
-from .families import DEFAULT_BUDGET
-from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record,
-                     field_text, first_difference, int_text)
+from .series import (DEFAULT_BUDGET, EXACT, InsufficientTruncation, LaurentSeries,
+                     _Record, field_text, first_difference, int_text)
 
 
 class WitnessCertificate(_Record):

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from qcongruence import cli, dissect, eta, families, witness
+from qcongruence import cli, dissect, families, series, witness
 from qcongruence.cli import main
 from qcongruence.congruences import (_ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX,
                                      ClaimReport, CongruenceClaim)
 from qcongruence.dissect import IdentityReport
-from qcongruence.families import DEFAULT_BUDGET
-from qcongruence.series import EXACT, LaurentSeries, euler_factor, int_text
+from qcongruence.series import (DEFAULT_BUDGET, EXACT, LaurentSeries, euler_factor,
+                                int_text)
 from qcongruence.witness import WitnessReport, builtin_certificate, format_certificate
 
 
@@ -244,16 +244,22 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, want", [
-    # one table per t, mod 2^(largest k on that t)
-    (["theorems"], [(5, 7), (7, 7), (11, 6), (13, 8)]),
-    # per prime: the claims' table mod 2^5, then the valuation table mod 2^16
-    (["conjecture", "3", "17"], [(3, 5), (17, 5), (3, 16), (17, 16)]),
+    # one kernel pass for the four t, mod 2^(the largest k)
+    (["theorems"], [((-5, -7, -11, -13), 8)]),
+    # one pass per k for both primes: the claims' mod 2^5, the valuations'
+    # mod 2^16
+    (["conjecture", "3", "17"], [((-3, -17), 5), ((-3, -17), 16)]),
 ], ids=["theorems", "conjecture"])
 def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, want):
     calls = []
-    real = eta.overpartition_gf
-    monkeypatch.setattr(eta, "overpartition_gf",
-                        lambda t, ring, T: calls.append((t, ring.k)) or real(t, ring, T))
+    real = series._gauss_power_mod2k
+
+    def spy(es, k, n):
+        calls.append((tuple(es), k))
+        assert n == 8 * 51
+        return real(es, k, n)
+
+    monkeypatch.setattr(series, "_gauss_power_mod2k", spy)
     code, _, _ = run(capsys, "verify", *argv, "--n-max", "50")
     assert code == 0
     assert calls == want
@@ -454,6 +460,16 @@ GOLDEN_RUNS = [
     # paths and expand's factor order
     ("expand_witness_prefactor",
      ["expand", "q^-17 * f1^79 * f2^-38 * f4^36 * f8^-72", "--T", "400"]),
+    # the claims at the theorems benchmark's largest size and far above it,
+    # a prime past 2^(k-1) for every claimed k, and more primes than one
+    # mod-2^k pass of the kernel takes
+    ("verify_theorems_n1535", ["verify", "theorems", "--n-max", "1535"]),
+    ("verify_theorems_n20000", ["verify", "theorems", "--n-max", "20000"]),
+    ("verify_conjecture_3_1999",
+     ["verify", "conjecture", "3", "1999", "--n-max", "1000"]),
+    ("verify_conjecture_11_primes",
+     ["verify", "conjecture", *"3 5 7 11 13 17 19 23 29 31 1999".split(),
+      "--n-max", "300"]),
 ]
 
 

@@ -72,7 +72,8 @@ def test_all_theorem_claims_are_sharp():
     # strengthening any claim to 2^(k+1) fails within n <= 400: the observed
     # minimal 2-adic valuations equal the claimed k everywhere
     for c in THEOREM_CLAIMS:
-        assert observed_two_adic_valuations(c.t, c.m, 400)[c.j] == c.k
+        [observed] = observed_two_adic_valuations([c.t], c.m, 400)
+        assert observed[c.j] == c.k
     strengthened = [CongruenceClaim(c.t, c.m, c.j, c.k + 1, c.source)
                     for c in THEOREM_CLAIMS]
     assert not any(r.holds for r in check_claims(strengthened, 400))
@@ -156,13 +157,31 @@ def test_valuations_reexpand_mod_2_64_only_when_a_row_vanishes_mod_2_16(
         monkeypatch, t, want, tables):
     read = []
 
-    def residues(t, ring, m, n_max):
+    def residues(ts, ring, m, n_max):
         read.append(ring.k)
-        return overpartition_residues(t, ring, m, n_max)
+        return overpartition_residues(ts, ring, m, n_max)
 
     monkeypatch.setattr(congruences, "overpartition_residues", residues)
-    assert observed_two_adic_valuations(t, 8, 50) == want
+    assert observed_two_adic_valuations([t], 8, 50) == [want]
     assert read == tables
+
+
+def test_valuations_reexpand_mod_2_64_only_the_t_that_need_it(monkeypatch):
+    # the five t share one mod-2^16 pass; only 2^16 and 2^17 have a row that
+    # vanishes mod 2^16, and the mod-2^64 pass reads those two alone
+    ts = [3, 2**16, 5, 2**17, 2**16 + 3]
+    read = []
+
+    def residues(ts, ring, m, n_max):
+        read.append((list(ts), ring.k))
+        return overpartition_residues(ts, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+    got = observed_two_adic_valuations(ts, 8, 50)
+    assert read == [(ts, 16), ([2**16, 2**17], 64)]
+    monkeypatch.undo()
+    assert got == [observed_two_adic_valuations([t], 8, 50)[0] for t in ts]
+    assert got[1] == [0, 17, 17, 19, 17, 18, 19, 20]
 
 
 def test_monotone_moduli():

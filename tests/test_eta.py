@@ -1,12 +1,10 @@
 """Eta quotients: expansion, the partition generating functions, and the
 textual grammar."""
 
-import functools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcongruence import eta
+from qcongruence import eta, series
 from qcongruence.congruences import (enumerate_colored_overpartitions,
                                      enumerate_colored_partitions)
 from qcongruence.dissect import Progression, extract
@@ -109,7 +107,7 @@ def _assert_mod_route_matches_factor_product(t, k, T):
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.integers(1, 3000), st.integers(1, 64), st.integers(1, 400))
 def test_overpartition_mod_route_matches_factor_product(t, k, T):
-    # Horner in X (Gauss's identity) against binary powering of the two
+    # the powers of X (Gauss's identity) against binary powering of the two
     # Euler factors and one dense product
     _assert_mod_route_matches_factor_product(t, k, T)
 
@@ -194,7 +192,7 @@ def test_expand_matches_euler_factors_one_at_a_time(exponents, qshift, T, k):
 
 def test_exact_witness_base_matches_gauss_route_mod_2_64():
     # f2^5 * f1^-10 at the witness base size for T=400: over Z by Miller's
-    # recurrence on phi(-q), reduced mod 2^64, against Horner in X mod 2^64
+    # recurrence on phi(-q), reduced mod 2^64, against the powers of X mod 2^64
     exact = expand(parse_eta_quotient("f2^5 * f1^-10"), EXACT, 3208)
     gauss = overpartition_gf(5, mod2k(64), 3208)
     assert exact.to_ring(mod2k(64)).coeffs() == gauss.coeffs()
@@ -205,12 +203,21 @@ def test_exact_witness_base_matches_gauss_route_mod_2_64():
 def test_overpartition_residues_match_extract(monkeypatch, t, ring):
     # row j of the table is extract(gf, m*n + j) for n <= n_max; the m = 56
     # table and the reference share one cached expansion of 28,056 terms
-    # (over Z at t = 1999 it takes seconds)
-    monkeypatch.setattr(eta, "overpartition_gf", functools.cache(overpartition_gf))
+    # (over Z at t = 1999 it takes seconds), which both ask theta_powers for
+    real, cache = series.theta_powers, {}
+
+    def theta_powers(x, y, es, d, ring, T):
+        key = (x, y, tuple(es), d, ring, T)
+        if key not in cache:
+            cache[key] = list(real(x, y, es, d, ring, T))
+        return iter(cache[key])
+
+    monkeypatch.setattr(series, "theta_powers", theta_powers)
+    monkeypatch.setattr(eta, "theta_powers", theta_powers)
     n_max = 500
-    gf = eta.overpartition_gf(t, ring, 56 * (n_max + 1))
+    gf = overpartition_gf(t, ring, 56 * (n_max + 1))
     for m in (8, 56):
-        table = overpartition_residues(t, ring, m, n_max)
+        [table] = overpartition_residues([t], ring, m, n_max)
         rows = [list(row) for row in table]
         assert len(rows) == m
         for j, row in enumerate(rows):
@@ -222,7 +229,8 @@ def test_overpartition_residues_match_extract(monkeypatch, t, ring):
                 row[0] += 1
             else:
                 assert row.readonly
-        assert [list(row) for row in overpartition_residues(t, ring, m, n_max)] == rows
+        [again] = overpartition_residues([t], ring, m, n_max)
+        assert [list(row) for row in again] == rows
 
 
 @pytest.mark.parametrize("ring", [EXACT, mod2k(1), mod2k(64)])

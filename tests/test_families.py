@@ -136,7 +136,7 @@ def test_four_f3_squared_is_four_f6():
 
 @pytest.mark.parametrize("T", [500, 2040])
 def test_verify_suite_runs_no_mod2k_product(monkeypatch, T):
-    # every right side is a theta series and every stream a Gauss-Horner
+    # every right side is a theta series and every stream a Gauss-route
     # table, so the suite never calls the dense mod-2^k kernel
     calls = []
     real = series._conv_mod2k

@@ -20,8 +20,9 @@ from qcongruence import series as series_module
 from qcongruence.dissect import dissection7
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, _conv_mod2k,
-                                agree, euler_factor, first_difference, mod2k,
-                                shifted_sum, theta_f, theta_power)
+                                _gauss_power_mod2k, agree, euler_factor,
+                                first_difference, mod2k, shifted_sum, theta_f,
+                                theta_power)
 
 from oracles import (binomial_product, count_partitions, generalized_pentagonal,
                      naive_euler, naive_mul, naive_pow, naive_product)
@@ -392,10 +393,28 @@ def test_theta_constant_term():
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 4),
        st.integers(1, 120), st.sampled_from([EXACT, mod2k(1), mod2k(5), mod2k(64)]))
 def test_theta_power_matches_binary_powering(x, y, e, d, T, ring):
-    # Miller's recurrence (over Z) and Horner in X (phi mod 2^k) against
-    # binary powering of the theta series, then q -> q^d
+    # Miller's recurrence (over Z) and the streamed powers of X (phi mod
+    # 2^k) against binary powering of the theta series, then q -> q^d
     want = theta_f(x, y, T, EXACT).pow(e).substitute_qpow(d).truncate(T)
     assert theta_power(x, y, e, d, ring, T) == want.to_ring(ring)
+
+
+@pytest.mark.parametrize("k, es", [
+    # tops from 1 to k in one pass: e + 1 < k for e = 0, 1, 2, 5, and
+    # t > 2^(k-1) for -130 and 300
+    (8, (-5, 0, 1, 2, 5, -130, 300, -7)),
+    (1, (-3, 0, 7)),
+    (64, (-5, 3, 2**40 + 1)),
+    # more exponents than one pass takes: three passes of eight
+    (5, tuple(range(-17, 0)) + (17, 2**20 + 3)),
+], ids=["k8", "k1", "k64", "k5-three-passes"])
+def test_gauss_kernel_matches_binary_powering(k, es):
+    # every exponent of one call against phi(-q)^e by binary powering in
+    # Z/2^k, on 3001 terms (56 squares of X)
+    n = 3001
+    phi = theta_f(1, 1, n, mod2k(k))
+    got = list(_gauss_power_mod2k(es, k, n))
+    assert [list(words) for words in got] == [phi.pow(e).coeffs() for e in es]
 
 
 # -- shifted_sum ------------------------------------------------------------------
