@@ -11,10 +11,8 @@ with the finite induction-step identities behind them.
 
 from .congruences import (CONJECTURE_PATTERN, DEFAULT_N_MAX, THEOREM_CLAIMS,
                           ClaimReport, CongruenceClaim, check_claims,
-                          check_lift_congruence, conjecture_claims,
-                          enumerate_colored_overpartitions,
-                          enumerate_colored_partitions, is_prime,
-                          observed_two_adic_valuations)
+                          conjecture_claims, enumerate_colored_overpartitions,
+                          is_prime, observed_two_adic_valuations)
 from .dissect import (IdentityReport, Progression, dissection3_f1cubed,
                       dissection5, dissection7, extract, ramanathan,
                       report_from_comparison, rogers_ramanujan)
@@ -42,12 +40,11 @@ __all__ = [
     "NonInvertibleSeries", "Progression", "Ring", "RingMismatch",
     "THEOREM_CLAIMS", "VARIANTS", "WitnessCertificate", "WitnessReport",
     "agree", "builtin_certificate", "builtin_certificate_text",
-    "certificate_common_factor", "check_claims", "check_lift_congruence",
-    "ClaimReport", "colored_partition_gf", "CongruenceClaim",
+    "certificate_common_factor", "check_claims", "ClaimReport",
+    "colored_partition_gf", "CongruenceClaim",
     "conjecture_claims", "dissection3_f1cubed", "dissection5", "dissection7",
-    "enumerate_colored_overpartitions", "enumerate_colored_partitions",
-    "euler_factor", "expand", "extract", "first_difference",
-    "format_certificate", "format_eta_quotient", "is_prime",
+    "enumerate_colored_overpartitions", "euler_factor", "expand", "extract",
+    "first_difference", "format_certificate", "format_eta_quotient", "is_prime",
     "load_certificate", "mod2k", "observed_two_adic_valuations",
     "overpartition_eta_quotient", "overpartition_gf", "overpartition_residues",
     "parse_certificate",

@@ -9,9 +9,9 @@ volatile part and are ignored by --check.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Callable
+from types import SimpleNamespace
 
 from . import congruences, dissect, families
 from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, check_claims,
@@ -29,14 +29,25 @@ VERIFY_FAILURE = 1
 USAGE_ERROR = 2
 
 
+class _BadValue(ValueError):
+    """A value its flag's type rejects; the message follows "argument FLAG: "."""
+
+
 def _bounded(hi: int) -> Callable[[str], int]:
-    """An argparse type: an integer in 1..hi."""
+    """A flag type: an integer in 1..hi."""
     def integer(text: str) -> int:
         v = int(text)
         if not 1 <= v <= hi:
-            raise argparse.ArgumentTypeError(f"must be in 1..{hi}, got {v}")
+            raise _BadValue(f"must be in 1..{hi}, got {v}")
         return v
     return integer
+
+
+def _format(text: str) -> str:
+    """The --format type."""
+    if text in ("table", "records"):
+        return text
+    raise _BadValue(f"invalid choice: {text!r} (choose from 'table', 'records')")
 
 
 # A truncation or progression bound, capped by the expansion budget.
@@ -52,7 +63,7 @@ def _parse_ring(text: str) -> Ring:
             return mod2k(int(text.removeprefix("mod2k:")))
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(
+    raise _BadValue(
         f"must be 'exact' or 'mod2k:K' with 1 <= K <= {MAX_MOD2K_BITS}, got {text!r}")
 
 
@@ -176,7 +187,7 @@ def _verify_conjecture(rep: Report, args):
 
 
 class _Target(_Record):
-    run: Callable[[Report, argparse.Namespace], None]
+    run: Callable[[Report, SimpleNamespace], None]
     reads: tuple[str, ...]  # its input flags; any other is a usage error
     # (metavar, type, help text) of its positionals, if it takes any
     positionals: tuple[str, Callable[[str], object], str] | None = None
@@ -214,72 +225,148 @@ def cmd_verify(args) -> int:
     return _emit(rep, args)
 
 
-# The input flags a subcommand may read, with their types and help.
+# The input flags a subcommand may read: (type, metavar, help) of each.
 _INPUT_FLAGS = {
-    "--T": (_size, f"series truncation (default {DEFAULT_T})"),
-    "--n-max": (_size, f"progression bound (default {DEFAULT_N_MAX})"),
-    "--ring": (_parse_ring, "coefficient ring: exact or mod2k:K (default exact)"),
+    "--T": (_size, "T", f"series truncation (default {DEFAULT_T})"),
+    "--n-max": (_size, "N", f"progression bound (default {DEFAULT_N_MAX})"),
+    "--ring": (_parse_ring, "RING", "coefficient ring: exact or mod2k:K (default exact)"),
+}
+# Every subcommand's output flags; --bless and --check exclude each other.
+_OUTPUT_FLAGS = {
+    "--format": (_format, "{table,records}", "output form (default table)"),
+    "--bless": (str, "PATH", "write the stable record output to PATH"),
+    "--check": (str, "PATH", "compare the stable record output against PATH"),
+}
+_COMMANDS = {
+    "expand": "expand an eta-quotient expression",
+    "extract": "extract an arithmetic progression from an eta-quotient expansion",
+    "verify": "run a verification suite",
+    "oracle": "cross-check series coefficients against direct enumeration",
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcongruence",
-        description="q-series expansion and congruence verification toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(usage: str, prog: str, message: str):
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(USAGE_ERROR)
 
-    def common(p, reads=()):
-        """Register the input flags in ``reads``, plus the output flags."""
-        for flag in reads:
-            type_, help_ = _INPUT_FLAGS[flag]
-            p.add_argument(flag, type=type_, help=help_)
-        p.add_argument("--format", choices=("table", "records"), default="table")
-        out = p.add_mutually_exclusive_group()
-        out.add_argument("--bless", metavar="PATH",
-                         help="write the stable record output to PATH")
-        out.add_argument("--check", metavar="PATH",
-                         help="compare the stable record output against PATH")
 
-    p = sub.add_parser("expand", help="expand an eta-quotient expression")
-    p.add_argument("spec", help='e.g. "q^-1 * f2^1 * f1^-2"')
-    common(p, ("--T", "--ring"))
-    p.set_defaults(func=cmd_expand, T=DEFAULT_T, ring=EXACT)
+def _help(usage: str, rows: list[tuple[str, str]]):
+    width = max(len(name) for name, _ in rows)
+    print(usage, "", *(f"  {name:<{width}}  {text}" for name, text in rows), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("extract", help="extract an arithmetic progression "
-                       "from an eta-quotient expansion")
-    p.add_argument("spec")
-    p.add_argument("m", type=int)
-    p.add_argument("j", type=int)
-    common(p, ("--T", "--ring"))
-    p.set_defaults(func=cmd_extract, T=DEFAULT_T, ring=EXACT)
 
-    verify = sub.add_parser("verify", help="run a verification suite").add_subparsers(
-        dest="target", required=True)
-    all_reads = tuple(dict.fromkeys(f for t in _TARGETS.values() for f in t.reads))
-    for name, target in [*_TARGETS.items(), ("all", _Target(_verify_all, all_reads))]:
-        p = verify.add_parser(name)
-        if target.positionals:
-            metavar, type_, help_ = target.positionals
-            p.add_argument("args", nargs="*", metavar=metavar, type=type_, help=help_)
-        common(p, target.reads)
+def _is_option(word: str) -> bool:
+    """A dash word that is not ``-``, a negative number or spaced."""
+    return (word[:1] == "-" and word != "-" and " " not in word
+            and not word[1:].replace(".", "", 1).isdecimal())
+
+
+def _choose(prog: str, argv: list[str], choices: dict[str, str], dest: str) -> str:
+    """``argv[0]``, which must be a key of ``choices`` (name -> help)."""
+    usage = f"usage: {prog} [-h] {{{','.join(choices)}}} ..."
+    word = argv[0] if argv else ""
+    if word == "-h" or word.startswith("--h") and "--help".startswith(word):
+        _help(usage, list(choices.items()))
+    if word not in choices:
+        _fail(usage, prog, f"argument {dest}: invalid choice: {word!r} (choose from "
+              f"{', '.join(map(repr, choices))})" if argv
+              else f"the following arguments are required: {dest}")
+    return word
+
+
+def _parse(prog: str, argv: list[str], flags: dict, fixed=(), rest=(), **defaults):
+    """One command's options, read as argparse reads them.  Its ``flags``
+    and the output flags come as ``--flag value``, ``--flag=value`` or a
+    unique prefix of the flag; positionals sit anywhere, and a negative
+    number or any word after ``--`` is one.  ``fixed`` holds the (name,
+    type, help) of each positional a run must give, ``rest`` those of at
+    most one more that takes any number of words, into ``args``."""
+    flags = {**flags, **_OUTPUT_FLAGS}
+    usage = " ".join([f"usage: {prog} [-h]",
+                      *(f"[{flag} {meta}]" for flag, (_, meta, _) in flags.items()),
+                      *(name for name, _, _ in fixed), *(f"[{name} ...]" for name, _, _ in rest)])
+
+    def convert(name, type_, text):
+        try:
+            return type_(text)
+        except _BadValue as exc:
+            _fail(usage, prog, f"argument {name}: {exc}")
+        except ValueError:
+            _fail(usage, prog, f"argument {name}: invalid {type_.__name__} value: {text!r}")
+
+    args = SimpleNamespace(format="table", bless=None, check=None, **defaults)
+    words, extras, tokens, dashes = [], [], iter(argv), False
+    for token in tokens:
+        if dashes or not _is_option(token):
+            words.append(token)
+            continue
+        if token == "--":
+            dashes = True
+            continue
+        name, eq, text = token.partition("=")
+        match = [flag for flag in (*flags, "-h", "--help")
+                 if flag == name or name[:2] == "--" and flag.startswith(name)]
+        if len(match) > 1 and name not in match:
+            _fail(usage, prog, f"ambiguous option: {name} could match {', '.join(match)}")
+        if not match:
+            extras.append(token)
+            continue
+        flag = name if name in match else match[0]
+        if flag in ("-h", "--help"):
+            _help(usage, [*((f"{flag} {meta}", text) for flag, (_, meta, text) in flags.items()),
+                          *((name, text) for name, _, text in (*fixed, *rest))])
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                _fail(usage, prog, f"argument {flag}: expected one argument")
+        other = {"--bless": "--check", "--check": "--bless"}.get(flag)
+        if other and getattr(args, other[2:]) is not None:
+            _fail(usage, prog, f"argument {flag}: not allowed with argument {other}")
+        setattr(args, flag[2:].replace("-", "_"), convert(flag, flags[flag][0], text))
+    places = (*fixed, *rest * len(words))
+    values = [convert(name, type_, word) for (name, type_, _), word in zip(places, words)]
+    if len(words) < len(fixed):
+        _fail(usage, prog, "the following arguments are required: "
+              + ", ".join(name for name, _, _ in fixed[len(words):]))
+    if extras or words[len(places):]:
+        _fail(usage, prog, f"unrecognized arguments: {' '.join(extras + words[len(places):])}")
+    vars(args).update(zip((name for name, _, _ in fixed), values))
+    if values[len(fixed):]:
+        args.args = values[len(fixed):]
+    return args
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The options of the one command ``argv`` names, with ``func``, the
+    function that runs it."""
+    command = _choose("qcongruence", argv, _COMMANDS, "command")
+    prog, argv = f"qcongruence {command}", argv[1:]
+    if command == "verify":
+        targets = {**_TARGETS, "all": _Target(_verify_all, tuple(dict.fromkeys(
+            f for t in _TARGETS.values() for f in t.reads)))}
+        name = _choose(prog, argv, {n: " ".join(t.reads) for n, t in targets.items()},
+                       "target")
+        t = targets[name]
         # every header names T and n_max, even for a target that reads neither
-        p.set_defaults(func=cmd_verify, run=target.run, T=DEFAULT_T,
-                       n_max=DEFAULT_N_MAX, args=[])
-
-    p = sub.add_parser("oracle", help="cross-check series coefficients "
-                       "against direct enumeration")
-    p.add_argument("--t", type=_bounded(congruences._ORACLE_MAX_T),
-                   help="color count (default 2)")
-    p.add_argument("--n-max", type=_bounded(congruences._ORACLE_MAX_N),
-                   help="enumeration bound (default 8)")
-    common(p)
-    p.set_defaults(func=cmd_oracle, t=2, n_max=8)
-
-    return parser
+        return _parse(f"{prog} {name}", argv[1:], {f: _INPUT_FLAGS[f] for f in t.reads},
+                      rest=(t.positionals,) if t.positionals else (), func=cmd_verify,
+                      target=name, run=t.run, T=DEFAULT_T, n_max=DEFAULT_N_MAX, args=[])
+    if command == "oracle":
+        return _parse(prog, argv, {
+            "--t": (_bounded(congruences._ORACLE_MAX_T), "T", "color count (default 2)"),
+            "--n-max": (_bounded(congruences._ORACLE_MAX_N), "N",
+                        "enumeration bound (default 8)")}, func=cmd_oracle, t=2, n_max=8)
+    fixed = (("spec", str, 'e.g. "q^-1 * f2^1 * f1^-2"'),)
+    if command == "extract":
+        fixed += (("m", int, "progression step"), ("j", int, "residue, 0 <= j < m"))
+    return _parse(prog, argv, {f: _INPUT_FLAGS[f] for f in ("--T", "--ring")}, fixed,
+                  func=cmd_extract if command == "extract" else cmd_expand,
+                  T=DEFAULT_T, ring=EXACT)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -14,9 +14,8 @@ from functools import reduce
 from itertools import repeat
 from operator import and_, itemgetter, or_
 
-from .dissect import IdentityReport, report_from_comparison
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, _Record, euler_factor, field_text, mod2k
+from .series import MAX_MOD2K_BITS, _Record, field_text, mod2k
 
 DEFAULT_N_MAX = 2000
 
@@ -200,17 +199,6 @@ def _min_two_adic_valuation(words) -> int:
     return (low & -low).bit_length() - 1 if low else 64
 
 
-def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:
-    """f_m^(2^k) == f_{2m}^(2^(k-1)) as series mod 2^k."""
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    ring = mod2k(k)
-    lhs = euler_factor(m, 1, ring, T).pow(1 << k)
-    rhs = euler_factor(2 * m, 1, ring, T).pow(1 << (k - 1))
-    name = f"f{m}^{1 << k} = f{2 * m}^{1 << (k - 1)} (mod {1 << k})"
-    return report_from_comparison(name, lhs, rhs, through=T)
-
-
 _ORACLE_MAX_N = 14
 _ORACLE_MAX_T = 5
 
@@ -250,33 +238,3 @@ def enumerate_colored_overpartitions(t: int, n: int) -> int:
         return total
 
     return over_value(n, n)
-
-
-def enumerate_colored_partitions(t: int, n: int) -> int:
-    """Direct enumeration of t-colored partitions (no overlines); oracle for
-    the 1/f_1^t expansion."""
-    if t < 1 or n < 0:
-        raise ValueError("need t >= 1 and n >= 0")
-    if n > _ORACLE_MAX_N or t > _ORACLE_MAX_T:
-        raise ValueError(
-            f"enumeration bound exceeded (n <= {_ORACLE_MAX_N}, t <= {_ORACLE_MAX_T})")
-
-    def walk(v: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if v == 0:
-            return 0
-        return colors(v, 0, remaining)
-
-    def colors(v: int, c: int, remaining: int) -> int:
-        # choose a multiplicity for color c of the part value v
-        if c == t:
-            return walk(v - 1, remaining)
-        total = 0
-        used = 0
-        while used <= remaining:
-            total += colors(v, c + 1, remaining - used)
-            used += v
-        return total
-
-    return walk(n, n)

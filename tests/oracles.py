@@ -102,3 +102,33 @@ def generalized_pentagonal(limit: int) -> dict[int, int]:
                 out[e] = s
         k += 1
     return out
+
+
+def enumerate_colored_partitions(t: int, n: int) -> int:
+    """Direct enumeration of t-colored partitions (no overlines); oracle for
+    the 1/f_1^t expansion.  Like the package's overpartition enumeration it
+    is bounded to n <= 14 and t <= 5."""
+    if t < 1 or n < 0:
+        raise ValueError("need t >= 1 and n >= 0")
+    if n > 14 or t > 5:
+        raise ValueError("enumeration bound exceeded (n <= 14, t <= 5)")
+
+    def walk(v: int, remaining: int) -> int:
+        if remaining == 0:
+            return 1
+        if v == 0:
+            return 0
+        return colors(v, 0, remaining)
+
+    def colors(v: int, c: int, remaining: int) -> int:
+        # choose a multiplicity for color c of the part value v
+        if c == t:
+            return walk(v - 1, remaining)
+        total = 0
+        used = 0
+        while used <= remaining:
+            total += colors(v, c + 1, remaining - used)
+            used += v
+        return total
+
+    return walk(n, n)

@@ -14,13 +14,15 @@ import time
 
 from qcongruence import (EXACT, FamilyInstance, LaurentSeries, Progression,
                          builtin_certificate, certificate_common_factor,
-                         THEOREM_CLAIMS, check_claims, check_lift_congruence,
+                         THEOREM_CLAIMS, check_claims,
                          CongruenceClaim, conjecture_claims,
                          dissection3_f1cubed, dissection5, dissection7,
                          enumerate_colored_overpartitions, extract, agree,
                          mod2k, overpartition_gf, ramanathan, verify_eq1,
                          verify_family_instance, verify_witness)
 from qcongruence.cli import Report
+
+from helpers import check_lift_congruence
 
 
 def _line(criterion: str, ok: bool, detail: str = ""):

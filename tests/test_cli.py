@@ -230,6 +230,96 @@ def test_malformed_flag_values_are_usage_errors(capsys, monkeypatch, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "witness", "--T=50"], {"T": 50}),
+    (["verify", "theorems", "--n-max=5"], {"n_max": 5}),
+    (["verify", "all", "--T=50", "--n-max=5"], {"T": 50, "n_max": 5}),
+    (["verify", "theorems", "--n", "5"], {"n_max": 5}),
+    (["verify", "theorems", "--n=5", "--f", "records"], {"n_max": 5, "format": "records"}),
+    (["verify", "conjecture", "3", "--n-max", "50", "17"], {"args": [3, 17], "n_max": 50}),
+    (["verify", "witness", "--T", "60", "--", "-cert.txt"], {"args": ["-cert.txt"], "T": 60}),
+], ids=["T=", "n-max=", "all-both=", "abbreviated", "abbreviated=", "primes-around-flag",
+        "dashes"])
+def test_flag_spellings_and_positionals_among_flags(monkeypatch, argv, want):
+    # --flag=value, a unique prefix of a flag, positionals on either side
+    # of a flag, and a dash word after --
+    seen = {}
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    assert main(argv) == 0
+    assert {k: seen[k] for k in want} == want
+
+
+def test_negative_integer_is_a_positional(capsys):
+    # -1 is read as j, and Progression refuses it as data
+    code, _, err = run(capsys, "extract", "f1^1", "8", "-1", "--T", "5")
+    assert code == 2
+    assert "residue j=-1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "theorems", "--x", "5"], "unrecognized arguments: --x 5"),
+    (["verify", "theorems", "--n-maxx", "5"], "unrecognized arguments: --n-maxx 5"),
+    (["verify", "theorems", "--fo", "records"],
+     "ambiguous option: --fo could match --format, --fork"),
+    (["verify", "theorems", "--n-max"], "argument --n-max: expected one argument"),
+    (["verify", "theorems", "--n-max", "--format", "records"],
+     "argument --n-max: expected one argument"),
+    (["verify", "theorems", "--format", "json"], "argument --format: invalid choice: 'json'"),
+    (["extract", "f1^1", "8"], "the following arguments are required: j"),
+    (["extract", "f1^1", "x", "0"], "argument m: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["verify"], "the following arguments are required: target"),
+    (["verify", "everything"], "argument target: invalid choice: 'everything'"),
+], ids=["unknown-flag", "longer-than-flag", "ambiguous-prefix", "no-value", "flag-as-value",
+        "format-choice", "missing-positional", "bad-int", "empty", "unknown-command",
+        "no-target", "unknown-target"])
+def test_parse_errors_exit_2_with_usage(capsys, monkeypatch, argv, message):
+    # a second output flag sharing a prefix with --format makes --fo ambiguous
+    monkeypatch.setitem(cli._OUTPUT_FLAGS, "--fork", (str, "X", "test only"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcongruence") and message in err
+
+
+_OUT = ["--format", "--bless", "--check"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["-h"], list(cli._COMMANDS)),
+    (["--help"], list(cli._COMMANDS)),
+    (["--he"], list(cli._COMMANDS)),
+    (["verify", "-h"], [*cli._TARGETS, "all"]),
+    (["expand", "--help"], ["--T", "--ring", *_OUT, "spec"]),
+    (["extract", "-h"], ["--T", "--ring", *_OUT, "spec", "m", "j"]),
+    (["oracle", "-h"], ["--t", "--n-max", *_OUT]),
+    *((["verify", name, "-h"], [*t.reads, *_OUT, *(t.positionals or ())[:1]])
+      for name, t in cli._TARGETS.items()),
+    (["verify", "all", "-h"], ["--n-max", "--T", *_OUT]),
+    (["verify", "theorems", "--n-max", "5", "--h"], ["--n-max", *_OUT]),
+])
+def test_help_exits_0_and_names_each_flag(capsys, argv, names):
+    # at the top, verify and every command or target: each row starts with
+    # a command, a flag or a positional
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    words = [w for w in argv[:2] if not w.startswith("-")]
+    assert out.startswith(" ".join(["usage: qcongruence", *words, "[-h]"]))
+    rows = [line.split()[0] for line in out.splitlines()[2:]]
+    assert rows == names
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["qcongruence", "expand", "f1^1", "--T", "2"])
+    assert main() == 0
+    assert "q^1: -1" in capsys.readouterr().out
+
+
 def test_verify_conjecture_explicit_primes(capsys):
     code, out, _ = run(capsys, "verify", "conjecture", "3", "17",
                        "--n-max", "50")
@@ -621,7 +711,8 @@ def test_cli_runs_without_numpy():
 
 def test_cli_start_up_imports_only_what_it_uses():
     # each of these costs a CLI run milliseconds of start-up (dataclasses
-    # pulls in inspect, ast, dis and tokenize) and none is needed there;
+    # pulls in inspect, ast, dis and tokenize, argparse gettext and locale)
+    # and none is needed there;
     # -S keeps site's own imports out, and what the interpreter loaded
     # before the package does not count
     script = ("import sys\n"
@@ -636,5 +727,5 @@ def test_cli_start_up_imports_only_what_it_uses():
     codes, new = ast.literal_eval(proc.stderr.splitlines()[-1])
     assert codes == [0, 0]
     unused = {"dataclasses", "inspect", "typing", "decimal", "pathlib",
-              "importlib.resources"}
+              "importlib.resources", "argparse", "gettext", "locale"}
     assert not unused & set(new), sorted(unused & set(new))

@@ -10,16 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
                                      CongruenceClaim, check_claims,
-                                     check_lift_congruence,
                                      conjecture_claims,
-                                     enumerate_colored_overpartitions,
-                                     enumerate_colored_partitions, is_prime,
+                                     enumerate_colored_overpartitions, is_prime,
                                      observed_two_adic_valuations,
                                      _min_two_adic_valuation)
 from qcongruence.dissect import Progression, extract
 from qcongruence import congruences
 from qcongruence.eta import overpartition_gf, overpartition_residues
 from qcongruence.series import EXACT
+
+from helpers import check_lift_congruence
+from oracles import enumerate_colored_partitions
 
 
 def claim(t, m, j, k):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcongruence import eta, series
-from qcongruence.congruences import (enumerate_colored_overpartitions,
-                                     enumerate_colored_partitions)
+from qcongruence.congruences import enumerate_colored_overpartitions
 from qcongruence.dissect import Progression, extract
 from qcongruence.eta import (EtaQuotient, colored_partition_gf, expand,
                              format_eta_quotient, overpartition_eta_quotient,
@@ -15,7 +14,7 @@ from qcongruence.eta import (EtaQuotient, colored_partition_gf, expand,
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 agree, euler_factor, mod2k, phi_power)
 
-from oracles import count_partitions, naive_overpartition
+from oracles import count_partitions, enumerate_colored_partitions, naive_overpartition
 
 
 def test_expand_overpartition_quotient_against_enumeration():
