@@ -67,27 +67,27 @@ def _parse_ring(text: str) -> Ring:
         f"must be 'exact' or 'mod2k:K' with 1 <= K <= {MAX_MOD2K_BITS}, got {text!r}")
 
 
-def _ring_name(ring: Ring) -> str:
-    return "exact" if ring.is_exact else f"mod2k:{ring.k}"
+def _option_text(value) -> str:
+    """A header value: a ring as --ring spells it, a string quoted."""
+    if isinstance(value, Ring):
+        return "exact" if value.is_exact else f"mod2k:{value.k}"
+    return f'"{value}"' if isinstance(value, str) else str(value)
 
 
 class Report:
-    """Collects result lines in both human and record form."""
+    """A run's header and its rows, each a (table line, record line) pair."""
 
     def __init__(self, command: str, options: dict):
         self.header = [f"# qcongruence {command}"]
         opts = " ".join(f"{k}={v}" for k, v in options.items())
         if opts:
             self.header.append(f"# options: {opts}")
-        self.table: list[str] = []
-        self.records: list[str] = []
+        self.rows: list[tuple[str, str]] = []
         self.ok = True
 
     def add(self, summary: str, record: str, ok: bool = True):
-        self.table.append(summary)
-        self.records.append(record)
-        if not ok:
-            self.ok = False
+        self.rows.append((summary, record))
+        self.ok = self.ok and ok
 
     def add_reports(self, reports):
         """Add each report's ``summary()`` and ``record()``; any failed
@@ -96,7 +96,7 @@ class Report:
             self.add(r.summary(), r.record(), ok=r.ok)
 
     def lines(self, fmt: str) -> list[str]:
-        return self.header + (self.records if fmt == "records" else self.table)
+        return self.header + [row[fmt == "records"] for row in self.rows]
 
 
 def _strip_volatile(line: str) -> str:
@@ -104,20 +104,20 @@ def _strip_volatile(line: str) -> str:
 
 
 def _emit(report: Report, args) -> int:
-    lines = report.lines(args.format)
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
+    """Print the form --format names; the stable record text is built only
+    for --bless or --check."""
+    sys.stdout.write("\n".join(report.lines(args.format)) + "\n")
+    if args.bless or args.check:
+        stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
     if args.bless:
         with open(args.bless, "w") as f:
             f.write(stable)
         sys.stdout.write(f"# blessed -> {args.bless}\n")
     elif args.check:
         with open(args.check) as f:
-            expected = f.read()
-        if expected != stable:
-            sys.stdout.write(f"# REGRESSION: output differs from {args.check}\n")
-            return VERIFY_FAILURE
+            if f.read() != stable:
+                sys.stdout.write(f"# REGRESSION: output differs from {args.check}\n")
+                return VERIFY_FAILURE
         sys.stdout.write(f"# matches {args.check}\n")
     return 0 if report.ok else VERIFY_FAILURE
 
@@ -136,28 +136,19 @@ def _expand_spec(args) -> LaurentSeries:
     return expand(eq, args.ring, args.T)
 
 
-def cmd_expand(args) -> int:
+def _expand(rep: Report, args):
     series = _expand_spec(args)
-    rep = Report("expand", {"spec": f'"{args.spec}"', "T": args.T,
-                            "ring": _ring_name(args.ring)})
-    for i, c in enumerate(map(int_text, series.coeffs())):
-        e = series.offset + i
+    for e, c in enumerate(map(int_text, series.coeffs()), series.offset):
         rep.add(f"q^{e}: {c}", f"coeff e={e} value={c}")
-    return _emit(rep, args)
 
 
-def cmd_extract(args) -> int:
-    series = _expand_spec(args)
-    stream = extract(series, Progression(args.m, args.j))
-    rep = Report("extract", {"spec": f'"{args.spec}"', "m": args.m, "j": args.j,
-                             "T": args.T, "ring": _ring_name(args.ring)})
+def _extract(rep: Report, args):
+    stream = extract(_expand_spec(args), Progression(args.m, args.j))
     for n, c in enumerate(map(int_text, stream.coeffs())):
         rep.add(f"n={n} (q^{args.m * n + args.j}): {c}", f"coeff n={n} value={c}")
-    return _emit(rep, args)
 
 
-def cmd_oracle(args) -> int:
-    rep = Report("oracle", {"t": args.t, "n_max": args.n_max})
+def _oracle(rep: Report, args):
     gf = overpartition_gf(args.t, EXACT, args.n_max + 1)
     for n in range(args.n_max + 1):
         enum = enumerate_colored_overpartitions(args.t, n)
@@ -168,7 +159,6 @@ def cmd_oracle(args) -> int:
                 + ("" if match else "  <-- DISAGREE"),
                 f"oracle t={args.t} n={n} enumeration={enum} series={coeff} "
                 f"agree={str(match).lower()}", ok=match)
-    return _emit(rep, args)
 
 
 def _verify_conjecture(rep: Report, args):
@@ -213,14 +203,16 @@ _TARGETS = {
 
 
 def _verify_all(rep: Report, args):
+    builtin_certificate().base_terms(args.T)  # over the budget: fail before any section
     for name, target in _TARGETS.items():
-        rep.table.append(f"-- {name} --")
-        rep.records.append(f"# section {name}")
+        rep.add(f"-- {name} --", f"# section {name}")
         target.run(rep, args)
 
 
-def cmd_verify(args) -> int:
-    rep = Report(f"verify {args.target}", {"T": args.T, "n_max": args.n_max})
+def _run(args) -> int:
+    """Run one command: its builder fills a Report headed by its options."""
+    rep = Report(args.command, {name: _option_text(getattr(args, name))
+                                for name in args.header})
     args.run(rep, args)
     return _emit(rep, args)
 
@@ -275,13 +267,16 @@ def _choose(prog: str, argv: list[str], choices: dict[str, str], dest: str) -> s
     return word
 
 
-def _parse(prog: str, argv: list[str], flags: dict, fixed=(), rest=(), **defaults):
+def _parse(command: str, argv: list[str], flags: dict, run, fixed=(), rest=(), **header):
     """One command's options, read as argparse reads them.  Its ``flags``
     and the output flags come as ``--flag value``, ``--flag=value`` or a
     unique prefix of the flag; positionals sit anywhere, and a negative
     number or any word after ``--`` is one.  ``fixed`` holds the (name,
     type, help) of each positional a run must give, ``rest`` those of at
-    most one more that takes any number of words, into ``args``."""
+    most one more that takes any number of words, into ``args``.  The
+    report's header names the ``fixed`` positionals, then the options
+    ``header`` gives defaults for; ``run`` fills its rows."""
+    prog = f"qcongruence {command}"
     flags = {**flags, **_OUTPUT_FLAGS}
     usage = " ".join([f"usage: {prog} [-h]",
                       *(f"[{flag} {meta}]" for flag, (_, meta, _) in flags.items()),
@@ -295,7 +290,8 @@ def _parse(prog: str, argv: list[str], flags: dict, fixed=(), rest=(), **default
         except ValueError:
             _fail(usage, prog, f"argument {name}: invalid {type_.__name__} value: {text!r}")
 
-    args = SimpleNamespace(format="table", bless=None, check=None, **defaults)
+    args = SimpleNamespace(command=command, run=run, format="table", bless=None, check=None,
+                           header=(*(name for name, _, _ in fixed), *header), **header)
     words, extras, tokens, dashes = [], [], iter(argv), False
     for token in tokens:
         if dashes or not _is_option(token):
@@ -331,44 +327,41 @@ def _parse(prog: str, argv: list[str], flags: dict, fixed=(), rest=(), **default
               + ", ".join(name for name, _, _ in fixed[len(words):]))
     if extras or words[len(places):]:
         _fail(usage, prog, f"unrecognized arguments: {' '.join(extras + words[len(places):])}")
-    vars(args).update(zip((name for name, _, _ in fixed), values))
-    if values[len(fixed):]:
-        args.args = values[len(fixed):]
+    vars(args).update(zip((name for name, _, _ in fixed), values), args=values[len(fixed):])
     return args
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace:
-    """The options of the one command ``argv`` names, with ``func``, the
-    function that runs it."""
+    """The options of the one command ``argv`` names, with ``run``, the
+    builder that fills its report."""
     command = _choose("qcongruence", argv, _COMMANDS, "command")
-    prog, argv = f"qcongruence {command}", argv[1:]
+    argv = argv[1:]
     if command == "verify":
         targets = {**_TARGETS, "all": _Target(_verify_all, tuple(dict.fromkeys(
             f for t in _TARGETS.values() for f in t.reads)))}
-        name = _choose(prog, argv, {n: " ".join(t.reads) for n, t in targets.items()},
-                       "target")
+        name = _choose("qcongruence verify", argv,
+                       {n: " ".join(t.reads) for n, t in targets.items()}, "target")
         t = targets[name]
         # every header names T and n_max, even for a target that reads neither
-        return _parse(f"{prog} {name}", argv[1:], {f: _INPUT_FLAGS[f] for f in t.reads},
-                      rest=(t.positionals,) if t.positionals else (), func=cmd_verify,
-                      target=name, run=t.run, T=DEFAULT_T, n_max=DEFAULT_N_MAX, args=[])
+        return _parse(f"verify {name}", argv[1:], {f: _INPUT_FLAGS[f] for f in t.reads},
+                      t.run, rest=(t.positionals,) if t.positionals else (),
+                      T=DEFAULT_T, n_max=DEFAULT_N_MAX)
     if command == "oracle":
-        return _parse(prog, argv, {
+        return _parse(command, argv, {
             "--t": (_bounded(congruences._ORACLE_MAX_T), "T", "color count (default 2)"),
             "--n-max": (_bounded(congruences._ORACLE_MAX_N), "N",
-                        "enumeration bound (default 8)")}, func=cmd_oracle, t=2, n_max=8)
+                        "enumeration bound (default 8)")}, _oracle, t=2, n_max=8)
     fixed = (("spec", str, 'e.g. "q^-1 * f2^1 * f1^-2"'),)
     if command == "extract":
         fixed += (("m", int, "progression step"), ("j", int, "residue, 0 <= j < m"))
-    return _parse(prog, argv, {f: _INPUT_FLAGS[f] for f in ("--T", "--ring")}, fixed,
-                  func=cmd_extract if command == "extract" else cmd_expand,
-                  T=DEFAULT_T, ring=EXACT)
+    return _parse(command, argv, {f: _INPUT_FLAGS[f] for f in ("--T", "--ring")},
+                  _extract if command == "extract" else _expand, fixed, T=DEFAULT_T, ring=EXACT)
 
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

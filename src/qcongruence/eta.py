@@ -9,6 +9,7 @@ powers of q go in ``qshift``, so all exponents stay integral.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Sequence
 
@@ -24,15 +25,18 @@ class EtaQuotient(_Record):
     qshift: int = 0
 
     def __post_init__(self):
-        if self.M < 1:
+        # operator.index: a float or a Fraction is a TypeError, never truncated
+        M, qshift = operator.index(self.M), operator.index(self.qshift)
+        if M < 1:
             raise ValueError("level M must be positive")
         cleaned = {}
         for d, r in sorted(self.exponents.items()):
-            if d < 1 or self.M % d != 0:
-                raise ValueError(f"divisor {d} does not divide level {self.M}")
+            d, r = operator.index(d), operator.index(r)
+            if d < 1 or M % d != 0:
+                raise ValueError(f"divisor {d} does not divide level {M}")
             if r != 0:
-                cleaned[int(d)] = int(r)
-        self.__dict__.update(M=int(self.M), exponents=cleaned, qshift=int(self.qshift))
+                cleaned[d] = r
+        self.__dict__.update(M=M, exponents=cleaned, qshift=qshift)
 
     def __str__(self) -> str:
         return format_eta_quotient(self)

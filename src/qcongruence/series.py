@@ -90,8 +90,10 @@ class Ring(_Record):
     k: int | None = None
 
     def __post_init__(self):
-        if self.k is not None and not 1 <= self.k <= MAX_MOD2K_BITS:
-            raise ValueError(f"mod-2^k ring needs 1 <= k <= {MAX_MOD2K_BITS}, got {self.k}")
+        if self.k is not None:
+            self.__dict__["k"] = k = operator.index(self.k)
+            if not 1 <= k <= MAX_MOD2K_BITS:
+                raise ValueError(f"mod-2^k ring needs 1 <= k <= {MAX_MOD2K_BITS}, got {k}")
 
     @property
     def is_exact(self) -> bool:
@@ -141,7 +143,7 @@ class LaurentSeries:
         self._coeffs = ring.coerce(coeffs)
         if len(self._coeffs) == 0:
             raise ValueError("series needs at least one represented coefficient")
-        self.offset = int(offset)
+        self.offset = operator.index(offset)
         self.ring = ring
 
     # -- construction helpers -------------------------------------------------
@@ -196,10 +198,12 @@ class LaurentSeries:
 
     def __str__(self) -> str:
         terms = []
-        shown = 0
         for i, c in enumerate(self.coeffs()):
             if c == 0:
                 continue
+            if len(terms) == 8:  # a ninth nonzero term is left out
+                terms.append("...")
+                break
             e = self.offset + i
             if e == 0:
                 terms.append(int_text(c))
@@ -207,10 +211,6 @@ class LaurentSeries:
                 terms.append(f"{int_text(c)}*q")
             else:
                 terms.append(f"{int_text(c)}*q^{e}")
-            shown += 1
-            if shown >= 8:
-                terms.append("...")
-                break
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.trunc})"
 

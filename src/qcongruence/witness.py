@@ -73,6 +73,21 @@ class WitnessCertificate(_Record):
     def degree(self) -> int:
         return self.poly_min_degree + len(self.poly) - 1
 
+    def base_terms(self, T: int) -> int:
+        """How many terms of the base quotient a check through T reads; a
+        ValueError if no check can run at T.  Its window q^lo..q^(lo+T-1)
+        starts at the left side's deepest pole, the prefactor's: past T it
+        never reaches q^0, and bounding it by T bounds the degree too."""
+        pole = -self.prefactor.qshift
+        if pole >= T:
+            raise ValueError(f"witness {self.id}: the prefactor's pole order {pole} is at "
+                             f"least T={T}, so the comparison window never reaches q^0")
+        n = self.m * T + max(self.pset) + 1
+        if n > DEFAULT_BUDGET:
+            raise ValueError(f"witness {self.id} needs its base expanded to {n} "
+                             f"terms, over the budget of {DEFAULT_BUDGET}")
+        return n
+
 
 class WitnessReport(_Record):
     certificate_id: str
@@ -131,25 +146,16 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     at the lower of the two sides' lowest exponents."""
     if T < 1:
         raise InsufficientTruncation("need T >= 1 output coefficients")
+    n = c.base_terms(T)
     # the extracted streams are power series, so the left side's pole order
     # is at most the prefactor's; the right side's deepest pole is that of
     # the top term, and each degree costs one product by the hauptmodul
     lhs_pole, h_pole = -c.prefactor.qshift, -c.hauptmodul.qshift
-    # the window q^lo..q^(lo+T-1) starts at the left side's deepest pole; past
-    # T it never reaches q^0, and bounding it by T bounds the degree too
-    if lhs_pole >= T:
-        raise ValueError(
-            f"witness {c.id}: the prefactor's pole order {lhs_pole} is at "
-            f"least T={T}, so the comparison window never reaches q^0")
     if c.degree * h_pole > lhs_pole:
         raise ValueError(
             f"witness {c.id}: poly degree {c.degree} times the hauptmodul's "
             f"pole order {h_pole} is {c.degree * h_pole}, past the left "
             f"side's pole order {lhs_pole}")
-    n = c.m * T + max(c.pset) + 1
-    if n > DEFAULT_BUDGET:
-        raise ValueError(f"witness {c.id} needs its base expanded to {n} "
-                         f"terms, over the budget of {DEFAULT_BUDGET}")
     base = expand(EtaQuotient(c.M, c.r), EXACT, n)
     lhs = expand(c.prefactor, EXACT, c.prefactor.qshift + T)
     for jp in sorted(c.pset):

@@ -150,7 +150,8 @@ def test_criterion_6_counterexample_contract():
     cli_report = Report("verify conjecture", {})
     cli_report.add_reports(reports)
     assert not cli_report.ok
-    assert "counterexample_n=0" in cli_report.records[0]
+    (summary, record), = cli_report.rows
+    assert "counterexample_n=0" in record and "(n=0: value ≡ 64 mod 128)" in summary
     _line("6b counterexample behavior contract", True,
           "structured record + failure status")
 

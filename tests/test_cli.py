@@ -146,7 +146,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 def test_verify_all_reads_every_flag(capsys, monkeypatch):
     seen = {}
-    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_run", lambda args: seen.update(vars(args)) or 0)
     assert main(["verify", "all", "--T", "50", "--n-max", "5"]) == 0
     assert (seen["T"], seen["n_max"]) == (50, 5)
 
@@ -155,7 +155,7 @@ def test_each_verify_target_reads_exactly_its_flags(capsys, monkeypatch):
     values = {"--T": "50", "--n-max": "5", "--ring": "exact"}
     assert set(values) == set(cli._INPUT_FLAGS)
     seen = {}
-    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_run", lambda args: seen.update(vars(args)) or 0)
     for name, target in cli._TARGETS.items():
         for flag, value in values.items():
             argv = ["verify", name, flag, value]
@@ -244,7 +244,7 @@ def test_flag_spellings_and_positionals_among_flags(monkeypatch, argv, want):
     # --flag=value, a unique prefix of a flag, positionals on either side
     # of a flag, and a dash word after --
     seen = {}
-    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.update(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_run", lambda args: seen.update(vars(args)) or 0)
     assert main(argv) == 0
     assert {k: seen[k] for k in want} == want
 
@@ -445,6 +445,38 @@ def test_verify_witness_pole_order_past_T_is_usage_error(capsys, tmp_path,
     code, _, err = run(capsys, "verify", "witness", str(path), "--T", "500")
     assert code == 2
     assert "pole order 100017" in err and "T=500" in err
+
+
+def _record_sections(monkeypatch) -> list[str]:
+    """Stand each verify target in with one that only notes that it ran."""
+    ran = []
+    for name, t in cli._TARGETS.items():
+        monkeypatch.setitem(cli._TARGETS, name, cli._Target(
+            lambda rep, args, name=name: ran.append(name), t.reads, t.positionals))
+    return ran
+
+
+@pytest.mark.parametrize("T, message", [
+    (20000, "witness t5-8n+7-mod128 needs its base expanded to 160008 terms, "
+            f"over the budget of {DEFAULT_BUDGET}"),
+    (12500, "needs its base expanded to 100008 terms"),
+    (17, "the prefactor's pole order 17 is at least T=17"),
+])
+def test_verify_all_refuses_a_T_the_witness_cannot_take_before_any_section(
+        capsys, monkeypatch, T, message):
+    # the witness section's own bounds, checked before any section runs
+    ran = _record_sections(monkeypatch)
+    code, out, err = run(capsys, "verify", "all", "--T", str(T), "--n-max", "10")
+    assert (code, out, ran) == (2, "", [])
+    assert message in err
+
+
+@pytest.mark.parametrize("T", [18, 12499])
+def test_verify_all_runs_every_section_at_the_witness_bounds(capsys, monkeypatch, T):
+    ran = _record_sections(monkeypatch)
+    code, out, _ = run(capsys, "verify", "all", "--T", str(T), "--n-max", "10")
+    assert (code, ran) == (0, list(cli._TARGETS))
+    assert out.count("\n-- ") == len(ran)
 
 
 def test_verify_eq1(capsys):

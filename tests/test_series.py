@@ -610,6 +610,46 @@ def test_non_integer_scalars_are_type_errors(ring):
         assert s.scale(c).coeffs() == [int(c), 2 * int(c)]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: EtaQuotient(2, {1: -2, 2: 1}, qshift=0.5),
+    lambda: EtaQuotient(2, {1: Fraction(5, 2)}),
+    lambda: EtaQuotient(2, {2.0: 1}),
+    lambda: EtaQuotient(2.0, {1: 1}),
+    lambda: LaurentSeries(0.7, [1], EXACT),
+    lambda: series(0, [1]).shift(0.5),
+    lambda: mod2k(2.0),
+    lambda: mod2k(Fraction(4, 2)),
+], ids=["qshift-0.5", "exponent-5/2", "divisor-2.0", "level-2.0", "offset-0.7",
+        "shift-0.5", "mod2k-2.0", "mod2k-4/2"])
+def test_non_integer_exponents_shifts_and_ring_sizes_are_type_errors(make):
+    # as for coefficients: a q-shift of 0.5 is not 0, nor f1^(5/2) f1^2
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integer_exponents_shifts_and_ring_sizes_of_every_kind_pass():
+    i64 = np.int64
+    eq = EtaQuotient(i64(2), {i64(1): i64(-2), np.uint8(2): True}, qshift=i64(-1))
+    assert eq == EtaQuotient(2, {1: -2, 2: 1}, qshift=-1)
+    assert all(type(v) is int
+               for v in (eq.M, eq.qshift, *eq.exponents, *eq.exponents.values()))
+    assert mod2k(i64(5)) == mod2k(5) and type(mod2k(i64(5)).k) is int
+    assert series(i64(-1), [1]).shift(np.int32(3)).offset == 2
+
+
+_EIGHT_TERMS = " + ".join(["1", "1*q", *(f"1*q^{e}" for e in range(2, 8))])
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ([1] * 8, f"{_EIGHT_TERMS} + O(q^8)"),
+    ([1] * 8 + [0, 0], f"{_EIGHT_TERMS} + O(q^10)"),
+    ([1] * 9, f"{_EIGHT_TERMS} + ... + O(q^9)"),
+    ([1] * 8 + [0, 3], f"{_EIGHT_TERMS} + ... + O(q^10)"),
+])
+def test_str_shows_eight_terms_and_elides_only_what_it_leaves_out(coeffs, text):
+    assert str(series(0, coeffs)) == text
+
+
 @given(unit_series())
 def test_inverse_two_sided_property(a):
     inv = a.inverse()
