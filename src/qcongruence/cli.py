@@ -176,6 +176,16 @@ def _verify_conjecture(rep: Report, args):
                     f"valuation t={p} m={m} j={j} claimed_k={k} observed_min_v2={v}")
 
 
+def _certificates(args) -> list:
+    """The certificates the run names (default builtin), each loaded and
+    bounded at --T before any is checked, so a bad one fails the run first."""
+    certs = [builtin_certificate() if src == "builtin" else load_certificate(src)
+             for src in args.args or ["builtin"]]
+    for c in certs:
+        c.base_terms(args.T)
+    return certs
+
+
 class _Target(_Record):
     run: Callable[[Report, SimpleNamespace], None]
     reads: tuple[str, ...]  # its input flags; any other is a usage error
@@ -191,9 +201,7 @@ _TARGETS = {
     "dissections": _Target(lambda rep, args: rep.add_reports(
         dissect.verify_suite(args.T)), ("--T",)),
     "witness": _Target(lambda rep, args: rep.add_reports(
-        verify_witness(builtin_certificate() if src == "builtin"
-                       else load_certificate(src), args.T)
-        for src in args.args or ["builtin"]),
+        verify_witness(c, args.T) for c in _certificates(args)),
         ("--T",), ("CERT", str, "builtin or certificate file paths (default builtin)")),
     "families": _Target(lambda rep, args: rep.add_reports(
         families.verify_suite(args.T)), ("--T",)),
@@ -203,7 +211,7 @@ _TARGETS = {
 
 
 def _verify_all(rep: Report, args):
-    builtin_certificate().base_terms(args.T)  # over the budget: fail before any section
+    _certificates(args)  # over the budget: fail before any section
     for name, target in _TARGETS.items():
         rep.add(f"-- {name} --", f"# section {name}")
         target.run(rep, args)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import time
 from functools import reduce
-from itertools import repeat
-from operator import and_, itemgetter, or_
+from operator import or_
 
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, _Record, field_text, mod2k
+from .series import MAX_MOD2K_BITS, LaurentSeries, _Record, field_text, mod2k
 
 DEFAULT_N_MAX = 2000
 
@@ -130,14 +129,14 @@ def check_claims(claims, n_max: int) -> list[ClaimReport]:
 
     The claims on one m read their distinct t, in order of first
     appearance, from ``overpartition_residues`` mod 2^K, K the largest k
-    among them, so every eight t share one kernel pass.  Each claim masks
-    its row to its own k bits, and its counterexample is the first nonzero
-    entry.  The tables are read one at a time and each is dropped before
-    the next is built, so what is alive is one table of m*(n_max+1) words
-    and one pass's accumulators (see ``series._GAUSS_PASS``).  ``ms`` is
-    the wall time since the report checked before it, so a pass is charged
-    to the first claim it serves and the ``ms`` fields add up to the
-    call's time."""
+    among them, so every eight t share one kernel pass.  Each claim reads
+    its row as a series mod 2^k, its own k, and its counterexample is that
+    series' valuation and the coefficient there.  The tables are read one
+    at a time and each is dropped before the next is built, so what is
+    alive is one table of m*(n_max+1) words, one row and one pass's
+    accumulators (see ``series._GAUSS_PASS``).  ``ms`` is the wall time
+    since the report checked before it, so a pass is charged to the first
+    claim it serves and the ``ms`` fields add up to the call's time."""
     claims = list(claims)
     by_m = {}  # m -> t -> the indices of the claims on (t, m)
     for i, c in enumerate(claims):
@@ -151,12 +150,13 @@ def check_claims(claims, n_max: int) -> list[ClaimReport]:
             table = next(tables)
             for i in run:
                 c = claims[i]
-                low = map(and_, table[c.j], repeat((1 << c.k) - 1))
-                counter = next(filter(itemgetter(1), enumerate(low)), None)
+                row = LaurentSeries(0, table[c.j], mod2k(c.k))
+                n = row.valuation()
+                counter = None if n is None else (n, row.coefficient(n))
                 now = time.perf_counter()
                 reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
                 start = now
-            del table, low  # the next table is built with none alive
+            del table, row  # the next table is built with none alive
     return reports
 
 

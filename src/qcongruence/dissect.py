@@ -62,12 +62,9 @@ class IdentityReport(_Record):
 
 def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,
                            through: int, note: str = "") -> IdentityReport:
-    lo = min(lhs.offset, rhs.offset)
-    hi = min(lhs.trunc, rhs.trunc, through)
-    if hi <= lo:
-        raise InsufficientTruncation(f"{name}: no common coefficient window")
-    diff = first_difference(lhs, rhs, through=hi)
-    return IdentityReport(name=name, truncation=hi, first_mismatch=diff, note=note)
+    diff = first_difference(lhs, rhs, through)
+    return IdentityReport(name=name, truncation=min(lhs.trunc, rhs.trunc, through),
+                          first_mismatch=diff, note=note)
 
 
 def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
@@ -107,15 +104,6 @@ def rogers_ramanujan(T: int) -> LaurentSeries:
     as f(-q, -q^4) / f(-q^2, -q^3) by Jacobi's triple product (the common
     factor (q^5;q^5) cancels)."""
     return _theta_quotient((1, 4), (2, 3), 1, T)
-
-
-def _dissection(name: str, n: int, terms: list[tuple[int, int, LaurentSeries]],
-                T: int, note: str) -> IdentityReport:
-    """f_1 == f_{n^2} * sum of c * q^s * x over the (c, s, x) in ``terms``,
-    exactly through q^(T-1)."""
-    rhs = euler_factor(n * n, 1, EXACT, T).mul(shifted_sum(terms, EXACT, T))
-    return report_from_comparison(name, euler_factor(1, 1, EXACT, T), rhs,
-                                  through=T, note=note)
 
 
 def dissection3_f1cubed(T: int) -> IdentityReport:
@@ -172,8 +160,10 @@ def ramanathan(n: int, T: int) -> IdentityReport:
     terms += [((-1) ** (k + g), (k - g) * (3 * k - 3 * g + eps) // 2,
                _theta_quotient((2 * k, n - 2 * k), (k, n - k), n, T))
               for k in range(1, (n - 1) // 2 + 1)]
+    rhs = euler_factor(n * n, 1, EXACT, T).mul(shifted_sum(terms, EXACT, T))
     case = f"n=6g{'+' if eps < 0 else '-'}1, g={g}"
-    return _dissection(f"{n}-dissection of f1", n, terms, T, case)
+    return report_from_comparison(f"{n}-dissection of f1", euler_factor(1, 1, EXACT, T),
+                                  rhs, through=T, note=case)
 
 
 def verify_suite(T: int) -> list[IdentityReport]:

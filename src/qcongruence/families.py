@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .dissect import (IdentityReport, Progression, extract,
                       report_from_comparison)
-from .eta import EtaQuotient, expand, overpartition_gf, overpartition_residues
+from .eta import EtaQuotient, expand, overpartition_gf
 from .series import (DEFAULT_BUDGET, LaurentSeries, _Record, euler_factor, mod2k,
                      shifted_sum, theta_power)
 
@@ -153,8 +153,7 @@ def verify_eq1(T: int) -> IdentityReport:
     The quotient is expanded mod 2 and lifted, since 4*X mod 8 reads only
     X mod 2.
     """
-    [table] = overpartition_residues([5], _MOD8, 8, T - 1)
-    stream = LaurentSeries(0, table[2], _MOD8)
+    stream = extract(overpartition_gf(5, _MOD8, 8 * T - 5), Progression(8, 2))
     rhs = expand(EtaQuotient(8, {1: -78, 2: -36, 4: 179, 8: -70}), mod2k(1),
                  T).to_ring(_MOD8).scale(4)
     return _all_matched(

@@ -345,27 +345,14 @@ def first_difference(a: LaurentSeries, b: LaurentSeries,
                      through: int | None = None):
     """First exponent where two series disagree on their common known window.
 
-    Returns None when they agree, else (exponent, a_coeff, b_coeff).  The
-    window compared is [min(offsets), min(truncs)), optionally capped by
-    ``through`` (exclusive).  Exponents below either offset count as zero.
+    Returns None when they agree, else (exponent, a_coeff, b_coeff): the
+    valuation of a - b, whose window ``add`` sets to [min(offsets),
+    min(truncs)), optionally capped by ``through`` (exclusive).  Exponents
+    below either offset count as zero.
     """
-    if a.ring != b.ring:
-        raise RingMismatch(f"{a.ring} vs {b.ring}")
-    lo = min(a.offset, b.offset)
-    hi = min(a.trunc, b.trunc)
-    if through is not None:
-        hi = min(hi, through)
-    if hi <= lo:
-        raise InsufficientTruncation("series share no known coefficient window")
-
-    def window(s: LaurentSeries) -> list[int]:
-        return [0] * (min(s.offset, hi) - lo) + list(s._coeffs[:max(0, hi - s.offset)])
-
-    wa, wb = window(a), window(b)
-    if wa == wb:
-        return None
-    i = next(compress(count(), map(operator.ne, wa, wb)))
-    return lo + i, wa[i], wb[i]
+    diff = a.sub(b) if through is None else a.sub(b).truncate(through)
+    e = diff.valuation()
+    return None if e is None else (e, a.coefficient(e), b.coefficient(e))
 
 
 def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> bool:

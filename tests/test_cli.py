@@ -405,6 +405,29 @@ def test_verify_witness_over_budget_is_usage_error(capsys, tmp_path, monkeypatch
     assert f"expanded to {length} terms" in err and str(DEFAULT_BUDGET) in err
 
 
+@pytest.mark.parametrize("sources, T, message", [
+    (["builtin", "builtin", "BIG"], 1500, "needs its base expanded to 1500000008 terms"),
+    (["builtin", "/nonexistent/cert.txt"], 1000, "/nonexistent/cert.txt"),
+])
+def test_verify_witness_loads_and_bounds_every_certificate_before_any_check(
+        capsys, tmp_path, monkeypatch, sources, T, message):
+    # a certificate over the budget, or one that cannot be read, fails the
+    # run before any certificate named ahead of it is checked
+    checked = []
+
+    def spy(cert, T):
+        checked.append(cert.id)
+        return WitnessReport(cert.id, T, None, 128)
+
+    monkeypatch.setattr(cli, "verify_witness", spy)
+    big = tmp_path / "big.txt"
+    big.write_text(format_certificate(builtin_certificate()).replace("m 8\n", "m 1000000\n"))
+    argv = [str(big) if src == "BIG" else src for src in sources]
+    code, out, err = run(capsys, "verify", "witness", *argv, "--T", str(T))
+    assert (code, out, checked) == (2, "", [])
+    assert message in err
+
+
 @pytest.mark.parametrize("extra", [1, 100000])
 def test_verify_witness_poly_past_pole_order_is_usage_error(capsys, tmp_path,
                                                             monkeypatch, extra):

@@ -10,8 +10,8 @@ from qcongruence.dissect import (IdentityReport, Progression, _theta_quotient,
                                  report_from_comparison, rogers_ramanujan,
                                  verify_suite)
 from qcongruence.eta import overpartition_gf
-from qcongruence.series import (EXACT, LaurentSeries, agree, euler_factor,
-                                mod2k, theta_f)
+from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries, agree,
+                                euler_factor, mod2k, theta_f)
 
 from oracles import binomial_product, naive_euler, naive_inverse, naive_mul
 
@@ -161,6 +161,15 @@ def test_dissection3_mutation_detected():
     rep = report_from_comparison("mutated 3-dissection", lhs, wrong, through=60)
     assert not rep.matched
     assert rep.first_mismatch[0] <= 20
+
+
+def test_report_from_comparison_refuses_an_empty_window():
+    # a cap at or below both offsets leaves no exponent to compare
+    lhs, rhs = LaurentSeries(5, [1, 2], EXACT), LaurentSeries(3, [0, 0, 1], EXACT)
+    with pytest.raises(InsufficientTruncation):
+        report_from_comparison("empty", lhs, rhs, through=3)
+    rep = report_from_comparison("one term", lhs, rhs, through=4)
+    assert (rep.truncation, rep.first_mismatch) == (4, None)
 
 
 def test_dissection5_matches():

@@ -489,6 +489,17 @@ def test_first_difference_window_semantics():
         first_difference(series(5, [1]), series(0, [1, 2]), through=0)
 
 
+def test_first_difference_exact_sees_bits_past_64():
+    # over Z the difference is exact at any width: coefficients that agree in
+    # their low 64 bits still differ, and agree once read mod 2^64
+    big = 1 << 64
+    a = series(-1, [3, 5 + big, -7 * big])
+    b = series(-1, [3, 5 + 2 * big, -7 * big])
+    assert first_difference(a, b) == (0, 5 + big, 5 + 2 * big)
+    assert first_difference(a, b.shift(1), through=0) == (-1, 3, 0)
+    assert first_difference(a.to_ring(mod2k(64)), b.to_ring(mod2k(64))) is None
+
+
 # -- property suite (fixed-seed hypothesis) -----------------------------------------
 
 rings = st.sampled_from([EXACT, mod2k(1), mod2k(3), mod2k(8), mod2k(64)])

@@ -4,10 +4,11 @@ common-factor computation and the text format."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcongruence import witness
 from qcongruence.cli import main
 from qcongruence.congruences import check_claims, CongruenceClaim
 from qcongruence.eta import EtaQuotient, expand
-from qcongruence.series import EXACT
+from qcongruence.series import EXACT, InsufficientTruncation
 from qcongruence.witness import (WitnessCertificate,
                                  builtin_certificate, builtin_certificate_text,
                                  certificate_common_factor, format_certificate,
@@ -100,6 +101,16 @@ def test_window_must_reach_q0():
     assert verify_witness(builtin_certificate(), 18).identity_matched
     with pytest.raises(ValueError, match="pole order 17 is at least T=17"):
         verify_witness(builtin_certificate(), 17)
+
+
+def test_verify_witness_refuses_an_expansion_that_comes_back_short(monkeypatch):
+    # the plan guard: every expansion one term short leaves the left side
+    # below lo + T, which a comparison would silently accept as a shorter
+    # window, so the check refuses to report instead
+    real = witness.expand
+    monkeypatch.setattr(witness, "expand", lambda eq, ring, T: real(eq, ring, T - 1))
+    with pytest.raises(InsufficientTruncation, match="plan fell short"):
+        verify_witness(builtin_certificate(), 40)
 
 
 def test_constant_term_certificate_verifies():
