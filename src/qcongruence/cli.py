@@ -143,9 +143,9 @@ def _expand(rep: Report, args):
 
 
 def _extract(rep: Report, args):
-    stream = extract(_expand_spec(args), Progression(args.m, args.j))
-    for n, c in enumerate(map(int_text, stream.coeffs())):
-        rep.add(f"n={n} (q^{args.m * n + args.j}): {c}", f"coeff n={n} value={c}")
+    p = Progression(args.m, args.j)  # a bad progression fails before any expansion
+    for n, c in enumerate(map(int_text, extract(_expand_spec(args), p).coeffs())):
+        rep.add(f"n={n} (q^{p.m * n + p.j}): {c}", f"coeff n={n} value={c}")
 
 
 def _oracle(rep: Report, args):

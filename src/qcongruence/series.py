@@ -542,11 +542,11 @@ def theta_powers(x: int, y: int, es: Sequence[int], d: int, ring: Ring, T: int):
 def shifted_sum(terms: Sequence[tuple[int, int, LaurentSeries]], ring: Ring,
                 T: int) -> LaurentSeries:
     """sum of c * q^s * x over the (c, s, x) in ``terms``, through q^(T-1).
-    A term with s >= T adds nothing; one whose x stops before q^(T-1-s)
-    raises, so the sum is never silently shorter than T."""
+    A term that starts at or past q^T adds nothing; one whose x stops before
+    q^(T-1-s) raises, so the sum is never silently shorter than T."""
     acc = LaurentSeries(0, [0] * T, ring)
     for c, s, x in terms:
-        if s >= T:
+        if s + x.offset >= T:
             continue
         if x.trunc + s < T:
             raise InsufficientTruncation(f"q^{s} times a series known below "

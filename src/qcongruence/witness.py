@@ -68,6 +68,15 @@ class WitnessCertificate(_Record):
                     f"divide polynomial coefficient {int_text(c)}")
         if not self.id:
             object.__setattr__(self, "id", f"M{self.M}-m{self.m}-j{self.j}")
+        # the extracted streams are power series, so the left side's pole order
+        # is at most the prefactor's, p: D*max(h, 1) <= p keeps the right side's
+        # within it and, as base_terms holds p below T, its D products below T
+        lhs_pole, h_pole = -self.prefactor.qshift, -self.hauptmodul.qshift
+        if (reach := self.degree * max(h_pole, 1)) > lhs_pole:
+            raise ValueError(
+                f"witness {self.id}: poly degree {self.degree} times the hauptmodul's "
+                f"pole order {h_pole}{'' if h_pole >= 1 else ', taken as 1,'} is "
+                f"{reach}, past the left side's pole order {lhs_pole}")
 
     @property
     def degree(self) -> int:
@@ -77,7 +86,9 @@ class WitnessCertificate(_Record):
         """How many terms of the base quotient a check through T reads; a
         ValueError if no check can run at T.  Its window q^lo..q^(lo+T-1)
         starts at the left side's deepest pole, the prefactor's: past T it
-        never reaches q^0, and bounding it by T bounds the degree too."""
+        never reaches q^0."""
+        if T < 1:
+            raise InsufficientTruncation("need T >= 1 output coefficients")
         pole = -self.prefactor.qshift
         if pole >= T:
             raise ValueError(f"witness {self.id}: the prefactor's pole order {pole} is at "
@@ -132,9 +143,7 @@ def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:
     Degenerate all-zero polynomials report gcd 0 with valuation None rather
     than adopting an arbitrary convention.
     """
-    g = 0
-    for coeff in c.poly:
-        g = math.gcd(g, coeff)
+    g = math.gcd(*c.poly)
     if g == 0:
         return 0, None
     return g, (g & -g).bit_length() - 1
@@ -143,20 +152,10 @@ def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:
 def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     """Compare prefactor * prod_{j' in pset} extracted-stream against
     poly(hauptmodul), coefficient-wise over T Laurent coefficients starting
-    at the lower of the two sides' lowest exponents."""
-    if T < 1:
-        raise InsufficientTruncation("need T >= 1 output coefficients")
-    n = c.base_terms(T)
-    # the extracted streams are power series, so the left side's pole order
-    # is at most the prefactor's; the right side's deepest pole is that of
-    # the top term, and each degree costs one product by the hauptmodul
-    lhs_pole, h_pole = -c.prefactor.qshift, -c.hauptmodul.qshift
-    if c.degree * h_pole > lhs_pole:
-        raise ValueError(
-            f"witness {c.id}: poly degree {c.degree} times the hauptmodul's "
-            f"pole order {h_pole} is {c.degree * h_pole}, past the left "
-            f"side's pole order {lhs_pole}")
-    base = expand(EtaQuotient(c.M, c.r), EXACT, n)
+    at the lower of the two sides' lowest exponents.  ``c.base_terms(T)``
+    rules whether c can be checked at T; the guard below only checks what
+    the expansions delivered."""
+    base = expand(EtaQuotient(c.M, c.r), EXACT, c.base_terms(T))
     lhs = expand(c.prefactor, EXACT, c.prefactor.qshift + T)
     for jp in sorted(c.pset):
         lhs = lhs.mul(extract(base, Progression(c.m, jp)).truncate(T))

@@ -15,6 +15,7 @@ from qcongruence.cli import main
 from qcongruence.congruences import (_ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX,
                                      ClaimReport, CongruenceClaim)
 from qcongruence.dissect import IdentityReport
+from qcongruence.eta import format_eta_quotient
 from qcongruence.series import (DEFAULT_BUDGET, EXACT, LaurentSeries, euler_factor,
                                 int_text)
 from qcongruence.witness import WitnessReport, builtin_certificate, format_certificate
@@ -88,6 +89,21 @@ def test_expand_truncation_below_shift_is_usage_error(capsys):
 def test_extract_bad_residue_is_usage_error(capsys):
     code, _, err = run(capsys, "extract", "f1^-1", "4", "4", "--T", "20")
     assert code == 2
+
+
+@pytest.mark.parametrize("m, j, message", [
+    ("8", "9", "residue j=9 not in [0, 8)"),
+    ("0", "0", "progression step m must be positive"),
+])
+def test_extract_checks_its_progression_before_expanding(capsys, monkeypatch, m, j,
+                                                         message):
+    # a bad progression is refused before the spec is expanded, not after
+    calls = []
+    monkeypatch.setattr(cli, "expand", lambda eq, ring, T: calls.append(T)
+                        or LaurentSeries.one(ring, 1))
+    code, out, err = run(capsys, "extract", "f1^-50", m, j, "--T", "100000")
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
 
 
 def test_extract_stream(capsys):
@@ -408,11 +424,15 @@ def test_verify_witness_over_budget_is_usage_error(capsys, tmp_path, monkeypatch
 @pytest.mark.parametrize("sources, T, message", [
     (["builtin", "builtin", "BIG"], 1500, "needs its base expanded to 1500000008 terms"),
     (["builtin", "/nonexistent/cert.txt"], 1000, "/nonexistent/cert.txt"),
+    (["builtin", "builtin", "DEG18"], 1500,
+     "poly degree 18 times the hauptmodul's pole order 1 is 18, past the left "
+     "side's pole order 17"),
 ])
 def test_verify_witness_loads_and_bounds_every_certificate_before_any_check(
         capsys, tmp_path, monkeypatch, sources, T, message):
-    # a certificate over the budget, or one that cannot be read, fails the
-    # run before any certificate named ahead of it is checked
+    # a certificate over the budget, one that cannot be read, or one whose
+    # poly is past its pole order fails the run before any certificate named
+    # ahead of it is checked
     checked = []
 
     def spy(cert, T):
@@ -420,19 +440,28 @@ def test_verify_witness_loads_and_bounds_every_certificate_before_any_check(
         return WitnessReport(cert.id, T, None, 128)
 
     monkeypatch.setattr(cli, "verify_witness", spy)
-    big = tmp_path / "big.txt"
-    big.write_text(format_certificate(builtin_certificate()).replace("m 8\n", "m 1000000\n"))
-    argv = [str(big) if src == "BIG" else src for src in sources]
+    text = format_certificate(builtin_certificate())
+    files = {"BIG": text.replace("m 8\n", "m 1000000\n"),
+             "DEG18": text.replace("\ncommon_factor", " 128\ncommon_factor")}
+    for name, cert in files.items():
+        (tmp_path / name).write_text(cert)
+    argv = [str(tmp_path / src) if src in files else src for src in sources]
     code, out, err = run(capsys, "verify", "witness", *argv, "--T", str(T))
     assert (code, out, checked) == (2, "", [])
     assert message in err
 
 
-@pytest.mark.parametrize("extra", [1, 100000])
+@pytest.mark.parametrize("extra, hauptmodul, reach", [
+    (1, "q^-1 * f2^-4 * f4^12 * f8^-8", "pole order 1 is 18"),
+    (100000, "q^-1 * f2^-4 * f4^12 * f8^-8", "pole order 1 is 100017"),
+    # with no pole, D*h is 0 at any degree, yet each degree costs a product
+    (2983, "f2^-4 * f4^12 * f8^-8", "pole order 0, taken as 1, is 3000"),
+], ids=["1", "100000", "no-pole"])
 def test_verify_witness_poly_past_pole_order_is_usage_error(capsys, tmp_path,
-                                                            monkeypatch, extra):
+                                                            monkeypatch, extra,
+                                                            hauptmodul, reach):
     # the builtin poly has degree 17 = the prefactor's pole order; one more
-    # coefficient, or 10^5 more, is refused before any product
+    # coefficient, or 10^5 more, is refused before any product, at any --T
     def no_product(*args):
         raise AssertionError("multiplied a series")
 
@@ -441,12 +470,14 @@ def test_verify_witness_poly_past_pole_order_is_usage_error(capsys, tmp_path,
     poly = " ".join(str(c) for c in cert.poly + (128,) * extra)
     text = format_certificate(cert).replace(
         "poly " + " ".join(str(c) for c in cert.poly), "poly " + poly)
+    text = text.replace(format_eta_quotient(cert.hauptmodul), hauptmodul)
     path = tmp_path / "cert.txt"
     path.write_text(text)
-    code, _, err = run(capsys, "verify", "witness", str(path), "--T", "50")
-    assert code == 2
-    assert f"degree {17 + extra}" in err
-    assert f"pole order 1 is {17 + extra}" in err and "pole order 17" in err
+    for T in ("1", "50", "100000"):
+        code, out, err = run(capsys, "verify", "witness", str(path), "--T", T)
+        assert (code, out) == (2, "")
+        assert f"degree {17 + extra}" in err
+        assert reach in err and "pole order 17" in err
 
 
 def test_verify_witness_pole_order_past_T_is_usage_error(capsys, tmp_path,

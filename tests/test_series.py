@@ -422,12 +422,13 @@ def test_gauss_kernel_matches_binary_powering(k, es):
 
 @st.composite
 def shifted_terms(draw, T):
-    """(c, s, coefficients) with shifts 0..T+2, each long enough to reach q^(T-1)."""
+    """(c, s, offset, coefficients) with shifts 0..T+2 and offsets -3..3,
+    each long enough to reach q^(T-1)."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
-        s = draw(st.integers(0, T + 2))
-        n = max(1, T - s) + draw(st.integers(0, 3))
-        terms.append((draw(st.integers(-9, 9)), s,
+        s, o = draw(st.integers(0, T + 2)), draw(st.integers(-3, 3))
+        n = max(1, T - s - o) + draw(st.integers(0, 3))
+        terms.append((draw(st.integers(-9, 9)), s, o,
                       draw(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n))))
     return terms
 
@@ -435,20 +436,28 @@ def shifted_terms(draw, T):
 @given(st.data(), st.integers(1, 30),
        st.sampled_from([EXACT, mod2k(1), mod2k(8), mod2k(64)]))
 def test_shifted_sum_matches_coefficientwise_sum(data, T, ring):
+    # a term starts at q^(s + offset): one with s >= T can still reach below
+    # q^T, and one with s < T can start past it; a pole widens the sum's window
     terms = data.draw(shifted_terms(T))
-    want = [0] * T
-    for c, s, cs in terms:
+    lo = min([0] + [s + o for _, s, o, _ in terms if s + o < T])
+    want = [0] * (T - lo)
+    for c, s, o, cs in terms:
         for i, v in enumerate(cs):
-            if s + i < T:
-                want[s + i] += c * v
-    got = shifted_sum([(c, s, series(0, cs, ring)) for c, s, cs in terms], ring, T)
-    assert got == series(0, want, ring)
+            if s + o + i < T:
+                want[s + o + i - lo] += c * v
+    got = shifted_sum([(c, s, series(o, cs, ring)) for c, s, o, cs in terms], ring, T)
+    assert got == series(lo, want, ring)
 
 
 def test_shifted_sum_refuses_a_term_too_short():
     x = series(0, [1, 2, 3])
     assert shifted_sum([(1, 2, x)], EXACT, 5).coeffs() == [0, 0, 1, 2, 3]
     assert shifted_sum([(1, 5, x)], EXACT, 5).coeffs() == [0] * 5  # dropped
+    # a term's own offset counts: 7q^-2 times q^5 lands at q^3, and q^5 + ...
+    # starts past q^2, so it is dropped, not truncated to an empty window
+    assert shifted_sum([(1, 5, series(-2, [7] + [0] * 9))], EXACT, 5).coeffs() \
+        == [0, 0, 0, 7, 0]
+    assert shifted_sum([(1, 0, series(5, [1] * 5))], EXACT, 3).coeffs() == [0] * 3
     with pytest.raises(InsufficientTruncation, match=r"does not reach q\^4"):
         shifted_sum([(1, 1, x)], EXACT, 5)
 
