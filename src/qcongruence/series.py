@@ -7,13 +7,13 @@ to report coefficients beyond it.
 
 Two coefficient rings are supported: exact arbitrary-precision integers, and
 integers modulo 2^k for 1 <= k <= 64.  Over Z a series keeps a list of
-Python ints; mod 2^k it keeps canonical residues as a read-only view of an
-``array('Q')`` of little-endian uint64 words.  Only :class:`Ring`, the
-convolution kernels and ``theta_powers``, which picks its power routine by
-ring, know which ring they serve.  The mod-2^k kernels work
-on one big integer whose byte-aligned slots hold one coefficient each:
-packing and unpacking are ``bytearray`` extended-slice copies, a product is
-one CPython multiply, and one AND reduces every slot mod 2^k at once.
+Python ints; mod 2^k it keeps canonical residues as a read-only view of
+uint64 words: copied and checked by the public constructor, kept as built
+by the operations.  Only :class:`Ring`, the kernels and ``theta_powers``
+know which ring they serve.  The mod-2^k kernels work on one big integer
+whose byte-aligned slots hold one coefficient each, wide enough that no
+carry crosses a slot: packing and unpacking are ``bytearray`` extended-slice
+copies, and a product, sum or scaling is one CPython multiply or add.
 """
 
 from __future__ import annotations
@@ -106,18 +106,13 @@ class Ring(_Record):
         a Fraction or a string is a TypeError, never a truncation."""
         if self.k is None:
             return list(map(operator.index, coeffs))
-        if isinstance(coeffs, (array, memoryview)) and memoryview(coeffs).format == "Q":
-            words = array("Q", _reslot(bytes(coeffs), 8, 8, len(coeffs), self.k))
-        else:
-            mask = (1 << self.k) - 1
-            words = array("Q", [operator.index(c) & mask for c in coeffs])
-        return memoryview(words).toreadonly()
+        if not (isinstance(coeffs, (array, memoryview)) and memoryview(coeffs).format == "Q"):
+            coeffs = array("Q", [operator.index(c) & (1 << 64) - 1 for c in coeffs])
+        return _words(bytes(coeffs), 8, len(coeffs), self.k)
 
     def is_unit(self, c: int) -> bool:
         """Units we invert: +-1 exactly; any odd residue mod 2^k."""
-        if self.k is None:
-            return c in (1, -1)
-        return c % 2 == 1
+        return c in (1, -1) if self.k is None else c % 2 == 1
 
     def unit_inverse(self, c: int) -> int:
         """Inverse of a unit; +-1 is its own inverse over Z."""
@@ -149,12 +144,17 @@ class LaurentSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _built(cls, offset: int, data, ring: Ring) -> "LaurentSeries":
+        """A series kept on the storage an operation built for it."""
+        s = cls.__new__(cls)
+        s.offset, s._coeffs, s.ring = offset, data, ring
+        return s
+
+    @classmethod
     def one(cls, ring: Ring, trunc: int) -> "LaurentSeries":
         if trunc < 1:
             raise InsufficientTruncation("constant 1 needs trunc >= 1")
-        c = [0] * trunc
-        c[0] = 1
-        return cls(0, c, ring)
+        return cls._built(0, _small([1] + [0] * (trunc - 1), ring.k), ring)
 
     # -- inspection -----------------------------------------------------------
 
@@ -223,24 +223,22 @@ class LaurentSeries:
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Product; trunc = min(a.trunc + b.offset, b.trunc + a.offset)."""
         self._check_ring(other)
-        conv = _kernel(self.ring)
-        data = conv(self._coeffs, other._coeffs, min(len(self), len(other)))
-        return LaurentSeries(self.offset + other.offset, data, self.ring)
+        data = _conv(self._coeffs, other._coeffs, min(len(self), len(other)), self.ring.k)
+        return LaurentSeries._built(self.offset + other.offset, data, self.ring)
 
     __mul__ = mul
 
-    def add(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _plus(self, c: int, other: "LaurentSeries") -> "LaurentSeries":
+        """self + c * other on [min(offsets), min(truncs))."""
         self._check_ring(other)
         offset = min(self.offset, other.offset)
-        trunc = min(self.trunc, other.trunc)
-        n = trunc - offset
-        out = [0] * n
-        for src in (self, other):
-            base = src.offset - offset
-            m = min(len(src), n - base)
-            if m > 0:
-                out[base:base + m] = map(operator.add, out[base:base + m], src._coeffs[:m])
-        return LaurentSeries(offset, out, self.ring)
+        parts = [(1, self.offset - offset, self._coeffs),
+                 (c, other.offset - offset, other._coeffs)]
+        data = _combination(parts, min(self.trunc, other.trunc) - offset, self.ring.k)
+        return LaurentSeries._built(offset, data, self.ring)
+
+    def add(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._plus(1, other)
 
     __add__ = add
 
@@ -250,18 +248,18 @@ class LaurentSeries:
     __neg__ = neg
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self.add(other.neg())
+        return self._plus(-1, other)
 
     __sub__ = sub
 
     def scale(self, c: int) -> "LaurentSeries":
         """Multiply every coefficient by the scalar c."""
-        c = self.ring.coerce([c])[0]
-        return LaurentSeries(self.offset, [c * x for x in self._coeffs], self.ring)
+        data = _combination([(operator.index(c), 0, self._coeffs)], len(self), self.ring.k)
+        return LaurentSeries._built(self.offset, data, self.ring)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by q^e (relabels the exponent window)."""
-        return LaurentSeries(self.offset + e, self._coeffs, self.ring)
+        return LaurentSeries._built(self.offset + operator.index(e), self._coeffs, self.ring)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse; needs a unit leading coefficient."""
@@ -274,15 +272,14 @@ class LaurentSeries:
                 f"leading coefficient {lead} is not a unit in {self.ring}")
         # Newton's x <- x*(2 - a*x) on the unit part, doubling the precision
         a = self._coeffs[v - self.offset:]
-        ring, conv = self.ring, _kernel(self.ring)
-        x = ring.coerce([ring.unit_inverse(lead)])
+        ring, k = self.ring, self.ring.k
+        x, two = ring.coerce([ring.unit_inverse(lead)]), ring.coerce([2])
         prec = 1
         while prec < len(a):
             prec = min(2 * prec, len(a))
-            t = [-c for c in conv(a[:prec], x, prec)]
-            t[0] += 2
-            x = ring.coerce(conv(x, ring.coerce(t), prec))
-        return LaurentSeries(-v, x, ring)
+            t = _combination([(1, 0, two), (-1, 0, _conv(a[:prec], x, prec, k))], prec, k)
+            x = _conv(x, t, prec, k)
+        return LaurentSeries._built(-v, x, ring)
 
     def pow(self, e: int) -> "LaurentSeries":
         """Binary powering; pow(a, 0) = 1 on the window [0, len(a))."""
@@ -308,9 +305,8 @@ class LaurentSeries:
             raise ValueError("substitution power must be >= 1")
         if d == 1:
             return self
-        out = [0] * (len(self) * d)
-        out[::d] = self._coeffs
-        return LaurentSeries(self.offset * d, out, self.ring)
+        return LaurentSeries._built(self.offset * d, _strided(self._coeffs, self.ring.k, 0, d),
+                                    self.ring)
 
     def truncate(self, trunc: int) -> "LaurentSeries":
         """Restrict the window to exponents below ``trunc``."""
@@ -318,7 +314,8 @@ class LaurentSeries:
             return self
         if trunc <= self.offset:
             raise InsufficientTruncation("truncation would leave an empty window")
-        return LaurentSeries(self.offset, self._coeffs[:trunc - self.offset], self.ring)
+        data = _strided(self._coeffs[:trunc - self.offset], self.ring.k)
+        return LaurentSeries._built(self.offset, data, self.ring)
 
     def to_ring(self, ring: Ring) -> "LaurentSeries":
         """Reinterpret coefficients in another ring (exact -> mod-2^k reduction)."""
@@ -359,14 +356,54 @@ def agree(a: LaurentSeries, b: LaurentSeries, through: int | None = None) -> boo
     return first_difference(a, b, through) is None
 
 
-# -- convolution kernels -----------------------------------------------------
+# -- kernels: convolution and series storage ---------------------------------
 
 
-def _kernel(ring: Ring):
-    """The ring's truncated convolution (a, b, out_len) -> coefficients."""
-    if ring.is_exact:
-        return _conv_exact
-    return lambda a, b, out_len: _conv_mod2k(a, b, out_len, ring.k)
+def _conv(a, b, out_len: int, k: int | None):
+    """Storage of the truncated convolution over Z (k None) or mod 2^k."""
+    return (_conv_exact(a, b, out_len) if k is None
+            else _words(bytes(_conv_mod2k(a, b, out_len, k)), 8, out_len, k))
+
+
+def _pack(words, w: int, k: int) -> int:
+    """The int whose w-byte slots hold the low k bits of the uint64 words."""
+    return int.from_bytes(_reslot(bytes(words), 8, w, len(words), k), "little")
+
+
+def _words(raw, w: int, n: int, k: int) -> memoryview:
+    """Storage of the low k bits of raw's first n little-endian w-byte slots."""
+    return memoryview(_reslot(raw, w, 8, n, k)).cast("Q").toreadonly()
+
+
+def _small(c: list[int], k: int | None):
+    """Storage of ints below 2^63 in absolute value; mod 2^k their two's
+    complement words cut to k bits, which is exact as 2^k divides 2^64."""
+    return c if k is None else _words(array("q", c).tobytes(), 8, len(c), k)
+
+
+def _strided(src, k: int | None, start: int = 0, step: int = 1):
+    """Fresh storage of src's coefficients at slots start, start + step, ...
+    and zeros elsewhere: no series keeps a larger buffer alive by a slice."""
+    n = start + len(src) * step
+    out = [0] * n if k is None else memoryview(bytearray(8 * n)).cast("Q")
+    out[start::step] = src
+    return out if k is None else out.toreadonly()
+
+
+def _combination(parts, n: int, k: int | None):
+    """Storage of n coefficients, the sum of c * x over the (c, base, x) in
+    parts, x placed from slot base on and cut at slot n: c * x, or x + c * y.
+    Mod 2^k either is below 2^(2k) in every slot, so 2k-bit slots hold it."""
+    if k is None:
+        out = [0] * n
+        for c, base, x in parts:  # map stops at slot n, where the slice ends
+            x = x if c == 1 else [c * v for v in x]
+            out[base:base + len(x)] = map(operator.add, out[base:base + len(x)], x)
+        return out
+    w, low = (2 * k + 7) // 8, (1 << k) - 1
+    total = sum(_pack(x[:n - base], w, k) * (c & low) << 8 * w * base
+                for c, base, x in parts if base < n)
+    return _words(total.to_bytes(w * n, "little"), w, n, k)
 
 
 def _conv_mod2k(a, b, out_len: int, k: int) -> array:
@@ -387,17 +424,14 @@ def _conv_mod2k(a, b, out_len: int, k: int) -> array:
     sparse = min(nnz) * 16 < out_len
     w = (2 * k + (min(nnz) if sparse else min(len(a), len(b))).bit_length() + 7) // 8
 
-    def pack(words) -> int:
-        return int.from_bytes(_reslot(bytes(words), 8, w, len(words), k), "little")
-
     if sparse:
-        rev = pack(b[::-1]) << 8 * w * (out_len - len(b))
+        rev = _pack(b[::-1], w, k) << 8 * w * (out_len - len(b))
         low, scaled = (1 << k) - 1, {}  # scaled[c]: the shifts that c multiplies
         for i in reversed(list(compress(count(), a))):
             scaled[a[i] & low] = scaled.get(a[i] & low, 0) + (rev >> 8 * w * i)
         prod = sum(c * x for c, x in scaled.items())
     else:
-        prod = pack(a) * pack(b)
+        prod = _pack(a, w, k) * _pack(b, w, k)
     raw = prod.to_bytes(max(w * out_len, (prod.bit_length() + 7) // 8), "little")
     words = array("Q", _reslot(raw, w, 8, out_len, min(8 * w, 64)))
     if sparse:
@@ -528,12 +562,12 @@ def theta_powers(x: int, y: int, es: Sequence[int], d: int, ring: Ring, T: int):
         raise InsufficientTruncation("need T >= 1")
     n = (T - 1) // d + 1
     if not ring.is_exact and (x, y) == (1, 1):
-        powers = map(LaurentSeries, repeat(0), _gauss_power_mod2k(es, ring.k, n),
+        powers = map(LaurentSeries._built, repeat(0), _gauss_power_mod2k(es, ring.k, n),
                      repeat(ring))
     else:
         base = theta_f(x, y, n, ring)
         powers = map(lambda e: base if e == 1 else
-                     LaurentSeries(0, _miller_power(base.coeffs(), e), ring)
+                     LaurentSeries._built(0, _miller_power(base._coeffs, e), ring)
                      if ring.is_exact else base.pow(e), es)
     # map, not a generator expression: no series outlives its reader
     return map(lambda p: p.substitute_qpow(d).truncate(T), powers)
@@ -544,14 +578,14 @@ def shifted_sum(terms: Sequence[tuple[int, int, LaurentSeries]], ring: Ring,
     """sum of c * q^s * x over the (c, s, x) in ``terms``, through q^(T-1).
     A term that starts at or past q^T adds nothing; one whose x stops before
     q^(T-1-s) raises, so the sum is never silently shorter than T."""
-    acc = LaurentSeries(0, [0] * T, ring)
+    acc = LaurentSeries._built(0, _small([0] * T, ring.k), ring)
     for c, s, x in terms:
         if s + x.offset >= T:
             continue
         if x.trunc + s < T:
             raise InsufficientTruncation(f"q^{s} times a series known below "
                                          f"q^{x.trunc} does not reach q^{T - 1}")
-        acc = acc.add(x.truncate(T - s).scale(c).shift(s))
+        acc = acc._plus(c, x.shift(s))
     return acc
 
 
@@ -564,6 +598,23 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     a = [1] + [0] * (len(p) - 1)
     for k in range(1, len(p)):
         a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
+    return a
+
+
+def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den over Z to len(num) terms, for den[0] == 1: a_k = num_k -
+    sum_{i>=1} den_i * a_(k-i), the nonzero den_i grouped by value.  A theta
+    den has about sqrt(n) of them, all +-1 (+-2 when x = y), so a theta
+    quotient takes O(n * sqrt(n)) additions, with no multiply or division."""
+    if den[0] != 1:
+        raise NonInvertibleSeries(f"denominator's constant term {den[0]} is not 1")
+    a, groups, at = list(num), {}, [i for i in range(1, len(num)) if den[i]]
+    for i, end in zip(at, at[1:] + [len(num)]):  # den_j, j <= i, act on a_i..a_(end-1)
+        groups.setdefault(den[i], []).append(i)
+        for k in range(i, end):
+            for c, ix in groups.items():
+                s = sum([a[k - j] for j in ix])
+                a[k] -= s if c == 1 else c * s
     return a
 
 
@@ -644,7 +695,7 @@ def _gauss_power_mod2k(es: Sequence[int], k: int, n: int):
             words = array("Q", _reslot(accs.pop(0).to_bytes(wide * n, "little"),
                                        wide, 8, n, k))
             words.reverse()
-            yield words
+            yield memoryview(words).toreadonly()
             del words  # not kept while the next words are built
 
 
@@ -655,17 +706,8 @@ def theta_f(x: int, y: int, T: int, ring: Ring = EXACT) -> LaurentSeries:
     if T < 1:
         raise InsufficientTruncation("need T >= 1")
     c = [0] * T
-    c[0] = 1
-    n = 1
-    while True:
-        ep = x * n * (n + 1) // 2 + y * n * (n - 1) // 2
-        em = y * n * (n + 1) // 2 + x * n * (n - 1) // 2
-        if ep >= T and em >= T:
-            break
-        s = -1 if n % 2 else 1
-        if ep < T:
-            c[ep] += s
-        if em < T:
-            c[em] += s
-        n += 1
-    return LaurentSeries(0, c, ring)
+    for n in range(-math.isqrt(T) - 1, math.isqrt(T) + 2):  # exponent >= n^2
+        e = (x * n * (n + 1) + y * n * (n - 1)) // 2
+        if e < T:
+            c[e] += 1 - 2 * (n & 1)
+    return LaurentSeries._built(0, _small(c, ring.k), ring)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcongruence import dissect
+from qcongruence import dissect, series
 from qcongruence.dissect import (IdentityReport, Progression, _theta_quotient,
                                  dissection3_f1cubed, dissection5,
                                  dissection7, extract, ramanathan,
@@ -245,7 +245,7 @@ _DISSECTION_QUOTIENTS = [
 
 @pytest.mark.parametrize("num, den, n", _DISSECTION_QUOTIENTS)
 def test_theta_quotients_match_newton_inverses(num, den, n):
-    # Miller's recurrence in q^n against a Newton inverse of the denominator
+    # the exact division in q^n against a Newton inverse of the denominator
     # taken in q, at a size in the thousands
     T = 3000
     newton = theta_f(n * num[0], n * num[1], T).mul(
@@ -281,7 +281,7 @@ def test_verify_suite_reports_the_n7_case_under_both_names(monkeypatch):
 
 
 def test_verify_suite_takes_no_newton_inverse(monkeypatch):
-    # every quotient is a Miller recurrence in q^n; the Newton route is kept
+    # every quotient is one exact division in q^n; the Newton route is kept
     # only as a test reference (test_r_q5_matches_its_newton_inverse)
     calls = []
     real = LaurentSeries.inverse
@@ -293,6 +293,35 @@ def test_verify_suite_takes_no_newton_inverse(monkeypatch):
     monkeypatch.setattr(LaurentSeries, "inverse", spy)
     verify_suite(300)
     assert calls == []
+
+
+def test_theta_quotients_take_no_product_and_no_inverse(monkeypatch):
+    # each of verify_suite's eleven quotients is one exact division; a
+    # product or an inverse taken while one is formed is recorded
+    inside, taken, formed = [False], [], []
+    real_quotient = dissect._theta_quotient
+
+    def quotient(*args):
+        inside[0] = True
+        try:
+            return real_quotient(*args)
+        finally:
+            inside[0] = False
+            formed.append(args)
+
+    def spy(name, real):
+        def call(*args):
+            if inside[0]:
+                taken.append(name)
+            return real(*args)
+        return call
+
+    for name in ("mul", "__mul__", "inverse", "pow"):
+        monkeypatch.setattr(LaurentSeries, name, spy(name, getattr(LaurentSeries, name)))
+    monkeypatch.setattr(series, "_conv", spy("_conv", series._conv))
+    monkeypatch.setattr(dissect, "_theta_quotient", quotient)
+    verify_suite(300)
+    assert len(formed) == 11 and taken == []
 
 
 def test_r_q5_matches_its_newton_inverse():

@@ -17,15 +17,16 @@ from qcongruence import (ClaimReport, CongruenceClaim, EtaQuotient,
                          WitnessCertificate, WitnessReport, builtin_certificate,
                          ramanathan, verify_family_instance, verify_witness)
 from qcongruence import series as series_module
-from qcongruence.dissect import dissection7
+from qcongruence.dissect import dissection7, extract
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, _conv_mod2k,
-                                _gauss_power_mod2k, agree, euler_factor,
-                                first_difference, mod2k, shifted_sum, theta_f,
-                                theta_power)
+                                _divide_exact, _gauss_power_mod2k, agree,
+                                euler_factor, first_difference, mod2k,
+                                shifted_sum, theta_f, theta_power)
 
 from oracles import (binomial_product, count_partitions, generalized_pentagonal,
-                     naive_euler, naive_mul, naive_pow, naive_product)
+                     naive_euler, naive_inverse, naive_mul, naive_pow,
+                     naive_product)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -75,6 +76,27 @@ def test_series_pickle_and_deepcopy(ring):
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         series(0, [])
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2k(3), mod2k(64)], ids=str)
+def test_public_constructor_copies_its_input(ring):
+    # operations keep the storage they build; the constructor copies, so
+    # changing a list or array handed to it, or the list coeffs() returned,
+    # changes no series
+    given = {"list": [5, -1, 2**64 + 3, 0], "array": array("Q", [5, 7, 2**64 - 1, 0]),
+             "numpy": np.array([5, 3, -9, 0]),
+             "view": memoryview(bytearray(array("Q", [5, 2, 9, 0]).tobytes())).cast("Q")}
+    made = {name: series(1, coeffs, ring) for name, coeffs in given.items()}
+    want = {name: s.coeffs() for name, s in made.items()}
+    derived = {name: [s.shift(2), s.truncate(3), s.add(s), s.scale(3),
+                      s.substitute_qpow(2)] for name, s in made.items()}
+    derived_want = {name: [d.coeffs() for d in ds] for name, ds in derived.items()}
+    for coeffs in given.values():
+        coeffs[0] = coeffs[1] = 1
+    for s in made.values():
+        s.coeffs()[2] = 1
+    assert {name: s.coeffs() for name, s in made.items()} == want
+    assert {name: [d.coeffs() for d in ds] for name, ds in derived.items()} == derived_want
 
 
 # -- immutable records -------------------------------------------------------
@@ -943,3 +965,66 @@ def test_packed_mod8_matches_convolve_at_8000_terms():
     b = rng.integers(0, 8, 8000, dtype=np.uint64)
     got = series(0, a, mod2k(3)).mul(series(0, b, mod2k(3)))._coeffs
     assert np.array_equal(got, np.convolve(a, b)[:8000] & np.uint64(7))
+
+
+# -- mod-2^k word operations at full width -----------------------------------------
+
+
+def _window(offset, coeffs, e):
+    return coeffs[e - offset] if offset <= e < offset + len(coeffs) else 0
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 63, 64])
+def test_mod2k_word_operations_match_a_per_coefficient_reference(k):
+    # random 64-bit words, reduced as they are read, at lengths up to 5,000
+    # and unequal offsets; each operation against the coefficient-wise
+    # definition mod 2^k, scalars up to 2^64 - 1 and negative included
+    rnd = random.Random(k)
+    mod, ring = 1 << k, mod2k(k)
+    for _ in range(4):
+        (oa, ca), (ob, cb) = [(rnd.randint(-30, 30),
+                               [rnd.getrandbits(64) for _ in range(rnd.randint(1, 5000))])
+                              for _ in range(2)]
+        a, b = series(oa, ca, ring), series(ob, cb, ring)
+        lo, hi = min(oa, ob), min(oa + len(ca), ob + len(cb))
+        for got, sign in ((a.add(b), 1), (a.sub(b), -1)):
+            assert (got.offset, got.trunc) == (lo, hi)
+            assert got.coeffs() == [(_window(oa, ca, e) + sign * _window(ob, cb, e)) % mod
+                                    for e in range(lo, hi)]
+        for c in (2**64 - 1, rnd.getrandbits(64), -1, -rnd.getrandbits(70), 0, 3):
+            assert a.scale(c).coeffs() == [c * x % mod for x in ca]
+        d = rnd.randint(2, 5)
+        spread = a.substitute_qpow(d)
+        assert (spread.offset, spread.trunc) == (oa * d, (oa + len(ca)) * d)
+        assert spread.coeffs() == [ca[i // d] % mod if i % d == 0 else 0
+                                   for i in range(len(ca) * d)]
+        nonneg = a.shift(30 - oa)  # extraction reads only n >= 0
+        m = rnd.randint(1, 7)
+        for j in (0, m - 1, rnd.randrange(m)):
+            got = extract(nonneg, Progression(m, j))
+            assert got.coeffs() == [_window(30, ca, m * n + j) % mod
+                                    for n in range(-(-(nonneg.trunc - j) // m))]
+
+
+# -- exact division by a sparse unit series --------------------------------------
+
+
+@pytest.mark.parametrize("seed, smallest", [(0, 1), (1, 1), (2, 40)])
+def test_divide_exact_matches_the_schoolbook_quotient(seed, smallest):
+    # sparse denominators with constant term 1 whose other terms are not all
+    # theta-like (+-1, or +-2 at x = y): 3 and -2 too; against the schoolbook
+    # inverse times the numerator at n = 2,000
+    rnd = random.Random(seed)
+    n = 2000
+    den = [1] + [0] * (n - 1)
+    for i in [smallest, *rnd.sample(range(smallest + 1, n), 40)]:
+        den[i] = rnd.choice([1, -1, 2, -2, 3])
+    num = [rnd.randint(-9, 9) if rnd.random() < 0.02 else 0 for _ in range(n)]
+    num[0] = rnd.randint(1, 9)
+    assert _divide_exact(num, den) == naive_mul(num, naive_inverse(den, n), n)
+
+
+@pytest.mark.parametrize("lead", [-1, 0, 2, 3])
+def test_divide_exact_refuses_a_constant_term_other_than_one(lead):
+    with pytest.raises(NonInvertibleSeries):
+        _divide_exact([1, 2, 3], [lead, 1, 0])
