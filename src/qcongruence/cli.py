@@ -164,10 +164,10 @@ def _oracle(rep: Report, args):
 def _verify_conjecture(rep: Report, args):
     primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
-    rep.add_reports(check_claims(claims, args.n_max))
-    # how sharp each claimed modulus is: every prime's table mod 2^16, and
-    # mod 2^64 only the primes with a class that vanishes mod 2^16
-    valuations = congruences.observed_two_adic_valuations(primes, 8, args.n_max)
+    # one table per prime mod 2^8 answers its claims and how sharp they are
+    reports, valuations = congruences.check_with_valuations(claims, primes, 8, args.n_max)
+    rep.add_reports(reports)
+    del reports  # its rows are built: free it before the valuations' rows
     for p, observed in zip(primes, valuations):
         for m, j, k in congruences.CONJECTURE_PATTERN:  # m = 8 in every row
             v = observed[j]

@@ -9,6 +9,7 @@ legitimate output of the scanner.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import reduce
 from operator import or_
@@ -113,6 +114,9 @@ THEOREM_CLAIMS = tuple(CongruenceClaim(t, m, j, k, src)
 CONJECTURE_PATTERN = ((8, 1, 1), (8, 2, 2), (8, 3, 3), (8, 4, 1),
                       (8, 5, 3), (8, 6, 3), (8, 7, 5))
 
+# The moduli 2^k a valuation is read at in turn: a minimum below k is exact.
+VALUATION_LADDER = (8, 16, MAX_MOD2K_BITS)
+
 
 def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
     """The seven conjectured congruences at the prime q <= 10^4."""
@@ -138,58 +142,69 @@ def check_claims(claims, n_max: int) -> list[ClaimReport]:
     since the report checked before it, so a pass is charged to the first
     claim it serves and the ``ms`` fields add up to the call's time."""
     claims = list(claims)
-    by_m = {}  # m -> t -> the indices of the claims on (t, m)
-    for i, c in enumerate(claims):
-        by_m.setdefault(c.m, {}).setdefault(c.t, []).append(i)
     reports = [None] * len(claims)
-    start = time.perf_counter()
-    for m, by_t in by_m.items():
-        ring = mod2k(max(claims[i].k for run in by_t.values() for i in run))
-        tables = overpartition_residues(list(by_t), ring, m, n_max)
-        for run in by_t.values():
-            table = next(tables)
-            for i in run:
-                c = claims[i]
-                row = LaurentSeries(0, table[c.j], mod2k(c.k))
-                n = row.valuation()
-                counter = None if n is None else (n, row.coefficient(n))
-                now = time.perf_counter()
-                reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
-                start = now
-            del table, row  # the next table is built with none alive
+    check = _claim_checker(claims, n_max, reports)
+    for m in dict.fromkeys(c.m for c in claims):
+        on_m = [c for c in claims if c.m == m]
+        ts = list(dict.fromkeys(c.t for c in on_m))
+        tables = overpartition_residues(ts, mod2k(max(c.k for c in on_m)), m, n_max)
+        for t in ts:
+            check(t, m, next(tables))
     return reports
+
+
+def _claim_checker(claims, n_max: int, reports: list):
+    """check(t, m, table): set reports[i] for each claim i on (t, m) not yet
+    checked, from its row of ``table``, t's table on m, and return table.
+    ``ms`` is the wall time since the report set before it."""
+    runs = {}  # (t, m) -> the indices of the claims on (t, m)
+    for i, c in enumerate(claims):
+        runs.setdefault((c.t, c.m), []).append(i)
+    start = time.perf_counter()
+
+    def check(t, m, table):
+        nonlocal start
+        for i in runs.pop((t, m), ()):
+            c = claims[i]
+            row = LaurentSeries(0, table[c.j], mod2k(c.k))
+            n = row.valuation()
+            counter = None if n is None else (n, row.coefficient(n))
+            now = time.perf_counter()
+            reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
+            start = now
+        return table
+    return check
 
 
 def is_prime(q: int) -> bool:
     """Trial division; intended for the conjecture scanner's q <= 10^4."""
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
     """For each t in ``ts``, the minimal 2-adic valuation of
-    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1.  A minimum below
-    16 is decided mod 2^16, so every t is read from tables mod 2^16 first,
-    sharing kernel passes, and only the t with a row that vanishes mod 2^16
-    again mod 2^64.  A 64 means every value on that progression vanished
-    mod 2^64: the true valuation is at least 64."""
-    ts = list(ts)
-    vals = {}
-    todo = ts
-    for k in (16, MAX_MOD2K_BITS):
+    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1, read along
+    ``VALUATION_LADDER``: every t mod 2^8, sharing kernel passes, then only
+    the t with a row that vanished at the rung before.  A 64 means every
+    value on that progression vanished mod 2^64: the valuation is >= 64."""
+    return check_with_valuations((), list(ts), m, n_max)[1]
+
+
+def check_with_valuations(claims, ts, m: int, n_max: int):
+    """``check_claims(claims, n_max)`` and ``observed_two_adic_valuations(ts,
+    m, n_max)`` from one table per t mod 2^8, for claims on m with k <= 8
+    and t in ``ts``.  A pass mod 2^8 is charged to the first claim it serves;
+    the reads mod 2^16 and 2^64 come after the last claim."""
+    reports, vals, todo = [None] * len(claims), {}, ts
+    check = _claim_checker(claims, n_max, reports)
+    for k in VALUATION_LADDER:
         tables = overpartition_residues(todo, mod2k(k), m, n_max)
-        for t in todo:
-            vals[t] = list(map(_min_two_adic_valuation, next(tables)))
+        for t in todo:  # each table is dropped before the next is built
+            vals[t] = list(map(_min_two_adic_valuation, check(t, m, next(tables))))
         todo = [t for t in todo if max(vals[t]) >= k]
         if not todo:
             break
-    return [vals[t] for t in ts]
+    return reports, [vals[t] for t in ts]
 
 
 def _min_two_adic_valuation(words) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qcongruence import cli, dissect, families, series, witness
+from qcongruence import cli, congruences, dissect, families, series, witness
 from qcongruence.cli import main
 from qcongruence.congruences import (_ORACLE_MAX_N, _ORACLE_MAX_T, DEFAULT_N_MAX,
                                      ClaimReport, CongruenceClaim)
@@ -352,9 +352,9 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, want", [
     # one kernel pass for the four t, mod 2^(the largest k)
     (["theorems"], [((-5, -7, -11, -13), 8)]),
-    # one pass per k for both primes: the claims' mod 2^5, the valuations'
-    # mod 2^16
-    (["conjecture", "3", "17"], [((-3, -17), 5), ((-3, -17), 16)]),
+    # one pass mod 2^8 for both primes' claims and valuations: no row of
+    # either vanishes mod 2^8, so neither is read again
+    (["conjecture", "3", "17"], [((-3, -17), 8)]),
 ], ids=["theorems", "conjecture"])
 def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, want):
     calls = []
@@ -369,6 +369,27 @@ def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, w
     code, _, _ = run(capsys, "verify", *argv, "--n-max", "50")
     assert code == 0
     assert calls == want
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["conjecture", "3", "17"], [([3, 17], 8)]),
+    # 13's 8n+7 row vanishes mod 2^8 (its minimum is 8), so 13 alone is read
+    # again mod 2^16, where every minimum is decided
+    (["conjecture", "3", "13"], [([3, 13], 8), ([13], 16)]),
+    (["theorems"], [([5, 7, 11, 13], 8)]),
+], ids=["conjecture-3-17", "conjecture-3-13", "theorems"])
+def test_verify_reads_each_prime_once_mod_2_8(capsys, monkeypatch, argv, want):
+    reads = []
+    real = congruences.overpartition_residues
+
+    def spy(ts, ring, m, n_max):
+        reads.append((list(ts), ring.k))
+        return real(ts, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", spy)
+    code, _, _ = run(capsys, "verify", *argv, "--n-max", "200")
+    assert code == 0
+    assert reads == want
 
 
 def test_verify_witness_builtin(capsys):
@@ -646,6 +667,11 @@ GOLDEN_RUNS = [
     ("verify_conjecture_11_primes",
      ["verify", "conjecture", *"3 5 7 11 13 17 19 23 29 31 1999".split(),
       "--n-max", "300"]),
+    # every rung of the valuation ladder: 3 is decided mod 2^8, while 4093's
+    # 8n+7 row (minimum 16) and 8191's rows (minima 14, 15, 17) are read
+    # again mod 2^16 and then mod 2^64
+    ("verify_conjecture_3_4093_8191",
+     ["verify", "conjecture", "3", "4093", "8191", "--n-max", "300"]),
 ]
 
 

@@ -149,12 +149,12 @@ def test_min_two_adic_valuation_matches_per_value_loop(stream):
 
 
 @pytest.mark.parametrize("t, want, tables", [
-    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^16,
-    # so its minimum must be read from a second table, mod 2^64
-    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [16, 64]),
-    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [16]),
+    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^8 and
+    # mod 2^16, so its minimum must be read from a third table, mod 2^64
+    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [8, 16, 64]),
+    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [8]),
 ])
-def test_valuations_reexpand_mod_2_64_only_when_a_row_vanishes_mod_2_16(
+def test_valuations_climb_the_ladder_when_a_row_vanishes(
         monkeypatch, t, want, tables):
     read = []
 
@@ -167,9 +167,9 @@ def test_valuations_reexpand_mod_2_64_only_when_a_row_vanishes_mod_2_16(
     assert read == tables
 
 
-def test_valuations_reexpand_mod_2_64_only_the_t_that_need_it(monkeypatch):
-    # the five t share one mod-2^16 pass; only 2^16 and 2^17 have a row that
-    # vanishes mod 2^16, and the mod-2^64 pass reads those two alone
+def test_valuations_climb_the_ladder_only_for_the_t_that_need_it(monkeypatch):
+    # the five t share one mod-2^8 pass; only 2^16 and 2^17 have a row that
+    # vanishes mod 2^8 or mod 2^16, and the later passes read those two alone
     ts = [3, 2**16, 5, 2**17, 2**16 + 3]
     read = []
 
@@ -179,10 +179,33 @@ def test_valuations_reexpand_mod_2_64_only_the_t_that_need_it(monkeypatch):
 
     monkeypatch.setattr(congruences, "overpartition_residues", residues)
     got = observed_two_adic_valuations(ts, 8, 50)
-    assert read == [(ts, 16), ([2**16, 2**17], 64)]
+    assert read == [(ts, 8), ([2**16, 2**17], 16), ([2**16, 2**17], 64)]
     monkeypatch.undo()
     assert got == [observed_two_adic_valuations([t], 8, 50)[0] for t in ts]
     assert got[1] == [0, 17, 17, 19, 17, 18, 19, 20]
+
+
+def test_claims_and_valuations_share_tables_and_match_their_own_reads():
+    # a repeated prime, a prime whose 8n+7 row vanishes mod 2^8 and is read
+    # again mod 2^16, and claims that fail: a claim read from its t's table
+    # mod 2^8 gets check_claims' verdict and counterexample, and every
+    # minimum is the exact one
+    ts = [3, 13, 3]
+    claims = [c for t in ts for c in conjecture_claims(t)]
+    claims += [claim(3, 8, 7, 7), claim(13, 8, 0, 1), claim(13, 8, 7, 8)]
+    start = time.perf_counter()
+    reports, vals = congruences.check_with_valuations(claims, ts, 8, 200)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    assert [(r.claim, r.counterexample) for r in reports] == \
+        [(r.claim, r.counterexample) for r in check_claims(claims, 200)]
+    assert [r.holds for r in reports[-3:]] == [False, False, True]
+    assert 0 < sum(r.ms for r in reports) <= elapsed_ms
+    for t, got in zip(ts, vals):
+        gf = overpartition_gf(t, EXACT, 8 * 201)
+        rows = [extract(gf, Progression(8, j)).coeffs()[:201] for j in range(8)]
+        assert got == [min((v & -v).bit_length() - 1 for v in row if v)
+                       for row in rows]
+    assert vals[1][7] == 8
 
 
 def test_monotone_moduli():
