@@ -9,6 +9,8 @@ volatile part and are ignored by --check.
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 from collections.abc import Callable
 from types import SimpleNamespace
@@ -375,5 +377,23 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
 
+def entry():
+    """The console script and ``python -m qcongruence.cli``: run ``main``
+    and end the process without tearing the interpreter down.  An ordinary
+    exit collects and frees every module start-up loaded, about as long as
+    a short run's own work; this exit keeps what a run needs of it (the
+    atexit handlers, flushed output and the exit code) and skips the rest.
+    A usage error's SystemExit, and a flush that fails (a closed pipe or
+    stream), take the interpreter's ordinary exit, which reports them."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -594,10 +594,11 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
     recurrence k*a_k = sum_{i=1..k} ((e+1)*i - k)*p_i*a_{k-i} (Knuth, TAOCP
     vol. 2, 4.7): O(len(p) * nnz(p)) small-int steps, for any sign or size
     of e, with no inverse and no dense product."""
-    terms = [(i, (e + 1) * i * c, c) for i, c in enumerate(p) if c and i]
-    a = [1] + [0] * (len(p) - 1)
-    for k in range(1, len(p)):
-        a[k] = sum((w - k * c) * a[k - i] for i, w, c in terms if i <= k) // k
+    a, terms, at = [1] + [0] * (len(p) - 1), [], [i for i in range(1, len(p)) if p[i]]
+    for i, end in zip(at, at[1:] + [len(p)]):  # p_j, j <= i, act on a_i..a_(end-1)
+        terms.append((i, (e + 1) * i * p[i], p[i]))
+        for k in range(i, end):
+            a[k] = sum([(w - k * c) * a[k - j] for j, w, c in terms]) // k
     return a
 
 

@@ -330,7 +330,7 @@ def test_help_exits_0_and_names_each_flag(capsys, argv, names):
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
-    # the console script calls main() with no argv
+    # the console script's entry calls main() with no argv
     monkeypatch.setattr(sys, "argv", ["qcongruence", "expand", "f1^1", "--T", "2"])
     assert main() == 0
     assert "q^1: -1" in capsys.readouterr().out
@@ -869,3 +869,71 @@ def test_cli_start_up_imports_only_what_it_uses():
     unused = {"dataclasses", "inspect", "typing", "decimal", "pathlib",
               "importlib.resources", "argparse", "gettext", "locale"}
     assert not unused & set(new), sorted(unused & set(new))
+
+
+# How the CLI is launched: python -m runs the module's __main__ block, and
+# the console script calls the entry function with sys.argv set, as
+# python -c sets it from the words after the script.
+_LAUNCH = {"python-m": ["-m", "qcongruence.cli"],
+           "console-script": ["-c", "from qcongruence.cli import entry; entry()"]}
+
+
+def _launch(command: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``command`` with stdout and stderr on pipes,
+    block-buffered as by default, so output a run leaves unflushed is lost."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *command], env=env, capture_output=True,
+                          encoding="utf-8", timeout=120)
+
+
+@pytest.mark.parametrize("launcher", _LAUNCH)
+def test_piped_output_arrives_whole(launcher, tmp_path):
+    # the records are one 2.4 MB write, which passes stdout's buffer straight
+    # to the pipe; --bless's line after them sits in the buffer until the
+    # exit flushes it
+    blessed = tmp_path / "expand.txt"
+    proc = _launch([*_LAUNCH[launcher], "expand", "f1^-1", "--T", "20000",
+                    "--format", "records", "--bless", str(blessed)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.split("\n")
+    assert lines.pop() == ""  # each line ends in "\n"
+    assert lines.pop() == f"# blessed -> {blessed}"
+    assert len(lines) == 20_002
+    assert lines[:2] == ["# qcongruence expand",
+                         '# options: spec="f1^-1" T=20000 ring=exact']
+    assert lines[-1].startswith("coeff e=19999 value=")
+
+
+_USAGE = ("usage: qcongruence verify theorems [-h] [--n-max N] [--format {table,records}] "
+          "[--bless PATH] [--check PATH]\n")
+
+
+@pytest.mark.parametrize("launcher", _LAUNCH)
+@pytest.mark.parametrize("argv, code, stderr, last", [
+    (["verify", "theorems"], 0, "", "p̄_-13(8n+7) ≡ 0 (mod 256) for n <= 2000: holds"),
+    (["verify", "families"], 1, "", "extract(extract(4*f1^6, 7n+5), 7n+1) = 4*f1^6 "
+     "(mod 8): matched through q^499"),
+    (["verify", "theorems", "--T", "5"], 2,
+     _USAGE + "qcongruence verify theorems: error: unrecognized arguments: --T 5\n", None),
+    (["verify", "witness", "--T", "20000"], 2,
+     "error: witness t5-8n+7-mod128 needs its base expanded to 160008 terms, "
+     "over the budget of 100000\n", None),
+], ids=["verified", "refuted", "usage-error", "over-budget"])
+def test_exit_codes_come_through_with_their_stderr(launcher, argv, code, stderr, last):
+    proc = _launch([*_LAUNCH[launcher], *argv])
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert proc.stdout.endswith(f"{last}\n") if last else proc.stdout == ""
+
+
+@pytest.mark.parametrize("entry", [
+    "runpy.run_module('qcongruence.cli', run_name='__main__', alter_sys=True)",
+    "from qcongruence.cli import entry; entry()",
+], ids=["python-m", "console-script"])
+def test_an_atexit_handler_registered_before_the_entry_still_runs(entry):
+    # runpy.run_module is what python -m runs; the handler prints into the
+    # buffer, so its line shows only if it runs before the final flush
+    script = "import atexit, runpy\natexit.register(print, 'atexit ran')\n" + entry
+    proc = _launch(["-c", script, "expand", "f1^1", "--T", "2"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-2:] == ["q^1: -1", "atexit ran"]
