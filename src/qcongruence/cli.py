@@ -2,7 +2,8 @@
 verification suite with reproducible, machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 at least one verification failed (or a
---check regression diff), 2 usage or data errors.  Record output is
+--check regression diff), 2 usage or data errors, 141 (128 + SIGPIPE) the
+output's reader closed the pipe early.  Record output is
 line-stable for identical inputs; timing fields (``ms=``) are the only
 volatile part and are ignored by --check.
 """
@@ -29,6 +30,7 @@ DEFAULT_CONJECTURE_PRIMES = (3, 17, 19, 23, 29, 31)
 
 VERIFY_FAILURE = 1
 USAGE_ERROR = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer SIGPIPE ended
 
 
 class _BadValue(ValueError):
@@ -372,9 +374,19 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return _run(args)
+    except BrokenPipeError:
+        return _broken_pipe()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+
+
+def _broken_pipe() -> int:
+    """The reader closed stdout's pipe early, which is neither a usage nor
+    a data error: point stdout at os.devnull, so that no later flush writes
+    to the pipe again, and end quietly with the code SIGPIPE would give."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return BROKEN_PIPE
 
 
 def entry():
@@ -383,13 +395,16 @@ def entry():
     exit collects and frees every module start-up loaded, about as long as
     a short run's own work; this exit keeps what a run needs of it (the
     atexit handlers, flushed output and the exit code) and skips the rest.
-    A usage error's SystemExit, and a flush that fails (a closed pipe or
-    stream), take the interpreter's ordinary exit, which reports them."""
+    A usage error's SystemExit, and a flush that fails other than on a
+    closed pipe (a full disk, a closed stream), take the interpreter's
+    ordinary exit, which reports them."""
     code = main()
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        code = _broken_pipe()
     except (OSError, ValueError):
         sys.exit(code)
     os._exit(code)

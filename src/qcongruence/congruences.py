@@ -130,50 +130,8 @@ def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
 
 def check_claims(claims, n_max: int) -> list[ClaimReport]:
     """Check each claim for n <= n_max; the reports come in claim order.
-
-    The claims on one m read their distinct t, in order of first
-    appearance, from ``overpartition_residues`` mod 2^K, K the largest k
-    among them, so every eight t share one kernel pass.  Each claim reads
-    its row as a series mod 2^k, its own k, and its counterexample is that
-    series' valuation and the coefficient there.  The tables are read one
-    at a time and each is dropped before the next is built, so what is
-    alive is one table of m*(n_max+1) words, one row and one pass's
-    accumulators (see ``series._GAUSS_PASS``).  ``ms`` is the wall time
-    since the report checked before it, so a pass is charged to the first
-    claim it serves and the ``ms`` fields add up to the call's time."""
-    claims = list(claims)
-    reports = [None] * len(claims)
-    check = _claim_checker(claims, n_max, reports)
-    for m in dict.fromkeys(c.m for c in claims):
-        on_m = [c for c in claims if c.m == m]
-        ts = list(dict.fromkeys(c.t for c in on_m))
-        tables = overpartition_residues(ts, mod2k(max(c.k for c in on_m)), m, n_max)
-        for t in ts:
-            check(t, m, next(tables))
-    return reports
-
-
-def _claim_checker(claims, n_max: int, reports: list):
-    """check(t, m, table): set reports[i] for each claim i on (t, m) not yet
-    checked, from its row of ``table``, t's table on m, and return table.
-    ``ms`` is the wall time since the report set before it."""
-    runs = {}  # (t, m) -> the indices of the claims on (t, m)
-    for i, c in enumerate(claims):
-        runs.setdefault((c.t, c.m), []).append(i)
-    start = time.perf_counter()
-
-    def check(t, m, table):
-        nonlocal start
-        for i in runs.pop((t, m), ()):
-            c = claims[i]
-            row = LaurentSeries(0, table[c.j], mod2k(c.k))
-            n = row.valuation()
-            counter = None if n is None else (n, row.coefficient(n))
-            now = time.perf_counter()
-            reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
-            start = now
-        return table
-    return check
+    ``check_with_valuations`` with no valuations: one read per m."""
+    return check_with_valuations(claims, (), 1, n_max)[0]
 
 
 def is_prime(q: int) -> bool:
@@ -183,27 +141,53 @@ def is_prime(q: int) -> bool:
 
 def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
     """For each t in ``ts``, the minimal 2-adic valuation of
-    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1, read along
-    ``VALUATION_LADDER``: every t mod 2^8, sharing kernel passes, then only
-    the t with a row that vanished at the rung before.  A 64 means every
-    value on that progression vanished mod 2^64: the valuation is >= 64."""
-    return check_with_valuations((), list(ts), m, n_max)[1]
+    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1:
+    ``check_with_valuations`` with no claims.  A 64 means every value on
+    that progression vanished mod 2^64: the valuation is >= 64."""
+    return check_with_valuations((), ts, m, n_max)[1]
 
 
 def check_with_valuations(claims, ts, m: int, n_max: int):
-    """``check_claims(claims, n_max)`` and ``observed_two_adic_valuations(ts,
-    m, n_max)`` from one table per t mod 2^8, for claims on m with k <= 8
-    and t in ``ts``.  A pass mod 2^8 is charged to the first claim it serves;
-    the reads mod 2^16 and 2^64 come after the last claim."""
-    reports, vals, todo = [None] * len(claims), {}, ts
-    check = _claim_checker(claims, n_max, reports)
-    for k in VALUATION_LADDER:
-        tables = overpartition_residues(todo, mod2k(k), m, n_max)
-        for t in todo:  # each table is dropped before the next is built
-            vals[t] = list(map(_min_two_adic_valuation, check(t, m, next(tables))))
-        todo = [t for t in todo if max(vals[t]) >= k]
-        if not todo:
-            break
+    """The reports of ``claims`` (any m, k <= 64), in claim order, for
+    n <= n_max, and ``observed_two_adic_valuations(ts, m, n_max)``.
+
+    Each step (a claim's m, and m if ``ts`` is not empty) reads its
+    distinct t, the claims' first, from ``overpartition_residues`` mod 2^K,
+    K the largest k of its claims and at least 8 if the valuations are on
+    it, so every eight t share one kernel pass.  A claim is answered at that read: its
+    row read as a series mod its own 2^k, the counterexample that series'
+    valuation and the coefficient there.  A minimum below K is exact; each
+    t in ``ts`` with a row that vanished is read again at the next rung of
+    ``VALUATION_LADDER``.  Each table is dropped before the next is built,
+    so what is alive is one table, one row and one pass's accumulators
+    (see ``series._GAUSS_PASS``).  ``ms`` is the wall time since the report
+    before, so a pass is charged to the first claim it serves."""
+    claims, ts = list(claims), list(ts)
+    reports, vals, runs = [None] * len(claims), {}, {}
+    for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
+        runs.setdefault((c.t, c.m), []).append(i)
+    start = time.perf_counter()
+    for step in dict.fromkeys([c.m for c in claims] + ([m] if ts else [])):
+        wanted = dict.fromkeys(ts if step == m else ())
+        top = max([c.k for c in claims if c.m == step] + ([8] if wanted else []))
+        todo = list(dict.fromkeys([*(t for t, s in runs if s == step), *wanted]))
+        for k in (top, *(r for r in VALUATION_LADDER if r > top)):
+            tables = overpartition_residues(todo, mod2k(k), step, n_max)
+            for t in todo:
+                table = next(tables)
+                for i in runs.pop((t, step), ()):
+                    row = LaurentSeries(0, table[claims[i].j], mod2k(claims[i].k))
+                    n = row.valuation()
+                    counter = None if n is None else (n, row.coefficient(n))
+                    now = time.perf_counter()
+                    reports[i] = ClaimReport(claims[i], n_max, counter, (now - start) * 1000.0)
+                    start = now
+                if t in wanted:
+                    vals[t] = list(map(_min_two_adic_valuation, table))
+                del table  # before the next is built
+            todo = [t for t in wanted if max(vals[t]) >= k]
+            if not todo:
+                break
     return reports, [vals[t] for t in ts]
 
 

@@ -197,7 +197,6 @@ def builtin_certificate() -> WitnessCertificate:
 #   m 8
 #   j 7
 #   P 7
-#   AB 1
 #   prefactor q^-17 * f1^79 * f2^-38 * f4^36 * f8^-72
 #   hauptmodul q^-1 * f2^-4 * f4^12 * f8^-8
 #   poly_min_degree 1
@@ -205,9 +204,7 @@ def builtin_certificate() -> WitnessCertificate:
 #   common_factor 128
 #
 # '#' starts a comment; blank lines are ignored; poly is lowest-degree-first
-# exact decimals.  AB and poly_min_degree are optional (defaults "1").  Only
-# AB = 1 is supported: the general per-g section is reserved but no data
-# exercises it.
+# exact decimals.  id and poly_min_degree are optional (defaults "" and 1).
 
 
 def format_certificate(c: WitnessCertificate) -> str:
@@ -219,7 +216,6 @@ def format_certificate(c: WitnessCertificate) -> str:
         f"m {c.m}",
         f"j {c.j}",
         "P " + ",".join(str(x) for x in sorted(c.pset)),
-        "AB 1",
         f"prefactor {format_eta_quotient(c.prefactor)}",
         f"hauptmodul {format_eta_quotient(c.hauptmodul)}",
         f"poly_min_degree {c.poly_min_degree}",
@@ -229,7 +225,7 @@ def format_certificate(c: WitnessCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FIELDS = ("id", "N", "M", "r", "m", "j", "P", "AB", "prefactor", "hauptmodul",
+_FIELDS = ("id", "N", "M", "r", "m", "j", "P", "prefactor", "hauptmodul",
            "poly_min_degree", "poly", "common_factor")
 
 
@@ -253,9 +249,6 @@ def parse_certificate(text: str) -> WitnessCertificate:
     missing = [k for k in required if k not in fields]
     if missing:
         raise ValueError(f"certificate is missing fields: {', '.join(missing)}")
-    if fields.get("AB", "1") != "1":
-        raise ValueError("only AB = 1 certificates are supported; the per-g "
-                         "section for larger AB sets is reserved but unimplemented")
 
     r = {}
     for pair in fields["r"].split():

@@ -878,13 +878,14 @@ _LAUNCH = {"python-m": ["-m", "qcongruence.cli"],
            "console-script": ["-c", "from qcongruence.cli import entry; entry()"]}
 
 
-def _launch(command: list[str]) -> subprocess.CompletedProcess:
-    """A fresh interpreter on ``command`` with stdout and stderr on pipes,
-    block-buffered as by default, so output a run leaves unflushed is lost."""
+def _launch(command: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``command`` with stderr on a pipe and stdout
+    on ``stdout`` (a pipe by default), block-buffered as by default, so
+    output a run leaves unflushed is lost."""
     env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, *command], env=env, capture_output=True,
-                          encoding="utf-8", timeout=120)
+    return subprocess.run([sys.executable, *command], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, encoding="utf-8", timeout=120)
 
 
 @pytest.mark.parametrize("launcher", _LAUNCH)
@@ -903,6 +904,42 @@ def test_piped_output_arrives_whole(launcher, tmp_path):
     assert lines[:2] == ["# qcongruence expand",
                          '# options: spec="f1^-1" T=20000 ring=exact']
     assert lines[-1].startswith("coeff e=19999 value=")
+
+
+# 20,000 terms go out in one write, which fails inside main; two terms sit
+# in stdout's buffer until the exit's flush, which fails there
+_EARLY_CLOSE = {"write-fails": "20000", "exit-flush-fails": "2"}
+
+
+@pytest.mark.parametrize("launcher", _LAUNCH)
+@pytest.mark.parametrize("case", _EARLY_CLOSE)
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(launcher, case):
+    # the pipe's read end is closed before the run starts, so every write
+    # to it fails; the run ends as SIGPIPE would end it, 128 + 13
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _launch([*_LAUNCH[launcher], "expand", "f1^-1", "--T", _EARLY_CLOSE[case]],
+                       stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("launcher", _LAUNCH)
+@pytest.mark.parametrize("case, code, stderr", [
+    ("write-fails", 2, "error: [Errno 28] No space left on device\n"),
+    ("exit-flush-fails", 120, "Exception ignored"),
+])
+def test_other_output_errors_keep_their_exit_and_message(launcher, case, code, stderr):
+    # a full device is not a closed pipe: a failed write is a data error,
+    # and a failed exit flush is reported by the interpreter's own exit
+    with open("/dev/full", "w") as full:
+        proc = _launch([*_LAUNCH[launcher], "expand", "f1^-1", "--T", _EARLY_CLOSE[case]],
+                       stdout=full)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(stderr), proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 _USAGE = ("usage: qcongruence verify theorems [-h] [--n-max N] [--format {table,records}] "

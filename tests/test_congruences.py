@@ -208,6 +208,64 @@ def test_claims_and_valuations_share_tables_and_match_their_own_reads():
     assert vals[1][7] == 8
 
 
+def test_claim_above_2_8_with_valuations_gets_check_claims_verdict():
+    # p-bar_{-13}(7) = 256 * odd: read mod 2^8 it vanishes, so a claim mod
+    # 2^9 must be read from a wider table than the valuations' first rung
+    claims = [claim(13, 8, 7, 9)]
+    [rep], [vals] = congruences.check_with_valuations(claims, [13], 8, 200)
+    [alone] = check_claims(claims, 200)
+    assert (rep.verdict, rep.counterexample) == ("fails", (0, 256))
+    assert (alone.verdict, alone.counterexample) == ("fails", (0, 256))
+    assert vals == observed_two_adic_valuations([13], 8, 200)[0]
+    assert vals[7] == 8
+
+
+def test_claim_whose_t_has_no_valuations_gets_its_report(monkeypatch):
+    read = []
+
+    def residues(ts, ring, m, n_max):
+        read.append((list(ts), ring.k))
+        return overpartition_residues(ts, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+    claims = [claim(5, 8, 7, 8), claim(7, 8, 7, 7)]
+    reports, vals = congruences.check_with_valuations(claims, [3], 8, 100)
+    # one read serves the claims' t and the valuations' t alike
+    assert read == [([5, 7, 3], 8)]
+    monkeypatch.undo()
+    assert [(r.claim, r.counterexample) for r in reports] == \
+        [(r.claim, r.counterexample) for r in check_claims(claims, 100)]
+    assert reports[0].counterexample == (0, 128) and reports[1].holds
+    assert vals == observed_two_adic_valuations([3], 8, 100)
+
+
+def test_claims_on_two_steps_and_valuations_on_a_third_match_separate_calls(
+        monkeypatch):
+    claims = [claim(5, 4, 3, 3), claim(13, 16, 15, 10), claim(1, 4, 3, 7),
+              claim(13, 16, 7, 64), claim(5, 4, 1, 2)]
+    ts = [3, 13]
+    read = []
+
+    def residues(ts, ring, m, n_max):
+        read.append((list(ts), ring.k, m))
+        return overpartition_residues(ts, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+    start = time.perf_counter()
+    reports, vals = congruences.check_with_valuations(claims, ts, 8, 120)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    # each step reads its t once, mod 2^K for its largest k (at least 8
+    # for the valuations), and only 13's vanishing 8n+7 row climbs on
+    assert read == [([5, 1], 7, 4), ([13], 64, 16), ([3, 13], 8, 8), ([13], 16, 8)]
+    monkeypatch.undo()
+    alone = check_claims(claims, 120)
+    assert [(r.claim, r.n_max, r.verdict, r.counterexample) for r in reports] == \
+        [(r.claim, r.n_max, r.verdict, r.counterexample) for r in alone]
+    assert any(r.holds for r in reports) and not all(r.holds for r in reports)
+    assert vals == observed_two_adic_valuations(ts, 8, 120)
+    assert 0 < sum(r.ms for r in reports) <= elapsed_ms
+
+
 def test_monotone_moduli():
     # holding mod 2^k implies holding mod 2^(k-1)
     weakened = [CongruenceClaim(c.t, c.m, c.j, c.k - 1, c.source)

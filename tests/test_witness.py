@@ -150,8 +150,9 @@ def test_parse_rejects_bad_input():
                                     if not l.startswith("poly ")))
     with pytest.raises(ValueError, match="duplicate"):
         parse_certificate(good + "N 8\n")
-    with pytest.raises(ValueError, match="AB"):
-        parse_certificate(good.replace("AB 1", "AB 1,2"))
+    for line in ("AB 1", "AB 1,2"):  # twelve lines, then an unknown field
+        with pytest.raises(ValueError, match=r"^line 13: unknown field 'AB'$"):
+            parse_certificate(good + line + "\n")
     with pytest.raises(ValueError, match="no value"):
         parse_certificate(good + "stray\n")
 
