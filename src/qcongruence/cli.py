@@ -107,22 +107,30 @@ def _strip_volatile(line: str) -> str:
     return " ".join(tok for tok in line.split(" ") if not tok.startswith("ms="))
 
 
+def _write(text: str):
+    """Write ``text`` to stdout whole: unbuffered, a raw write to a pipe its
+    reader closes may take part of it, and the text layer ignores the rest."""
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+
+
 def _emit(report: Report, args) -> int:
     """Print the form --format names; the stable record text is built only
     for --bless or --check."""
-    sys.stdout.write("\n".join(report.lines(args.format)) + "\n")
+    _write("\n".join(report.lines(args.format)) + "\n")
     if args.bless or args.check:
         stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
     if args.bless:
         with open(args.bless, "w") as f:
             f.write(stable)
-        sys.stdout.write(f"# blessed -> {args.bless}\n")
+        _write(f"# blessed -> {args.bless}\n")
     elif args.check:
         with open(args.check) as f:
             if f.read() != stable:
-                sys.stdout.write(f"# REGRESSION: output differs from {args.check}\n")
+                _write(f"# REGRESSION: output differs from {args.check}\n")
                 return VERIFY_FAILURE
-        sys.stdout.write(f"# matches {args.check}\n")
+        _write(f"# matches {args.check}\n")
     return 0 if report.ok else VERIFY_FAILURE
 
 
@@ -371,9 +379,9 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    """Run the command ``argv`` names; help and usage errors raise SystemExit."""
     try:
-        return _run(args)
+        return _run(_parse_args(sys.argv[1:] if argv is None else list(argv)))
     except BrokenPipeError:
         return _broken_pipe()
     except (ValueError, OSError) as exc:
@@ -394,11 +402,14 @@ def entry():
     and end the process without tearing the interpreter down.  An ordinary
     exit collects and frees every module start-up loaded, about as long as
     a short run's own work; this exit keeps what a run needs of it (the
-    atexit handlers, flushed output and the exit code) and skips the rest.
-    A usage error's SystemExit, and a flush that fails other than on a
-    closed pipe (a full disk, a closed stream), take the interpreter's
-    ordinary exit, which reports them."""
-    code = main()
+    atexit handlers, flushed output and the exit code) and skips the rest;
+    help and usage errors end that way too, with their SystemExit's code.
+    A flush that fails other than on a closed pipe (a full disk, a closed
+    stream) takes the interpreter's ordinary exit, which reports it."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

@@ -188,45 +188,41 @@ def builtin_certificate() -> WitnessCertificate:
     return parse_certificate(builtin_certificate_text())
 
 
-# -- line-oriented text format -------------------------------------------
-#
-#   id t5-8n+7-mod128
-#   N 8
-#   M 2
-#   r 1:-10 2:5
-#   m 8
-#   j 7
-#   P 7
-#   prefactor q^-17 * f1^79 * f2^-38 * f4^36 * f8^-72
-#   hauptmodul q^-1 * f2^-4 * f4^12 * f8^-8
-#   poly_min_degree 1
-#   poly 162177965096960 12820855335682048 ... 37760
-#   common_factor 128
-#
-# '#' starts a comment; blank lines are ignored; poly is lowest-degree-first
-# exact decimals.  id and poly_min_degree are optional (defaults "" and 1).
+def _read_r(text: str) -> dict[int, int]:
+    r = {}
+    for pair in text.split():
+        d, _, e = pair.partition(":")
+        if int(d) in r:
+            raise ValueError(f"field 'r' repeats divisor {int(d)}")
+        r[int(d)] = int(e)
+    return r
+
+
+# The line-oriented text format, one row per line in file order:
+# key -> (record field, reader, writer, whether the line is required).  A
+# missing optional line takes the record's default.  '#' starts a comment
+# and blank lines are ignored; poly is lowest-degree-first exact decimals.
+_FORMAT = {
+    "id": ("id", str, str, False),
+    "N": ("N", int, str, True),
+    "M": ("M", int, str, True),
+    "r": ("r", _read_r, lambda r: " ".join(f"{d}:{e}" for d, e in sorted(r.items())), True),
+    "m": ("m", int, str, True),
+    "j": ("j", int, str, True),
+    "P": ("pset", lambda text: frozenset(int(x) for x in text.split(",")),
+          lambda pset: ",".join(map(str, sorted(pset))), True),
+    "prefactor": ("prefactor", parse_eta_quotient, format_eta_quotient, True),
+    "hauptmodul": ("hauptmodul", parse_eta_quotient, format_eta_quotient, True),
+    "poly_min_degree": ("poly_min_degree", int, str, False),
+    "poly": ("poly", lambda text: tuple(int(x) for x in text.split()),
+             lambda poly: " ".join(map(str, poly)), True),
+    "common_factor": ("claimed_common_factor", int, str, True),
+}
 
 
 def format_certificate(c: WitnessCertificate) -> str:
-    lines = [
-        f"id {c.id}",
-        f"N {c.N}",
-        f"M {c.M}",
-        "r " + " ".join(f"{d}:{e}" for d, e in sorted(c.r.items())),
-        f"m {c.m}",
-        f"j {c.j}",
-        "P " + ",".join(str(x) for x in sorted(c.pset)),
-        f"prefactor {format_eta_quotient(c.prefactor)}",
-        f"hauptmodul {format_eta_quotient(c.hauptmodul)}",
-        f"poly_min_degree {c.poly_min_degree}",
-        "poly " + " ".join(str(x) for x in c.poly),
-        f"common_factor {c.claimed_common_factor}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-_FIELDS = ("id", "N", "M", "r", "m", "j", "P", "prefactor", "hauptmodul",
-           "poly_min_degree", "poly", "common_factor")
+    return "".join(f"{key} {write(getattr(c, field))}\n"
+                   for key, (field, _, write, _) in _FORMAT.items())
 
 
 def parse_certificate(text: str) -> WitnessCertificate:
@@ -238,38 +234,19 @@ def parse_certificate(text: str) -> WitnessCertificate:
         key, _, value = line.partition(" ")
         if not value.strip():
             raise ValueError(f"line {lineno}: field {key!r} has no value")
-        if key not in _FIELDS:
+        if key not in _FORMAT:
             raise ValueError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = value.strip()
 
-    required = ("N", "M", "r", "m", "j", "P", "prefactor", "hauptmodul",
-                "poly", "common_factor")
-    missing = [k for k in required if k not in fields]
+    missing = [key for key, (_, _, _, required) in _FORMAT.items()
+               if required and key not in fields]
     if missing:
         raise ValueError(f"certificate is missing fields: {', '.join(missing)}")
-
-    r = {}
-    for pair in fields["r"].split():
-        d, _, e = pair.partition(":")
-        if int(d) in r:
-            raise ValueError(f"field 'r' repeats divisor {int(d)}")
-        r[int(d)] = int(e)
-    return WitnessCertificate(
-        N=int(fields["N"]),
-        M=int(fields["M"]),
-        r=r,
-        m=int(fields["m"]),
-        j=int(fields["j"]),
-        pset=frozenset(int(x) for x in fields["P"].split(",")),
-        prefactor=parse_eta_quotient(fields["prefactor"]),
-        hauptmodul=parse_eta_quotient(fields["hauptmodul"]),
-        poly=tuple(int(x) for x in fields["poly"].split()),
-        poly_min_degree=int(fields.get("poly_min_degree", "1")),
-        claimed_common_factor=int(fields["common_factor"]),
-        id=fields.get("id", ""),
-    )
+    return WitnessCertificate(**{field: read(fields[key])
+                                 for key, (field, read, _, _) in _FORMAT.items()
+                                 if key in fields})
 
 
 def load_certificate(path: str | os.PathLike) -> WitnessCertificate:

@@ -878,14 +878,24 @@ _LAUNCH = {"python-m": ["-m", "qcongruence.cli"],
            "console-script": ["-c", "from qcongruence.cli import entry; entry()"]}
 
 
-def _launch(command: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """A fresh interpreter on ``command`` with stderr on a pipe and stdout
-    on ``stdout`` (a pipe by default), block-buffered as by default, so
-    output a run leaves unflushed is lost."""
+def _launch_env(unbuffered: bool = False) -> dict:
+    """The source tree's environment with stdout block-buffered, as by
+    default, so output a run leaves unflushed is lost, or unbuffered, as
+    under PYTHONUNBUFFERED=1, so each write goes straight to the file."""
     env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, *command], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, encoding="utf-8", timeout=120)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _launch(command: list[str], stdout=subprocess.PIPE,
+            unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``command`` with stderr on a pipe and stdout
+    on ``stdout`` (a pipe by default)."""
+    return subprocess.run([sys.executable, *command], env=_launch_env(unbuffered),
+                          stdout=stdout, stderr=subprocess.PIPE, encoding="utf-8",
+                          timeout=120)
 
 
 @pytest.mark.parametrize("launcher", _LAUNCH)
@@ -906,9 +916,20 @@ def test_piped_output_arrives_whole(launcher, tmp_path):
     assert lines[-1].startswith("coeff e=19999 value=")
 
 
-# 20,000 terms go out in one write, which fails inside main; two terms sit
-# in stdout's buffer until the exit's flush, which fails there
-_EARLY_CLOSE = {"write-fails": "20000", "exit-flush-fails": "2"}
+# case -> (argv, whether stdout is unbuffered).  Buffered, 20,000 terms go
+# out in one write, which fails inside main; two terms, or the help, sit in
+# stdout's buffer until the exit's flush, which fails there.  Unbuffered,
+# every write goes out, and fails, at once.
+_EARLY_CLOSE = {f"{prefix}{case}": (argv, prefix == "unbuffered-")
+                for prefix in ("", "unbuffered-")
+                for case, argv in [("write-fails", ["expand", "f1^-1", "--T", "20000"]),
+                                   ("exit-flush-fails", ["expand", "f1^-1", "--T", "2"]),
+                                   ("help", ["--help"])]}
+
+
+def _launch_case(launcher: str, case: str, stdout) -> subprocess.CompletedProcess:
+    argv, unbuffered = _EARLY_CLOSE[case]
+    return _launch([*_LAUNCH[launcher], *argv], stdout=stdout, unbuffered=unbuffered)
 
 
 @pytest.mark.parametrize("launcher", _LAUNCH)
@@ -919,24 +940,46 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(launcher, case
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = _launch([*_LAUNCH[launcher], "expand", "f1^-1", "--T", _EARLY_CLOSE[case]],
-                       stdout=write)
+        proc = _launch_case(launcher, case, stdout=write)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("launcher", _LAUNCH)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_after_one_line_ends_the_run_quietly(launcher, unbuffered):
+    # as `| head -1` reads: the report's one 2.2 MB write fills the pipe and
+    # waits; once the reader leaves, an unbuffered raw write returns the
+    # part it wrote, and the rest must still be written, so that it fails
+    proc = subprocess.Popen([sys.executable, *_LAUNCH[launcher], "expand", "f1^-1",
+                             "--T", "20000"], env=_launch_env(unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"# qcongruence expand\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (141, b"")
+
+
+_FULL_DISK = "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("launcher", _LAUNCH)
 @pytest.mark.parametrize("case, code, stderr", [
-    ("write-fails", 2, "error: [Errno 28] No space left on device\n"),
+    ("write-fails", 2, _FULL_DISK),
     ("exit-flush-fails", 120, "Exception ignored"),
+    ("unbuffered-write-fails", 2, _FULL_DISK),
+    ("unbuffered-exit-flush-fails", 2, _FULL_DISK),
 ])
 def test_other_output_errors_keep_their_exit_and_message(launcher, case, code, stderr):
     # a full device is not a closed pipe: a failed write is a data error,
     # and a failed exit flush is reported by the interpreter's own exit
     with open("/dev/full", "w") as full:
-        proc = _launch([*_LAUNCH[launcher], "expand", "f1^-1", "--T", _EARLY_CLOSE[case]],
-                       stdout=full)
+        proc = _launch_case(launcher, case, stdout=full)
     assert proc.returncode == code
     assert proc.stderr.startswith(stderr), proc.stderr
     assert "BrokenPipeError" not in proc.stderr

@@ -126,9 +126,29 @@ def test_constant_term_certificate_verifies():
 # -- text format ------------------------------------------------------------------
 
 
+def _without(text: str, *keys: str) -> str:
+    return "".join(l for l in text.splitlines(keepends=True)
+                   if l.partition(" ")[0] not in keys)
+
+
 def test_format_parse_round_trip():
     cert = builtin_certificate()
     assert parse_certificate(format_certificate(cert)) == cert
+    # every field away from its default, poly_min_degree 0 among them
+    other = WitnessCertificate(
+        N=16, M=4, r={1: -10, 2: 5, 4: 1}, m=16, j=7, pset=frozenset({3, 7}),
+        prefactor=cert.prefactor, hauptmodul=cert.hauptmodul, poly=cert.poly[:-1],
+        poly_min_degree=0, claimed_common_factor=64, id="other")
+    assert parse_certificate(format_certificate(other)) == other
+    # the format's table writes every record field once, in a line of its own
+    fields = [field for field, _, _, _ in witness._FORMAT.values()]
+    assert sorted(fields) == sorted(WitnessCertificate._fields)
+    lines = format_certificate(cert).splitlines()
+    assert [l.partition(" ")[0] for l in lines] == list(witness._FORMAT)
+    # without the optional lines a certificate takes the record's defaults
+    bare = parse_certificate(_without(format_certificate(cert), "id", "poly_min_degree"))
+    assert (bare.id, bare.poly_min_degree) == ("M2-m8-j7", 1)
+    assert bare == WitnessCertificate(**{**vars(cert), "id": "M2-m8-j7"})
 
 
 def test_file_round_trip(tmp_path):
@@ -145,9 +165,15 @@ def test_parse_accepts_comments_and_blank_lines():
 
 def test_parse_rejects_bad_input():
     good = format_certificate(builtin_certificate())
-    with pytest.raises(ValueError, match="missing"):
-        parse_certificate("\n".join(l for l in good.splitlines()
-                                    if not l.startswith("poly ")))
+    for key in ("N", "M", "r", "m", "j", "P", "prefactor", "hauptmodul", "poly",
+                "common_factor"):
+        with pytest.raises(ValueError, match=f"^certificate is missing fields: {key}$"):
+            parse_certificate(_without(good, key))
+    with pytest.raises(ValueError, match="^certificate is missing fields: M, poly$"):
+        parse_certificate(_without(good, "poly", "M"))
+    # fields convert in file order: N's line comes before r's
+    with pytest.raises(ValueError, match=r"with base 10: 'x'$"):
+        parse_certificate(good.replace("N 8", "N x").replace("r 1:-10 2:5", "r 1:1 1:2"))
     with pytest.raises(ValueError, match="duplicate"):
         parse_certificate(good + "N 8\n")
     for line in ("AB 1", "AB 1,2"):  # twelve lines, then an unknown field
