@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import reduce
-from operator import or_
 
 from .eta import overpartition_residues
 from .series import MAX_MOD2K_BITS, LaurentSeries, _Record, field_text, mod2k
@@ -154,14 +152,14 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     Each step (a claim's m, and m if ``ts`` is not empty) reads its
     distinct t, the claims' first, from ``overpartition_residues`` mod 2^K,
     K the largest k of its claims and at least 8 if the valuations are on
-    it, so every eight t share one kernel pass.  A claim is answered at that read: its
-    row read as a series mod its own 2^k, the counterexample that series'
-    valuation and the coefficient there.  A minimum below K is exact; each
-    t in ``ts`` with a row that vanished is read again at the next rung of
-    ``VALUATION_LADDER``.  Each table is dropped before the next is built,
-    so what is alive is one table, one row and one pass's accumulators
-    (see ``series._GAUSS_PASS``).  ``ms`` is the wall time since the report
-    before, so a pass is charged to the first claim it serves."""
+    it, all t from one stream of powers of X.  A claim is answered at that
+    read: its row read as a series mod its own 2^k, the counterexample that
+    series' valuation and the coefficient there.  A minimum below K is
+    exact; each t in ``ts`` with a row that vanished is read again at the
+    next rung of ``VALUATION_LADDER``.  Each table is dropped before the
+    next is built, so what is alive is one table, one row and one read's
+    powers of X.  ``ms`` is the wall time since the report before, so a
+    read is charged to the first claim it serves."""
     claims, ts = list(claims), list(ts)
     reports, vals, runs = [None] * len(claims), {}, {}
     for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
@@ -193,8 +191,11 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
 
 def _min_two_adic_valuation(words) -> int:
     """Least 2-adic valuation among uint64 words, 64 if all are zero: the
-    lowest set bit of their bitwise or."""
-    low = reduce(or_, words, 0)
+    lowest set bit of their bitwise or, folded from the words as one int."""
+    low, n = int.from_bytes(words, "little"), len(words)
+    while n > 1:  # the top half ORed onto the bottom half
+        n -= n // 2
+        low = low >> 64 * n | low & (1 << 64 * n) - 1
     return (low & -low).bit_length() - 1 if low else 64
 
 

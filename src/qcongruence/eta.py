@@ -147,7 +147,7 @@ def overpartition_residues(ts: Sequence[int], ring: Ring, m: int, n_max: int):
     read-only strided view mod 2^k, a list over Z.
 
     The expansions are phi(-q)^(-t) = f_2^t / f_1^(2t) by
-    ``theta_powers``, so mod 2^k the t share kernel passes.  The tables
+    ``theta_powers``, so mod 2^k the t share one stream of X-powers.  The tables
     come as an iterator that builds each as it is read."""
     if min(ts, default=1) < 1:
         raise ValueError("color count t must be >= 1")

@@ -551,10 +551,10 @@ def theta_powers(x: int, y: int, es: Sequence[int], d: int, ring: Ring, T: int):
 
     Each power is taken at length ceil(T/d) before the substitution: mod
     2^k for phi = f(-q, -q) as sum_{i<k} C(e, i) 2^i X^i in the sparse X,
-    every e of a pass sharing one stream of powers of X
-    (``_gauss_power_mod2k``); over Z by Miller's recurrence on the sparse
-    theta series, e = -1 included; otherwise by binary powering, since the
-    recurrence's division by k is unavailable mod 2^k.
+    every e sharing one stream of powers of X (``_gauss_power_mod2k``);
+    over Z by Miller's recurrence on the sparse theta series, e = -1
+    included; otherwise by binary powering, since the recurrence's division
+    by k is unavailable mod 2^k.
     """
     if d < 1:
         raise ValueError(f"theta_power needs d >= 1, got {d}")
@@ -619,85 +619,79 @@ def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return a
 
 
-# The exponents one _gauss_power_mod2k pass serves.  A pass holds, per
-# exponent, an accumulator of n slots of 2k bits (16 bytes at k = 64, 4 at
-# k = 16), beside a few copies of one power of X: a pass of eight peaks at
-# about 245 bytes a term at k = 64 (39 MB at n = 160,008) and 66 at k = 16
-# (tracemalloc).  Eight keeps the four theorem t and the six default
-# conjecture primes in one pass; more exponents take more passes.
-_GAUSS_PASS = 8
-
-
 def _gauss_power_mod2k(es: Sequence[int], k: int, n: int):
     """(1 + 2X)^e mod 2^k to n terms for each e in es, in order, as uint64
     words: the sum of C(e, i) 2^i X^i over i < k and i <= e.  (1 +
     2X)^(2^(k-1)) == 1 (mod 2^k), so e is first reduced mod 2^(k-1), and
     C(e, i) = 0 past e.
 
-    A pass of at most _GAUSS_PASS exponents steps X^1, X^2, ... up to one
-    below its longest sum, each power once: X^1 is written slot by slot,
+    One call steps X^1, X^2, ... once, up to the last power that some e
+    reads with a nonzero C(e, i) 2^i mod 2^k: X^1 is written slot by slot,
     and each later power is the one before times X, sqrt(n) shifted adds.
-    Each power is widened once, added times C(e, i) 2^i into the
-    accumulator of every e that reads it, and dropped; a single e takes as
-    many steps as Horner's rule would.  A pass's words are built as they
-    are read, so a caller that drops each holds one at a time.
+    It keeps X^i mod 2^(k-i), all that its term reads, in whole-byte
+    slots, and then builds each e's words in turn, widening the powers
+    that e reads.  The words are built as they are read, so a caller that
+    drops each holds one at a time.  What the call holds does not grow
+    with the number of exponents, beside their k coefficients each: it
+    peaks (tracemalloc) under 30 bytes a term at k = 8, 50 at k = 16 and
+    360 at k = 64, where X^1 .. X^63 alone take 280.
 
     The narrow slots run backwards, q^0 in the top one, so a product by
     q^(r^2) is a right shift that drops what falls past q^(n-1); the
     largest squares go first, so the sums grow from their shortest terms.
-    X^i is read only mod 2^(k-i), so it is kept mod 2^K in w-byte slots,
-    K = 8w - g - 1 >= k - i, a byte narrower whenever k - i allows.  X^i =
-    P - N, the sums of X^(i-1)'s shifts over the even and the odd r.  A
-    slot of either sums fewer than 2^g residues below 2^K, so with a bias
-    of 2^(K+g) per slot, P + bias - N borrows across no slot, and an AND
-    with 2^K - 1 per slot drops the bias and reduces mod 2^K.  A wide slot
-    holds 1 + sum_{1<=i<k} C(e, i) 2^i X^i with the coefficient below 2^k
-    and X^i widened mod 2^(k-i): below 2^(2k).
+    While it is stepped, X^i is kept mod 2^K in w-byte slots, K = 8w - g -
+    1 >= k - i, a byte narrower whenever k - i allows.  X^i = P - N, the
+    sums of X^(i-1)'s shifts over the even and the odd r.  A slot of either
+    sums fewer than 2^g residues below 2^K, so with a bias of 2^(K+g) per
+    slot, P + bias - N borrows across no slot, and an AND with 2^K - 1 per
+    slot drops the bias and reduces mod 2^K.  A wide slot holds 1 +
+    sum_{1<=i<k} C(e, i) 2^i X^i with the coefficient below 2^k and X^i
+    widened mod 2^(k-i): below 2^(2k).
     """
     roots = range(math.isqrt(n - 1), 0, -1)
     g = len(roots).bit_length()
     wide = (2 * k + 7) // 8
     low = (1 << k) - 1
-    es = list(es)
-    for p in range(0, len(es), _GAUSS_PASS):
-        terms = []  # per exponent: C(e, i) 2^i mod 2^k for i < k, i <= e
-        for e in es[p:p + _GAUSS_PASS]:
-            e %= 1 << (k - 1)
-            terms.append([math.comb(e, i) << i & low for i in range(min(k, e + 1))])
-        accs = [1 << 8 * wide * (n - 1)] * len(terms)  # the constant 1 at q^0
-        w = (k + g + 7) // 8  # X, slot by slot
-        power = bytearray(w * n)
-        for r in roots:
-            c = (-1) ** r & (1 << 8 * w - g - 1) - 1
-            power[w * (n - 1 - r * r):w * (n - r * r)] = c.to_bytes(w, "little")
-        power = int.from_bytes(power, "little")
-        mask_w, top = 0, max(map(len, terms))
-        for i in range(1, top):
-            if i > 1:  # power <- power * X
-                if mask_w != w:
-                    mask_w, K = w, 8 * w - g - 1
-                    mask, bias = _repeat((1 << K) - 1, w, n), _repeat(1 << (K + g), w, n)
-                signed = [0, 0]
-                for r in roots:
-                    signed[r & 1] += power >> 8 * w * r * r
-                power = (signed[0] + bias - signed[1]) & mask
-            raw = power.to_bytes(w * n, "little")
-            widened = int.from_bytes(_reslot(raw, w, wide, n, k - i), "little")
-            for j, cs in enumerate(terms):
-                if i < len(cs) and cs[i]:
-                    accs[j] += cs[i] * widened
-            if i + 1 < top and (k - i + g + 7) // 8 < w:  # X^(i+1) fits a byte less
-                w -= 1
-                power = int.from_bytes(_reslot(raw, w + 1, w, n, 8 * w - g - 1),
-                                       "little")
-            raw = widened = None
-        power = None
-        while accs:  # each accumulator is dropped as its words are built
-            words = array("Q", _reslot(accs.pop(0).to_bytes(wide * n, "little"),
-                                       wide, 8, n, k))
-            words.reverse()
-            yield memoryview(words).toreadonly()
-            del words  # not kept while the next words are built
+    terms = []  # per exponent: C(e, i) 2^i mod 2^k for i < k, i <= e
+    for e in es:
+        e %= 1 << (k - 1)
+        terms.append([math.comb(e, i) << i & low for i in range(min(k, e + 1))])
+    powers = []  # X^1 .. X^(top-1), each X^i mod 2^(k-i) in (k - i + 7) // 8-byte slots
+    w = (k + g + 7) // 8
+    mask_w, top = 0, max((i + 1 for cs in terms for i, c in enumerate(cs) if c), default=1)
+    for i in range(1, top):
+        if i == 1:  # X, slot by slot
+            power = bytearray(w * n)
+            for r in roots:
+                c = (-1) ** r & (1 << 8 * w - g - 1) - 1
+                power[w * (n - 1 - r * r):w * (n - r * r)] = c.to_bytes(w, "little")
+            power = int.from_bytes(power, "little")
+        else:  # power <- power * X
+            if mask_w != w:
+                mask_w, K = w, 8 * w - g - 1
+                mask, bias = _repeat((1 << K) - 1, w, n), _repeat(1 << (K + g), w, n)
+            signed = [0, 0]
+            for r in roots:
+                signed[r & 1] += power >> 8 * w * r * r
+            power = (signed[0] + bias - signed[1]) & mask
+        raw = power.to_bytes(w * n, "little")
+        powers.append(_reslot(raw, w, (k - i + 7) // 8, n, k - i))
+        if i + 1 < top and (k - i + g + 7) // 8 < w:  # X^(i+1) fits a byte less
+            w -= 1
+            power = int.from_bytes(_reslot(raw, w + 1, w, n, 8 * w - g - 1), "little")
+        raw = None
+    power = signed = mask = bias = None
+    for cs in terms:
+        acc = 1 << 8 * wide * (n - 1)  # the constant 1 at q^0
+        for i, (c, x) in enumerate(zip(cs[1:], powers), 1):
+            if c:
+                acc += c * int.from_bytes(_reslot(x, (k - i + 7) // 8, wide, n, k - i),
+                                          "little")
+        words = array("Q", _reslot(acc.to_bytes(wide * n, "little"), wide, 8, n, k))
+        del acc
+        words.reverse()
+        yield memoryview(words).toreadonly()
+        del words  # not kept while the next words are built
 
 
 def theta_f(x: int, y: int, T: int, ring: Ring = EXACT) -> LaurentSeries:

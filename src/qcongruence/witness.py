@@ -189,6 +189,8 @@ def builtin_certificate() -> WitnessCertificate:
 
 
 def _read_r(text: str) -> dict[int, int]:
+    if text == "-":  # the empty map
+        return {}
     r = {}
     for pair in text.split():
         d, _, e = pair.partition(":")
@@ -198,15 +200,17 @@ def _read_r(text: str) -> dict[int, int]:
     return r
 
 
-# The line-oriented text format, one row per line in file order:
-# key -> (record field, reader, writer, whether the line is required).  A
-# missing optional line takes the record's default.  '#' starts a comment
-# and blank lines are ignored; poly is lowest-degree-first exact decimals.
+# The line-oriented text format, one row per line in file order: key ->
+# (record field, reader, writer, whether the line is required).  A missing
+# optional line takes the record's default; '#' starts a comment, blank
+# lines are ignored, poly is lowest-degree-first exact decimals and an
+# empty r is '-'.
 _FORMAT = {
     "id": ("id", str, str, False),
     "N": ("N", int, str, True),
     "M": ("M", int, str, True),
-    "r": ("r", _read_r, lambda r: " ".join(f"{d}:{e}" for d, e in sorted(r.items())), True),
+    "r": ("r", _read_r,
+          lambda r: " ".join(f"{d}:{e}" for d, e in sorted(r.items())) or "-", True),
     "m": ("m", int, str, True),
     "j": ("j", int, str, True),
     "P": ("pset", lambda text: frozenset(int(x) for x in text.split(",")),

@@ -350,9 +350,9 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, want", [
-    # one kernel pass for the four t, mod 2^(the largest k)
+    # one kernel call for the four t, mod 2^(the largest k)
     (["theorems"], [((-5, -7, -11, -13), 8)]),
-    # one pass mod 2^8 for both primes' claims and valuations: no row of
+    # one call mod 2^8 for both primes' claims and valuations: no row of
     # either vanishes mod 2^8, so neither is read again
     (["conjecture", "3", "17"], [((-3, -17), 8)]),
 ], ids=["theorems", "conjecture"])

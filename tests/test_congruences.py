@@ -148,6 +148,24 @@ def test_min_two_adic_valuation_matches_per_value_loop(stream):
     assert got == want
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_min_two_adic_valuation_of_strided_rows(seed):
+    # a table's row is a strided view of one expansion's words, read as one
+    # int and folded: every row of m against the per-word minimum
+    rng = random.Random(seed)
+    m = rng.choice([1, 2, 3, 8, 24])
+    words = array("Q", [rng.getrandbits(64) << rng.randrange(64) & (1 << 64) - 1
+                        if rng.random() < 0.3 else 0
+                        for _ in range(m * rng.randrange(1, 2002) + rng.randrange(m))])
+    for j in range(m):
+        row = memoryview(words)[j::m]
+        want = min(((v & -v).bit_length() - 1 for v in row if v), default=64)
+        assert _min_two_adic_valuation(row) == want
+    one = memoryview(array("Q", [0, 5 << 40, 0]))[1::3]
+    assert _min_two_adic_valuation(one) == 40
+    assert _min_two_adic_valuation(memoryview(array("Q", [0] * 12))[2::4]) == 64
+
+
 @pytest.mark.parametrize("t, want, tables", [
     # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^8 and
     # mod 2^16, so its minimum must be read from a third table, mod 2^64

@@ -4,6 +4,7 @@ the ring-series invariants (property tests use fixed-seed hypothesis)."""
 import copy
 import pickle
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 from types import SimpleNamespace
@@ -422,14 +423,18 @@ def test_theta_power_matches_binary_powering(x, y, e, d, T, ring):
 
 
 @pytest.mark.parametrize("k, es", [
-    # tops from 1 to k in one pass: e + 1 < k for e = 0, 1, 2, 5, and
+    # tops from 1 to k in one call: e + 1 < k for e = 0, 1, 2, 5, and
     # t > 2^(k-1) for -130 and 300
     (8, (-5, 0, 1, 2, 5, -130, 300, -7)),
     (1, (-3, 0, 7)),
     (64, (-5, 3, 2**40 + 1)),
-    # more exponents than one pass takes: three passes of eight
+    # trimmed tops that differ within one call: C(e, i) 2^i vanishes mod
+    # 2^k past i = 12, 12, 15 at k = 16 and past i = 4, 7 at k = 8
+    (16, (-29, -31, -17)),
+    (8, (-29, -17)),
+    # more exponents than the four theorem t and six default primes
     (5, tuple(range(-17, 0)) + (17, 2**20 + 3)),
-], ids=["k8", "k1", "k64", "k5-three-passes"])
+], ids=["k8", "k1", "k64", "k16-tops-13-13-16", "k8-tops-5-8", "k5-nineteen-exponents"])
 def test_gauss_kernel_matches_binary_powering(k, es):
     # every exponent of one call against phi(-q)^e by binary powering in
     # Z/2^k, on 3001 terms (56 squares of X)
@@ -437,6 +442,35 @@ def test_gauss_kernel_matches_binary_powering(k, es):
     phi = theta_f(1, 1, n, mod2k(k))
     got = list(_gauss_power_mod2k(es, k, n))
     assert [list(words) for words in got] == [phi.pow(e).coeffs() for e in es]
+
+
+def _kernel_peak(es, k, n):
+    """tracemalloc's peak over one kernel call whose words are each
+    dropped as they are read."""
+    tracemalloc.start()
+    try:
+        for words in _gauss_power_mod2k(es, k, n):
+            del words
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauss_kernel_memory_does_not_grow_with_the_exponents():
+    # the powers of X are held once per call, and each exponent's words are
+    # built alone: 200 exponents peak as 2 do (one accumulator per
+    # exponent would add 2 bytes a term each at k = 8)
+    n = 50_000
+    assert _kernel_peak(range(-399, 0, 2), 8, n) <= _kernel_peak((-17, -15), 8, n) + 64 * 1024
+    # at k = 64, e = -1 reads all 63 powers, under the docstring's 360
+    # bytes a term
+    assert _kernel_peak((-1,), 64, 20_000) < 360 * 20_000
+
+
+def test_gauss_kernel_without_exponents_steps_no_power():
+    # X alone at this size would take 10 MB
+    assert _kernel_peak((), 64, 10**6) < 64 * 1024
+    assert list(_gauss_power_mod2k((), 8, 100)) == []
 
 
 # -- shifted_sum ------------------------------------------------------------------

@@ -113,13 +113,15 @@ def test_verify_witness_refuses_an_expansion_that_comes_back_short(monkeypatch):
         verify_witness(builtin_certificate(), 40)
 
 
+_TINY = WitnessCertificate(
+    N=1, M=1, r={}, m=1, j=0, pset=frozenset({0}),
+    prefactor=EtaQuotient(1, {}), hauptmodul=EtaQuotient(1, {1: 1}),
+    poly=(1,), poly_min_degree=0, claimed_common_factor=1, id="tiny")
+
+
 def test_constant_term_certificate_verifies():
     # trivial identity 1 = 1 exercises poly_min_degree = 0 end to end
-    tiny = WitnessCertificate(
-        N=1, M=1, r={}, m=1, j=0, pset=frozenset({0}),
-        prefactor=EtaQuotient(1, {}), hauptmodul=EtaQuotient(1, {1: 1}),
-        poly=(1,), poly_min_degree=0, claimed_common_factor=1, id="tiny")
-    rep = verify_witness(tiny, 40)
+    rep = verify_witness(_TINY, 40)
     assert rep.identity_matched
 
 
@@ -140,6 +142,12 @@ def test_format_parse_round_trip():
         prefactor=cert.prefactor, hauptmodul=cert.hauptmodul, poly=cert.poly[:-1],
         poly_min_degree=0, claimed_common_factor=64, id="other")
     assert parse_certificate(format_certificate(other)) == other
+    # the builtin formats as its packaged file's lines, comments aside
+    assert format_certificate(cert) == "".join(
+        l + "\n" for l in builtin_certificate_text().splitlines() if not l.startswith("#"))
+    # an empty r is written "-" and read back as {}
+    assert "\nr -\n" in format_certificate(_TINY)
+    assert parse_certificate(format_certificate(_TINY)) == _TINY
     # the format's table writes every record field once, in a line of its own
     fields = [field for field, _, _, _ in witness._FORMAT.values()]
     assert sorted(fields) == sorted(WitnessCertificate._fields)
