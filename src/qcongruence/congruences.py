@@ -112,9 +112,6 @@ THEOREM_CLAIMS = tuple(CongruenceClaim(t, m, j, k, src)
 CONJECTURE_PATTERN = ((8, 1, 1), (8, 2, 2), (8, 3, 3), (8, 4, 1),
                       (8, 5, 3), (8, 6, 3), (8, 7, 5))
 
-# The moduli 2^k a valuation is read at in turn: a minimum below k is exact.
-VALUATION_LADDER = (8, 16, MAX_MOD2K_BITS)
-
 
 def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
     """The seven conjectured congruences at the prime q <= 10^4."""
@@ -138,10 +135,9 @@ def is_prime(q: int) -> bool:
 
 
 def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
-    """For each t in ``ts``, the minimal 2-adic valuation of
-    p-bar_{-t}(m*n + j) over n <= n_max for j = 0 .. m-1:
-    ``check_with_valuations`` with no claims.  A 64 means every value on
-    that progression vanished mod 2^64: the valuation is >= 64."""
+    """For each t in ``ts``, the least 2-adic valuation of p-bar_{-t}(m*n + j)
+    over n <= n_max for j = 0 .. m-1, or 64 if every such value vanished
+    mod 2^64: ``check_with_valuations`` with no claims."""
     return check_with_valuations((), ts, m, n_max)[1]
 
 
@@ -151,15 +147,15 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
 
     Each step (a claim's m, and m if ``ts`` is not empty) reads its
     distinct t, the claims' first, from ``overpartition_residues`` mod 2^K,
-    K the largest k of its claims and at least 8 if the valuations are on
-    it, all t from one stream of powers of X.  A claim is answered at that
-    read: its row read as a series mod its own 2^k, the counterexample that
-    series' valuation and the coefficient there.  A minimum below K is
-    exact; each t in ``ts`` with a row that vanished is read again at the
-    next rung of ``VALUATION_LADDER``.  Each table is dropped before the
-    next is built, so what is alive is one table, one row and one read's
-    powers of X.  ``ms`` is the wall time since the report before, so a
-    read is charged to the first claim it serves."""
+    K its claims' largest k and at least 8 if the valuations are on it.  A
+    claim is answered at that read: its row read as a series mod its own
+    2^k, the counterexample that series' valuation and the coefficient
+    there.  A minimum below K is exact, and none exceeds its class's first
+    value's valuation v, so a t in ``ts`` with a class that vanished mod
+    2^K has those first values read mod 2^64, then its table read once
+    more mod 2^K_t, K_t = min(64, 1 + the largest v), one read per K_t.
+    One table is alive at a time.  ``ms`` is the wall time since the
+    report before, so a read is charged to the first claim it serves."""
     claims, ts = list(claims), list(ts)
     reports, vals, runs = [None] * len(claims), {}, {}
     for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
@@ -168,8 +164,8 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     for step in dict.fromkeys([c.m for c in claims] + ([m] if ts else [])):
         wanted = dict.fromkeys(ts if step == m else ())
         top = max([c.k for c in claims if c.m == step] + ([8] if wanted else []))
-        todo = list(dict.fromkeys([*(t for t, s in runs if s == step), *wanted]))
-        for k in (top, *(r for r in VALUATION_LADDER if r > top)):
+        reads = [(top, list(dict.fromkeys([*(t for t, s in runs if s == step), *wanted])))]
+        for k, todo in reads:  # the first read, then the climbs appended below
             tables = overpartition_residues(todo, mod2k(k), step, n_max)
             for t in todo:
                 table = next(tables)
@@ -183,9 +179,13 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
                 if t in wanted:
                     vals[t] = list(map(_min_two_adic_valuation, table))
                 del table  # before the next is built
-            todo = [t for t in wanted if max(vals[t]) >= k]
-            if not todo:
-                break
+            climbers = [t for t in todo if t in wanted and max(vals[t]) >= k < MAX_MOD2K_BITS]
+            firsts = climbers and overpartition_residues(climbers, mod2k(MAX_MOD2K_BITS), step, 0)
+            climbs = {}  # K_t -> the climbers read there
+            for t, first in zip(climbers, firsts):
+                v = max(_min_two_adic_valuation(r) for r, low in zip(first, vals[t]) if low >= k)
+                climbs.setdefault(min(v + 1, MAX_MOD2K_BITS), []).append(t)
+            reads += climbs.items()
     return reports, [vals[t] for t in ts]
 
 

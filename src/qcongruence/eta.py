@@ -61,11 +61,9 @@ def parse_eta_quotient(text: str) -> EtaQuotient:
     for piece in compact.split("*"):
         if not piece:
             raise ValueError(f"empty factor at position {pos} in {text!r}")
-        mq = _TOKEN_Q.match(piece)
-        mf = _TOKEN_F.match(piece)
-        if mq:
+        if mq := _TOKEN_Q.match(piece):
             qshift += int(mq.group(1))
-        elif mf:
+        elif mf := _TOKEN_F.match(piece):
             d = int(mf.group(1))
             if d < 1:
                 raise ValueError(f"divisor must be positive in {piece!r} "

@@ -68,6 +68,8 @@ class WitnessCertificate(_Record):
                     f"divide polynomial coefficient {int_text(c)}")
         if not self.id:
             object.__setattr__(self, "id", f"M{self.M}-m{self.m}-j{self.j}")
+        elif self.id.split() != [self.id]:
+            raise ValueError(f"witness id {self.id!r} holds whitespace; an id is one token")
         # the extracted streams are power series, so the left side's pole order
         # is at most the prefactor's, p: D*max(h, 1) <= p keeps the right side's
         # within it and, as base_terms holds p below T, its D products below T

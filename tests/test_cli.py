@@ -372,18 +372,19 @@ def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, w
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["conjecture", "3", "17"], [([3, 17], 8)]),
-    # 13's 8n+7 row vanishes mod 2^8 (its minimum is 8), so 13 alone is read
-    # again mod 2^16, where every minimum is decided
-    (["conjecture", "3", "13"], [([3, 13], 8), ([13], 16)]),
-    (["theorems"], [([5, 7, 11, 13], 8)]),
+    (["conjecture", "3", "17"], [([3, 17], 8, 200)]),
+    # 13's 8n+7 row vanishes mod 2^8 (its minimum is 8), so 13 alone has its
+    # first value there, p-bar(7) = 256 * odd, read mod 2^64 (n_max 0), and
+    # is read again mod 2^9, where every minimum is decided
+    (["conjecture", "3", "13"], [([3, 13], 8, 200), ([13], 64, 0), ([13], 9, 200)]),
+    (["theorems"], [([5, 7, 11, 13], 8, 200)]),
 ], ids=["conjecture-3-17", "conjecture-3-13", "theorems"])
 def test_verify_reads_each_prime_once_mod_2_8(capsys, monkeypatch, argv, want):
     reads = []
     real = congruences.overpartition_residues
 
     def spy(ts, ring, m, n_max):
-        reads.append((list(ts), ring.k))
+        reads.append((list(ts), ring.k, n_max))
         return real(ts, ring, m, n_max)
 
     monkeypatch.setattr(congruences, "overpartition_residues", spy)
@@ -667,9 +668,10 @@ GOLDEN_RUNS = [
     ("verify_conjecture_11_primes",
      ["verify", "conjecture", *"3 5 7 11 13 17 19 23 29 31 1999".split(),
       "--n-max", "300"]),
-    # every rung of the valuation ladder: 3 is decided mod 2^8, while 4093's
-    # 8n+7 row (minimum 16) and 8191's rows (minima 14, 15, 17) are read
-    # again mod 2^16 and then mod 2^64
+    # the climb: 3 is decided mod 2^8, while 4093's 8n+7 row (minimum 16)
+    # and 8191's rows (minima 14, 15, 17) vanish there; a minimum is at most
+    # its first value's valuation, so their first values are read mod 2^64,
+    # and then 4093 is read again mod 2^17 and 8191 mod 2^18
     ("verify_conjecture_3_4093_8191",
      ["verify", "conjecture", "3", "4093", "8191", "--n-max", "300"]),
 ]
@@ -689,6 +691,46 @@ def test_every_golden_file_is_checked():
                | {"verify_families.txt", "verify_families_T2040.txt", "verify_all.txt"}
                | {f"{name}.table" for name, _ in TABLE_RUNS})
     assert {p.name for p in GOLDEN.iterdir()} == checked
+
+
+# A record: its kind, then key=value fields, each value double-quoted (it
+# may hold spaces) or free of spaces and quotes.
+_FIELD = r' (\w+)=(?:"[^"]*"|[^\s"]+)'
+_RECORD = re.compile(rf'[a-z]+(?:{_FIELD})*')
+
+
+def _record_grammar_errors(text: str) -> list[str]:
+    """The record lines of ``text`` that break the grammar; a claim's
+    ``ms=`` may only end it, and no other record has one."""
+    bad = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        fields = re.findall(_FIELD, line)
+        ms_ok = "ms" not in fields or (line.startswith("claim ")
+                                       and fields.index("ms") == len(fields) - 1)
+        if not _RECORD.fullmatch(line) or not ms_ok:
+            bad.append(line)
+    return bad
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.txt")), ids=lambda p: p.name)
+def test_golden_records_keep_the_record_grammar(path):
+    assert _record_grammar_errors(path.read_text()) == []
+
+
+def test_live_records_keep_the_record_grammar(capsys):
+    # the golden files are stripped of ms=; a live run keeps it, last on
+    # each claim record
+    code, out, _ = run(capsys, "verify", "all", "--T", "120", "--n-max", "200",
+                       "--format", "records")
+    assert code == 1
+    assert sum(line.startswith("claim ") for line in out.splitlines()) == 66
+    assert _record_grammar_errors(out) == []
+    assert _record_grammar_errors("claim t=5 ms=1.0 k=3") == ["claim t=5 ms=1.0 k=3"]
+    assert _record_grammar_errors("coeff n=1 ms=1.0") == ["coeff n=1 ms=1.0"]
+    assert _record_grammar_errors("witness id=t5 ms=9 x T=43") != []
+    assert _record_grammar_errors('identity name="a ms=1" T=1') == []
 
 
 @pytest.mark.parametrize("name, argv", TABLE_RUNS)

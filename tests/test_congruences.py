@@ -27,6 +27,19 @@ def claim(t, m, j, k):
     return CongruenceClaim(t, m, j, k)
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Each read ``congruences`` makes, as (ts, k, m, n_max), in order."""
+    log = []
+
+    def residues(ts, ring, m, n_max):
+        log.append((list(ts), ring.k, m, n_max))
+        return overpartition_residues(ts, ring, m, n_max)
+
+    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+    return log
+
+
 def test_claim_tables_have_expected_shape():
     assert len(THEOREM_CLAIMS) == 24
     by_t = {}
@@ -167,45 +180,66 @@ def test_min_two_adic_valuation_of_strided_rows(seed):
 
 
 @pytest.mark.parametrize("t, want, tables", [
-    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^8 and
-    # mod 2^16, so its minimum must be read from a third table, mod 2^64
-    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [8, 16, 64]),
-    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [8]),
+    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^8, so
+    # the first values p-bar(1..7) are read mod 2^64 (n_max 0); the largest
+    # of their valuations is 20, and one more read mod 2^21 decides every row
+    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [(8, 50), (64, 0), (21, 50)]),
+    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [(8, 50)]),
 ])
-def test_valuations_climb_the_ladder_when_a_row_vanishes(
-        monkeypatch, t, want, tables):
-    read = []
-
-    def residues(ts, ring, m, n_max):
-        read.append(ring.k)
-        return overpartition_residues(ts, ring, m, n_max)
-
-    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+def test_valuations_climb_the_ladder_when_a_row_vanishes(reads, t, want, tables):
     assert observed_two_adic_valuations([t], 8, 50) == [want]
-    assert read == tables
+    assert [(k, n_max) for _, k, _, n_max in reads] == tables
 
 
-def test_valuations_climb_the_ladder_only_for_the_t_that_need_it(monkeypatch):
-    # the five t share one mod-2^8 pass; only 2^16 and 2^17 have a row that
-    # vanishes mod 2^8 or mod 2^16, and the later passes read those two alone
+def test_valuations_climb_the_ladder_only_for_the_t_that_need_it(monkeypatch, reads):
+    # the five t share one mod-2^8 read; only 2^16 and 2^17 have a row that
+    # vanishes mod 2^8, so those two alone have their first values read mod
+    # 2^64, and each is read once more at its own precision, 21 and 22
     ts = [3, 2**16, 5, 2**17, 2**16 + 3]
-    read = []
-
-    def residues(ts, ring, m, n_max):
-        read.append((list(ts), ring.k))
-        return overpartition_residues(ts, ring, m, n_max)
-
-    monkeypatch.setattr(congruences, "overpartition_residues", residues)
     got = observed_two_adic_valuations(ts, 8, 50)
-    assert read == [(ts, 8), ([2**16, 2**17], 16), ([2**16, 2**17], 64)]
+    assert reads == [(ts, 8, 8, 50), ([2**16, 2**17], 64, 8, 0), ([2**16], 21, 8, 50),
+                     ([2**17], 22, 8, 50)]
     monkeypatch.undo()
     assert got == [observed_two_adic_valuations([t], 8, 50)[0] for t in ts]
     assert got[1] == [0, 17, 17, 19, 17, 18, 19, 20]
 
 
+def _exact_minima(t, m, n_max):
+    """The least 2-adic valuation of each row over Z, floored at 64."""
+    gf = overpartition_gf(t, EXACT, m * (n_max + 1))
+    rows = [extract(gf, Progression(m, j)).coeffs()[:n_max + 1] for j in range(m)]
+    return [min(64, *((v & -v).bit_length() - 1 for v in row)) for row in rows]
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_climbing_valuations_match_exact_minima(reads, m):
+    # rows that vanish mod 2^8: 2^16 and 2^17 (every row j >= 1), 4093 and
+    # 8191 (minima 14..17 at m = 8), and 2^63, whose rows j >= 1 vanish
+    # mod 2^64 (p-bar(1) = 2t = 2^64), so they are read mod 2^64 and are 64
+    ts = [2**16, 2**17, 4093, 8191, 2**63]
+    got = observed_two_adic_valuations(ts, m, 60)
+    assert got == [_exact_minima(t, m, 60) for t in ts]
+    assert got[-1] == [0] + [64] * (m - 1)
+    # one shared read mod 2^8, one of the climbers' first values mod 2^64,
+    # then one more read of each climber: no t is read more than twice
+    assert reads[0] == (ts, 8, m, 60) and reads[1][1:] == (64, m, 0)
+    assert all(n_max == 60 for *_, n_max in reads[2:])
+    assert sorted(t for r in reads[2:] for t in r[0]) == sorted(reads[1][0])
+    assert reads[-1] == ([2**63], 64, m, 60)
+
+
+def test_valuations_read_mod_2_64_at_first_do_not_climb(reads):
+    # a claim mod 2^64 on the valuations' step makes the first read mod 2^64,
+    # which decides every row: a row that vanishes there is 64, read once
+    [rep], [vals] = congruences.check_with_valuations(
+        [claim(2**63, 8, 1, 64)], [2**63], 8, 30)
+    assert reads == [([2**63], 64, 8, 30)]
+    assert rep.holds and vals == [0] + [64] * 7
+
+
 def test_claims_and_valuations_share_tables_and_match_their_own_reads():
     # a repeated prime, a prime whose 8n+7 row vanishes mod 2^8 and is read
-    # again mod 2^16, and claims that fail: a claim read from its t's table
+    # again mod 2^9, and claims that fail: a claim read from its t's table
     # mod 2^8 gets check_claims' verdict and counterexample, and every
     # minimum is the exact one
     ts = [3, 13, 3]
@@ -228,7 +262,7 @@ def test_claims_and_valuations_share_tables_and_match_their_own_reads():
 
 def test_claim_above_2_8_with_valuations_gets_check_claims_verdict():
     # p-bar_{-13}(7) = 256 * odd: read mod 2^8 it vanishes, so a claim mod
-    # 2^9 must be read from a wider table than the valuations' first rung
+    # 2^9 must be read from a wider table than the valuations' own 2^8
     claims = [claim(13, 8, 7, 9)]
     [rep], [vals] = congruences.check_with_valuations(claims, [13], 8, 200)
     [alone] = check_claims(claims, 200)
@@ -238,18 +272,11 @@ def test_claim_above_2_8_with_valuations_gets_check_claims_verdict():
     assert vals[7] == 8
 
 
-def test_claim_whose_t_has_no_valuations_gets_its_report(monkeypatch):
-    read = []
-
-    def residues(ts, ring, m, n_max):
-        read.append((list(ts), ring.k))
-        return overpartition_residues(ts, ring, m, n_max)
-
-    monkeypatch.setattr(congruences, "overpartition_residues", residues)
+def test_claim_whose_t_has_no_valuations_gets_its_report(monkeypatch, reads):
     claims = [claim(5, 8, 7, 8), claim(7, 8, 7, 7)]
     reports, vals = congruences.check_with_valuations(claims, [3], 8, 100)
     # one read serves the claims' t and the valuations' t alike
-    assert read == [([5, 7, 3], 8)]
+    assert reads == [([5, 7, 3], 8, 8, 100)]
     monkeypatch.undo()
     assert [(r.claim, r.counterexample) for r in reports] == \
         [(r.claim, r.counterexample) for r in check_claims(claims, 100)]
@@ -258,23 +285,18 @@ def test_claim_whose_t_has_no_valuations_gets_its_report(monkeypatch):
 
 
 def test_claims_on_two_steps_and_valuations_on_a_third_match_separate_calls(
-        monkeypatch):
+        monkeypatch, reads):
     claims = [claim(5, 4, 3, 3), claim(13, 16, 15, 10), claim(1, 4, 3, 7),
               claim(13, 16, 7, 64), claim(5, 4, 1, 2)]
     ts = [3, 13]
-    read = []
-
-    def residues(ts, ring, m, n_max):
-        read.append((list(ts), ring.k, m))
-        return overpartition_residues(ts, ring, m, n_max)
-
-    monkeypatch.setattr(congruences, "overpartition_residues", residues)
     start = time.perf_counter()
     reports, vals = congruences.check_with_valuations(claims, ts, 8, 120)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     # each step reads its t once, mod 2^K for its largest k (at least 8
-    # for the valuations), and only 13's vanishing 8n+7 row climbs on
-    assert read == [([5, 1], 7, 4), ([13], 64, 16), ([3, 13], 8, 8), ([13], 16, 8)]
+    # for the valuations), and only 13's vanishing 8n+7 row climbs: its first
+    # value p-bar(7) = 256 * odd is read mod 2^64, then 13 again mod 2^9
+    assert reads == [([5, 1], 7, 4, 120), ([13], 64, 16, 120), ([3, 13], 8, 8, 120),
+                     ([13], 64, 8, 0), ([13], 9, 8, 120)]
     monkeypatch.undo()
     alone = check_claims(claims, 120)
     assert [(r.claim, r.n_max, r.verdict, r.counterexample) for r in reports] == \

@@ -203,6 +203,26 @@ def test_parse_rejects_a_repeated_r_divisor(capsys, tmp_path):
     assert "field 'r' repeats divisor 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["id t5 ms=9 x", "id t5\tx"])
+def test_an_id_with_whitespace_is_rejected(capsys, tmp_path, line):
+    # a record's id= is one token: 't5 ms=9 x' would print as three fields,
+    # and --bless would drop the ms=9 among them
+    text = builtin_certificate_text().replace("id t5-8n+7-mod128", line)
+    assert line in text
+    with pytest.raises(ValueError, match=r"^witness id 't5.*x' holds whitespace"):
+        parse_certificate(text)
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    assert main(["verify", "witness", str(path), "--T", "40", "--format", "records"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "holds whitespace" in err
+    with pytest.raises(ValueError, match="holds whitespace"):
+        WitnessCertificate(**{**vars(builtin_certificate()), "id": "a b"})
+    # the builtin id and the default M-m-j id are one token each
+    assert builtin_certificate().id == "t5-8n+7-mod128"
+    assert parse_certificate(_without(text, "id")).id == "M2-m8-j7"
+
+
 def test_parse_rejects_unknown_fields(capsys, tmp_path):
     # a misspelled key must not leave the claimed factor at 128 unnoticed
     text = builtin_certificate_text() + "comon_factor 256\n"
