@@ -3,9 +3,9 @@ verification suite with reproducible, machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 at least one verification failed (or a
 --check regression diff), 2 usage or data errors, 141 (128 + SIGPIPE) the
-output's reader closed the pipe early.  Record output is
-line-stable for identical inputs; timing fields (``ms=``) are the only
-volatile part and are ignored by --check.
+output's reader closed the pipe early.  ``series.record_text`` writes every
+record line as a stable text, identical for identical inputs, which --bless
+writes and --check compares, and a volatile tail: a claim's ``ms=``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .congruences import (DEFAULT_N_MAX, THEOREM_CLAIMS, check_claims,
 from .dissect import Progression, extract
 from .eta import expand, overpartition_gf, parse_eta_quotient
 from .series import (DEFAULT_BUDGET, EXACT, MAX_MOD2K_BITS, LaurentSeries, Ring,
-                     _Record, int_text, mod2k)
+                     _Record, int_text, mod2k, record_text)
 from .witness import builtin_certificate, load_certificate, verify_witness
 
 DEFAULT_T = 500
@@ -79,18 +79,17 @@ def _option_text(value) -> str:
 
 
 class Report:
-    """A run's header and its rows, each a (table line, record line) pair."""
+    """A run's header and its rows: (table line, record's stable text, its volatile tail)."""
 
     def __init__(self, command: str, options: dict):
         self.header = [f"# qcongruence {command}"]
-        opts = " ".join(f"{k}={v}" for k, v in options.items())
-        if opts:
-            self.header.append(f"# options: {opts}")
-        self.rows: list[tuple[str, str]] = []
+        if options:
+            self.header.append(record_text("# options:", options)[0])
+        self.rows: list[tuple[str, str, str]] = []
         self.ok = True
 
-    def add(self, summary: str, record: str, ok: bool = True):
-        self.rows.append((summary, record))
+    def add(self, summary: str, record: tuple[str, str], ok: bool = True):
+        self.rows.append((summary, *record))
         self.ok = self.ok and ok
 
     def add_reports(self, reports):
@@ -99,12 +98,9 @@ class Report:
         for r in reports:
             self.add(r.summary(), r.record(), ok=r.ok)
 
-    def lines(self, fmt: str) -> list[str]:
-        return self.header + [row[fmt == "records"] for row in self.rows]
-
-
-def _strip_volatile(line: str) -> str:
-    return " ".join(tok for tok in line.split(" ") if not tok.startswith("ms="))
+    def lines(self, form: str) -> list[str]:
+        return self.header + [row[0] if form == "table" else row[1] if form == "stable"
+                              else row[1] + row[2] for row in self.rows]
 
 
 def _write(text: str):
@@ -120,7 +116,7 @@ def _emit(report: Report, args) -> int:
     for --bless or --check."""
     _write("\n".join(report.lines(args.format)) + "\n")
     if args.bless or args.check:
-        stable = "\n".join(_strip_volatile(l) for l in report.lines("records")) + "\n"
+        stable = "\n".join(report.lines("stable")) + "\n"
     if args.bless:
         with open(args.bless, "w") as f:
             f.write(stable)
@@ -151,26 +147,24 @@ def _expand_spec(args) -> LaurentSeries:
 def _expand(rep: Report, args):
     series = _expand_spec(args)
     for e, c in enumerate(map(int_text, series.coeffs()), series.offset):
-        rep.add(f"q^{e}: {c}", f"coeff e={e} value={c}")
+        rep.add(f"q^{e}: {c}", record_text("coeff", {"e": e, "value": c}))
 
 
 def _extract(rep: Report, args):
     p = Progression(args.m, args.j)  # a bad progression fails before any expansion
     for n, c in enumerate(map(int_text, extract(_expand_spec(args), p).coeffs())):
-        rep.add(f"n={n} (q^{p.m * n + p.j}): {c}", f"coeff n={n} value={c}")
+        rep.add(f"n={n} (q^{p.m * n + p.j}): {c}", record_text("coeff", {"n": n, "value": c}))
 
 
 def _oracle(rep: Report, args):
     gf = overpartition_gf(args.t, EXACT, args.n_max + 1)
     for n in range(args.n_max + 1):
-        enum = enumerate_colored_overpartitions(args.t, n)
-        coeff = gf.coefficient(n)
+        enum, coeff = enumerate_colored_overpartitions(args.t, n), gf.coefficient(n)
         match = enum == coeff
-        enum, coeff = int_text(enum), int_text(coeff)
-        rep.add(f"n={n}: enumeration {enum}, series {coeff}"
+        rep.add(f"n={n}: enumeration {int_text(enum)}, series {int_text(coeff)}"
                 + ("" if match else "  <-- DISAGREE"),
-                f"oracle t={args.t} n={n} enumeration={enum} series={coeff} "
-                f"agree={str(match).lower()}", ok=match)
+                record_text("oracle", {"t": args.t, "n": n, "enumeration": enum,
+                                       "series": coeff, "agree": match}), ok=match)
 
 
 def _verify_conjecture(rep: Report, args):
@@ -185,7 +179,7 @@ def _verify_conjecture(rep: Report, args):
             v = observed[j]
             rep.add(f"  observed min 2-adic valuation of p̄_-{p}({m}n+{j}): "
                     f"{v}{'+' if v == 64 else ''} (claimed {k})",
-                    f"valuation t={p} m={m} j={j} claimed_k={k} observed_min_v2={v}")
+                    record_text("valuation", dict(t=p, m=m, j=j, claimed_k=k, observed_min_v2=v)))
 
 
 def _certificates(args) -> list:
@@ -225,7 +219,7 @@ _TARGETS = {
 def _verify_all(rep: Report, args):
     _certificates(args)  # over the budget: fail before any section
     for name, target in _TARGETS.items():
-        rep.add(f"-- {name} --", f"# section {name}")
+        rep.add(f"-- {name} --", record_text(f"# section {name}", {}))
         target.run(rep, args)
 
 

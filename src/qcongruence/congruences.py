@@ -13,7 +13,7 @@ import math
 import time
 
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, LaurentSeries, _Record, field_text, mod2k
+from .series import MAX_MOD2K_BITS, LaurentSeries, _Record, mod2k, record_text
 
 DEFAULT_N_MAX = 2000
 
@@ -69,12 +69,12 @@ class ClaimReport(_Record):
             base += f" (n={n}: value ≡ {v} mod {1 << self.claim.k})"
         return base
 
-    def record(self) -> str:
+    def record(self) -> tuple[str, str]:
         c = self.claim
         n, v = self.counterexample or (None, None)
-        return (f"claim t={c.t} m={c.m} j={c.j} k={c.k} n_max={self.n_max} "
-                f"verdict={self.verdict} counterexample_n={field_text(n)} "
-                f"counterexample_value={field_text(v)} ms={self.ms:.1f}")
+        return record_text("claim", dict(t=c.t, m=c.m, j=c.j, k=c.k, n_max=self.n_max,
+                                         verdict=self.verdict, counterexample_n=n,
+                                         counterexample_value=v), {"ms": self.ms})
 
 
 # (t, m, j, k) rows asserting == 0 mod 2^k; 7 + 5 + 5 + 7 = 24 claims.

@@ -10,8 +10,8 @@ the stated truncation, never a proof.
 from __future__ import annotations
 
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, _divide_exact,
-                     _Record, _strided, euler_factor, field_text, first_difference,
-                     int_text, mod2k, shifted_sum, theta_f)
+                     _Record, _strided, euler_factor, first_difference, int_text,
+                     mod2k, record_text, shifted_sum, theta_f)
 
 
 class Progression(_Record):
@@ -53,11 +53,11 @@ class IdentityReport(_Record):
         return (f"{self.name}: MISMATCH at q^{e}: "
                 f"{int_text(lhs)} != {int_text(rhs)}{tail}")
 
-    def record(self) -> str:
+    def record(self) -> tuple[str, str]:
         e, lhs, rhs = self.first_mismatch or (None, None, None)
-        return (f'identity name="{self.name}" T={self.truncation} '
-                f"matched={str(self.matched).lower()} mismatch_exponent={field_text(e)} "
-                f'lhs={field_text(lhs)} rhs={field_text(rhs)} note="{self.note}"')
+        return record_text("identity", dict(name=f'"{self.name}"', T=self.truncation,
+                                            matched=self.matched, mismatch_exponent=e,
+                                            lhs=lhs, rhs=rhs, note=f'"{self.note}"'))
 
 
 def report_from_comparison(name: str, lhs: LaurentSeries, rhs: LaurentSeries,

@@ -333,9 +333,16 @@ def int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-def field_text(v: int | None) -> str:
-    """A record's integer field: ``int_text(v)``, or "-" when v is None."""
-    return "-" if v is None else int_text(v)
+def record_text(kind: str, fields: dict, volatile: dict | None = None) -> tuple[str, str]:
+    """A record line, ``kind`` then `` key=value`` for each field in order, as
+    its stable text and the tail of its ``volatile`` fields, which --bless and
+    --check leave out.  Only this spells a value: a str as given, None as "-",
+    a bool as true/false, a float to one decimal and an int by ``int_text``."""
+    def text(v):
+        return (v if type(v) is str else "-" if v is None else "true" if v is True
+                else "false" if v is False else f"{v:.1f}" if type(v) is float else int_text(v))
+    stable = kind + "".join([f" {k}={text(v)}" for k, v in fields.items()])
+    return stable, record_text("", volatile)[0] if volatile else ""
 
 
 def first_difference(a: LaurentSeries, b: LaurentSeries,

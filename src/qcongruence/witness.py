@@ -19,7 +19,7 @@ import os
 from .dissect import Progression, extract
 from .eta import EtaQuotient, expand, format_eta_quotient, parse_eta_quotient
 from .series import (DEFAULT_BUDGET, EXACT, InsufficientTruncation, LaurentSeries,
-                     _Record, field_text, first_difference, int_text)
+                     _Record, first_difference, int_text, record_text)
 
 
 class WitnessCertificate(_Record):
@@ -130,13 +130,12 @@ class WitnessReport(_Record):
                 f"(checked through q^{self.truncation - 1}); "
                 f"poly gcd {int_text(self.gcd_of_poly)}, 2-power part {mod}")
 
-    def record(self) -> str:
+    def record(self) -> tuple[str, str]:
         e, lhs, rhs = self.first_mismatch or (None, None, None)
-        return (f"witness id={self.certificate_id} T={self.truncation} "
-                f"matched={str(self.identity_matched).lower()} "
-                f"mismatch_exponent={field_text(e)} lhs={field_text(lhs)} "
-                f"rhs={field_text(rhs)} gcd={field_text(self.gcd_of_poly)} "
-                f"implied_modulus={field_text(self.implied_modulus)}")
+        return record_text("witness", dict(id=self.certificate_id, T=self.truncation,
+                                           matched=self.identity_matched, mismatch_exponent=e,
+                                           lhs=lhs, rhs=rhs, gcd=self.gcd_of_poly,
+                                           implied_modulus=self.implied_modulus))
 
 
 def certificate_common_factor(c: WitnessCertificate) -> tuple[int, int | None]:
@@ -197,7 +196,7 @@ def _read_r(text: str) -> dict[int, int]:
     for pair in text.split():
         d, _, e = pair.partition(":")
         if int(d) in r:
-            raise ValueError(f"field 'r' repeats divisor {int(d)}")
+            raise ValueError(f"repeats divisor {int(d)}")
         r[int(d)] = int(e)
     return r
 
@@ -232,7 +231,9 @@ def format_certificate(c: WitnessCertificate) -> str:
 
 
 def parse_certificate(text: str) -> WitnessCertificate:
-    fields: dict[str, str] = {}
+    """A certificate from its text; a value its reader rejects fails with
+    ``line L: field 'K': `` and the reader's message."""
+    fields: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -244,15 +245,21 @@ def parse_certificate(text: str) -> WitnessCertificate:
             raise ValueError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
-        fields[key] = value.strip()
+        fields[key] = lineno, value.strip()
 
     missing = [key for key, (_, _, _, required) in _FORMAT.items()
                if required and key not in fields]
     if missing:
         raise ValueError(f"certificate is missing fields: {', '.join(missing)}")
-    return WitnessCertificate(**{field: read(fields[key])
-                                 for key, (field, read, _, _) in _FORMAT.items()
-                                 if key in fields})
+    values = {}
+    for key, (field, read, _, _) in _FORMAT.items():
+        if key in fields:
+            lineno, value = fields[key]
+            try:
+                values[field] = read(value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: field {key!r}: {exc}") from None
+    return WitnessCertificate(**values)
 
 
 def load_certificate(path: str | os.PathLike) -> WitnessCertificate:

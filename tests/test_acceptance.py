@@ -150,7 +150,7 @@ def test_criterion_6_counterexample_contract():
     cli_report = Report("verify conjecture", {})
     cli_report.add_reports(reports)
     assert not cli_report.ok
-    (summary, record), = cli_report.rows
+    (summary, record, _), = cli_report.rows
     assert "counterexample_n=0" in record and "(n=0: value ≡ 64 mod 128)" in summary
     _line("6b counterexample behavior contract", True,
           "structured record + failure status")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -674,6 +675,8 @@ GOLDEN_RUNS = [
     # and then 4093 is read again mod 2^17 and 8191 mod 2^18
     ("verify_conjecture_3_4093_8191",
      ["verify", "conjecture", "3", "4093", "8191", "--n-max", "300"]),
+    # the one run whose records are oracle lines
+    ("oracle_t2", ["oracle", "--t", "2", "--n-max", "8"]),
 ]
 
 
@@ -720,8 +723,8 @@ def test_golden_records_keep_the_record_grammar(path):
 
 
 def test_live_records_keep_the_record_grammar(capsys):
-    # the golden files are stripped of ms=; a live run keeps it, last on
-    # each claim record
+    # the golden files hold no ms=; a live run prints it, last on each
+    # claim record
     code, out, _ = run(capsys, "verify", "all", "--T", "120", "--n-max", "200",
                        "--format", "records")
     assert code == 1
@@ -768,7 +771,7 @@ def test_families_records_match_golden(capsys):
     assert code == 1
     # the CLI only prints what the suite returns
     records = [l for l in out.splitlines() if l.startswith("identity ")]
-    assert records == [r.record() for r in families.verify_suite(200)]
+    assert records == ["".join(r.record()) for r in families.verify_suite(200)]
 
 
 def test_families_records_at_T_2040_match_golden(capsys):
@@ -836,31 +839,98 @@ def test_int_text_at_the_digit_limit():
 _BIG = 10**4400 + 1  # past str()'s default limit of 4,300 digits
 
 
-@pytest.mark.parametrize("report, ok, record", [
-    (ClaimReport(CongruenceClaim(5, 8, 7, 7, "Theorem5col"), 2000, None, 12.34), True,
-     "claim t=5 m=8 j=7 k=7 n_max=2000 verdict=holds counterexample_n=- "
-     "counterexample_value=- ms=12.3"),
-    (ClaimReport(CongruenceClaim(1, 8, 7, 7), 50, (0, 64)), False,
+def _reports(*reports):
+    """A row builder that adds ``reports`` as a verify target does."""
+    return lambda rep, monkeypatch: rep.add_reports(reports)
+
+
+def _disagreeing_oracle(rep, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_colored_overpartitions", lambda t, n: 5)
+    cli._oracle(rep, SimpleNamespace(t=2, n_max=0))
+
+
+def _valuations_at_64(rep, monkeypatch):
+    # a class that vanishes mod 2^64 reads 64, the floor
+    monkeypatch.setattr(congruences, "check_with_valuations",
+                        lambda claims, ts, m, n_max: ([], [[64] * 8]))
+    cli._verify_conjecture(rep, SimpleNamespace(args=[3], n_max=10))
+
+
+def _big_coeff(rep, monkeypatch):
+    monkeypatch.setattr(cli, "_expand_spec", lambda args: LaurentSeries(-1, [_BIG], EXACT))
+    cli._expand(rep, SimpleNamespace())
+
+
+def _section_marker(rep, monkeypatch):
+    monkeypatch.setattr(cli, "_certificates", lambda args: [])
+    monkeypatch.setattr(cli, "_TARGETS",
+                        {"theorems": cli._Target(lambda rep, args: None, ("--n-max",))})
+    cli._verify_all(rep, SimpleNamespace())
+
+
+@pytest.mark.parametrize("add, ok, record", [
+    (_reports(ClaimReport(CongruenceClaim(5, 8, 7, 7, "Theorem5col"), 2000, None, 12.34)),
+     True, "claim t=5 m=8 j=7 k=7 n_max=2000 verdict=holds counterexample_n=- "
+           "counterexample_value=- ms=12.3"),
+    (_reports(ClaimReport(CongruenceClaim(1, 8, 7, 7), 50, (0, 64))), False,
      "claim t=1 m=8 j=7 k=7 n_max=50 verdict=fails counterexample_n=0 "
      "counterexample_value=64 ms=0.0"),
-    (IdentityReport("eq1", 800), True,
+    (_reports(IdentityReport("eq1", 800)), True,
      'identity name="eq1" T=800 matched=true mismatch_exponent=- lhs=- rhs=- note=""'),
-    (IdentityReport("big", 10, (3, _BIG, -2), "rhs"), False,
+    (_reports(IdentityReport("big", 10, (3, _BIG, -2), "rhs")), False,
      'identity name="big" T=10 matched=false mismatch_exponent=3 '
      f'lhs=1{"0" * 4399}1 rhs=-2 note="rhs"'),
-    (WitnessReport("t5-8n+7-mod128", 400, None, 384), True,
+    (_reports(WitnessReport("t5-8n+7-mod128", 400, None, 384)), True,
      "witness id=t5-8n+7-mod128 T=400 matched=true mismatch_exponent=- lhs=- rhs=- "
      "gcd=384 implied_modulus=128"),
-    (WitnessReport("w", 5, (-2, 7, 9), 0), False,
+    (_reports(WitnessReport("w", 5, (-2, 7, 9), 0)), False,
      "witness id=w T=5 matched=false mismatch_exponent=-2 lhs=7 rhs=9 gcd=0 "
      "implied_modulus=-"),
+    (_valuations_at_64, True, "valuation t=3 m=8 j=7 claimed_k=5 observed_min_v2=64"),
+    (_disagreeing_oracle, False, "oracle t=2 n=0 enumeration=5 series=1 agree=false"),
+    (_big_coeff, True, f'coeff e=-1 value=1{"0" * 4399}1'),
+    (_section_marker, True, "# section theorems"),
 ], ids=["claim-holds", "claim-fails", "identity-matched", "identity-past-4300-digits",
-        "witness-matched", "witness-gcd-0"])
-def test_report_record_line(report, ok, record):
-    # the golden files hold no failed witness, no gcd 0 and no value past
-    # 4,300 digits, so each record line is pinned here
-    assert report.ok is ok
-    assert report.record() == record
+        "witness-matched", "witness-gcd-0", "valuation-64", "oracle-disagrees",
+        "coeff-past-4300-digits", "section-marker"])
+def test_report_record_line(monkeypatch, add, ok, record):
+    # the golden files hold no failed witness, no gcd 0, no valuation of 64,
+    # no disagreeing oracle and no value past 4,300 digits, so each record
+    # line is pinned here, as the row the report keeps: its table line, its
+    # record's stable text and its volatile tail, which is a claim's ms and
+    # nothing else
+    rep = cli.Report("test", {})
+    add(rep, monkeypatch)
+    summary, stable, tail = rep.rows[-1]
+    assert rep.ok is ok
+    volatile = record.index(" ms=") if record.startswith("claim ") else len(record)
+    assert (stable, tail) == (record[:volatile], record[volatile:])
+    assert (rep.lines("records")[-1], rep.lines("stable")[-1]) == (record, stable)
+    assert rep.lines("table")[-1] == summary
+
+
+def test_a_report_with_no_options_has_no_options_line():
+    assert cli.Report("verify conjecture", {}).lines("records") == \
+        ["# qcongruence verify conjecture"]
+    assert cli.Report("expand", {"spec": '"f1^1"', "T": 5}).lines("stable") == \
+        ["# qcongruence expand", '# options: spec="f1^1" T=5']
+
+
+def test_bless_keeps_a_name_that_looks_like_a_volatile_field(capsys, monkeypatch, tmp_path):
+    # only a claim's ms is volatile: an identity named "a ms=1" keeps its
+    # whole name in the blessed file, and that file checks
+    report = IdentityReport(name="a ms=1", truncation=5)
+    monkeypatch.setattr(dissect, "verify_suite", lambda T: [report])
+    path = tmp_path / "blessed.txt"
+    code, _, _ = run(capsys, "verify", "dissections", "--T", "5", "--format", "records",
+                     "--bless", str(path))
+    assert code == 0
+    assert path.read_text().splitlines()[-1] == \
+        'identity name="a ms=1" T=5 matched=true mismatch_exponent=- lhs=- rhs=- note=""'
+    assert _record_grammar_errors(path.read_text()) == []
+    code, out, _ = run(capsys, "verify", "dissections", "--T", "5", "--format", "records",
+                       "--check", str(path))
+    assert (code, out.splitlines()[-1]) == (0, f"# matches {path}")
 
 
 def test_readme_flag_table_matches_the_parser():

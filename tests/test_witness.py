@@ -195,12 +195,38 @@ def test_parse_rejects_a_repeated_r_divisor(capsys, tmp_path):
     # keeping the last pair would check f1^3 * f2^5 in place of the stated
     # quotient; the certificate is rejected as input instead
     text = builtin_certificate_text().replace("r 1:-10 2:5", "r 1:-10 2:5 1:3")
-    with pytest.raises(ValueError, match="field 'r' repeats divisor 1"):
+    with pytest.raises(ValueError, match="^line 7: field 'r': repeats divisor 1$"):
         parse_certificate(text)
     path = tmp_path / "cert.txt"
     path.write_text(text)
     assert main(["verify", "witness", str(path), "--T", "60"]) == 2
-    assert "field 'r' repeats divisor 1" in capsys.readouterr().err
+    assert "line 7: field 'r': repeats divisor 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, lineno, message", [
+    ("N abc", 5, "invalid literal for int() with base 10: 'abc'"),
+    ("r 1:x", 7, "invalid literal for int() with base 10: 'x'"),
+    ("P 1,,7", 10, "invalid literal for int() with base 10: ''"),
+    ("prefactor f0^1", 11, "divisor must be positive in 'f0^1' at position 0 in 'f0^1'"),
+    ("poly 1 x 3", 14, "invalid literal for int() with base 10: 'x'"),
+])
+def test_a_bad_value_names_its_line_and_field(line, lineno, message):
+    # the builtin file's comment takes lines 1-3, so N is on line 5
+    key = line.split()[0]
+    text = "".join(line + "\n" if l.partition(" ")[0] == key else l
+                   for l in builtin_certificate_text().splitlines(keepends=True))
+    with pytest.raises(ValueError) as exc:
+        parse_certificate(text)
+    assert str(exc.value) == f"line {lineno}: field {key!r}: {message}"
+
+
+def test_a_bad_value_exits_2_naming_its_line_and_field(capsys, tmp_path):
+    path = tmp_path / "cert.txt"
+    path.write_text(builtin_certificate_text().replace("N 8\n", "N abc\n"))
+    assert main(["verify", "witness", str(path), "--T", "60", "--format", "records"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: line 5: field 'N': invalid literal for int() "
+                              "with base 10: 'abc'\n")
 
 
 @pytest.mark.parametrize("line", ["id t5 ms=9 x", "id t5\tx"])
