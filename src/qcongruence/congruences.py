@@ -9,11 +9,12 @@ legitimate output of the scanner.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 from .eta import overpartition_residues
-from .series import MAX_MOD2K_BITS, LaurentSeries, _Record, mod2k, record_text
+from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, _Record, mod2k, record_text
 
 DEFAULT_N_MAX = 2000
 
@@ -137,7 +138,8 @@ def is_prime(q: int) -> bool:
 def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
     """For each t in ``ts``, the least 2-adic valuation of p-bar_{-t}(m*n + j)
     over n <= n_max for j = 0 .. m-1, or 64 if every such value vanished
-    mod 2^64: ``check_with_valuations`` with no claims."""
+    mod 2^64: ``check_with_valuations`` with no claims, one table per class
+    of t read at a precision that its first values fix."""
     return check_with_valuations((), ts, m, n_max)[1]
 
 
@@ -145,47 +147,46 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     """The reports of ``claims`` (any m, k <= 64), in claim order, for
     n <= n_max, and ``observed_two_adic_valuations(ts, m, n_max)``.
 
-    Each step (a claim's m, and m if ``ts`` is not empty) reads its
-    distinct t, the claims' first, from ``overpartition_residues`` mod 2^K,
-    K its claims' largest k and at least 8 if the valuations are on it.  A
-    claim is answered at that read: its row read as a series mod its own
-    2^k, the counterexample that series' valuation and the coefficient
-    there.  A minimum below K is exact, and none exceeds its class's first
-    value's valuation v, so a t in ``ts`` with a class that vanished mod
-    2^K has those first values read mod 2^64, then its table read once
-    more mod 2^K_t, K_t = min(64, 1 + the largest v), one read per K_t.
-    One table is alive at a time.  ``ms`` is the wall time since the
-    report before, so a read is charged to the first claim it serves."""
+    Each read's precision is fixed before it.  The first values p-bar_{-t}(j)
+    > 0, j < m, of the t in ``ts`` are read over Z; a class's minimum is at
+    most its first value's valuation v, so mod 2^K_t, K_t = 1 + the largest
+    v, every minimum is exact.  Each step (a claim's m, and m if ``ts`` is
+    not empty) reads its t mod 2^K, K <= 64 its claims' largest k, at least
+    8 and K_t if the valuations are on it.  Mod 2^K a table depends only on
+    t mod 2^(K-1), so one table, the class's least t's, answers each of its
+    t: a claim by its row read as a series mod its own 2^k, the
+    counterexample that series' valuation and the coefficient there.  One
+    table is alive at a time.  ``ms`` is the wall time since the report
+    before, so a read is charged to the first claim it serves."""
     claims, ts = list(claims), list(ts)
     reports, vals, runs = [None] * len(claims), {}, {}
     for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
         runs.setdefault((c.t, c.m), []).append(i)
     start = time.perf_counter()
+    need = dict.fromkeys(ts)  # t -> K_t, uncapped
+    for t, first in zip(need, overpartition_residues(list(need), EXACT, m, 0) if ts else ()):
+        need[t] = 1 + max((v & -v).bit_length() - 1 for [v] in first)
     for step in dict.fromkeys([c.m for c in claims] + ([m] if ts else [])):
-        wanted = dict.fromkeys(ts if step == m else ())
+        wanted = need if step == m else {}
         top = max([c.k for c in claims if c.m == step] + ([8] if wanted else []))
-        reads = [(top, list(dict.fromkeys([*(t for t, s in runs if s == step), *wanted])))]
-        for k, todo in reads:  # the first read, then the climbs appended below
-            tables = overpartition_residues(todo, mod2k(k), step, n_max)
-            for t in todo:
+        reads = {}  # K -> {the least t >= 1 of a class mod 2^(K-1): the t it answers}
+        for t in dict.fromkeys([*(t for t, s in runs if s == step), *wanted]):
+            K = min(max(top, wanted.get(t, 0)), MAX_MOD2K_BITS)
+            reads.setdefault(K, {}).setdefault((t - 1) % (1 << K - 1) + 1, []).append(t)
+        for K, classes in reads.items():
+            tables = overpartition_residues(list(classes), mod2k(K), step, n_max)
+            for group in classes.values():
                 table = next(tables)
-                for i in runs.pop((t, step), ()):
+                for i in [i for t in group for i in runs.pop((t, step), ())]:
                     row = LaurentSeries(0, table[claims[i].j], mod2k(claims[i].k))
                     n = row.valuation()
                     counter = None if n is None else (n, row.coefficient(n))
                     now = time.perf_counter()
                     reports[i] = ClaimReport(claims[i], n_max, counter, (now - start) * 1000.0)
                     start = now
-                if t in wanted:
+                for t in wanted.keys() & group:
                     vals[t] = list(map(_min_two_adic_valuation, table))
                 del table  # before the next is built
-            climbers = [t for t in todo if t in wanted and max(vals[t]) >= k < MAX_MOD2K_BITS]
-            firsts = climbers and overpartition_residues(climbers, mod2k(MAX_MOD2K_BITS), step, 0)
-            climbs = {}  # K_t -> the climbers read there
-            for t, first in zip(climbers, firsts):
-                v = max(_min_two_adic_valuation(r) for r, low in zip(first, vals[t]) if low >= k)
-                climbs.setdefault(min(v + 1, MAX_MOD2K_BITS), []).append(t)
-            reads += climbs.items()
     return reports, [vals[t] for t in ts]
 
 
@@ -207,9 +208,9 @@ def enumerate_colored_overpartitions(t: int, n: int) -> int:
     """Count t-colored overpartitions of n by direct enumeration.
 
     A structure assigns, to every (part value, color) class, a number of
-    plain copies plus optionally one overlined copy; the recursion walks
-    those choices class by class and counts complete assignments.  This is
-    the independent oracle for the generating-function expansion, so it
+    plain copies plus optionally one overlined copy; the recursion counts
+    complete assignments class by class, its subcounts memoized per call.
+    It is the independent oracle for the generating-function expansion and
     deliberately shares no series arithmetic with the rest of the package.
     """
     if t < 1 or n < 0:
@@ -218,6 +219,7 @@ def enumerate_colored_overpartitions(t: int, n: int) -> int:
         raise ValueError(
             f"enumeration bound exceeded (n <= {_ORACLE_MAX_N}, t <= {_ORACLE_MAX_T})")
 
+    @functools.cache
     def over_value(v: int, remaining: int) -> int:
         if remaining == 0:
             return 1
@@ -225,6 +227,7 @@ def enumerate_colored_overpartitions(t: int, n: int) -> int:
             return 0
         return over_color(v, 0, remaining)
 
+    @functools.cache
     def over_color(v: int, c: int, remaining: int) -> int:
         if c == t:
             return over_value(v - 1, remaining)

@@ -353,8 +353,8 @@ def test_verify_conjecture_nonprime_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, want", [
     # one kernel call for the four t, mod 2^(the largest k)
     (["theorems"], [((-5, -7, -11, -13), 8)]),
-    # one call mod 2^8 for both primes' claims and valuations: no row of
-    # either vanishes mod 2^8, so neither is read again
+    # one call mod 2^8 for both primes' claims and valuations: neither's
+    # first values, read over Z without this kernel, reach 2^8
     (["conjecture", "3", "17"], [((-3, -17), 8)]),
 ], ids=["theorems", "conjecture"])
 def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, want):
@@ -373,11 +373,11 @@ def test_verify_expands_one_table_per_run_of_claims(capsys, monkeypatch, argv, w
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["conjecture", "3", "17"], [([3, 17], 8, 200)]),
-    # 13's 8n+7 row vanishes mod 2^8 (its minimum is 8), so 13 alone has its
-    # first value there, p-bar(7) = 256 * odd, read mod 2^64 (n_max 0), and
-    # is read again mod 2^9, where every minimum is decided
-    (["conjecture", "3", "13"], [([3, 13], 8, 200), ([13], 64, 0), ([13], 9, 200)]),
+    # the primes' first values over Z (n_max 0), then one read of each
+    (["conjecture", "3", "17"], [([3, 17], None, 0), ([3, 17], 8, 200)]),
+    # 13's first value p-bar(7) = 256 * odd bounds its 8n+7 row's minimum
+    # (8) by 8, so 13 is read mod 2^9, where every minimum is decided
+    (["conjecture", "3", "13"], [([3, 13], None, 0), ([3], 8, 200), ([13], 9, 200)]),
     (["theorems"], [([5, 7, 11, 13], 8, 200)]),
 ], ids=["conjecture-3-17", "conjecture-3-13", "theorems"])
 def test_verify_reads_each_prime_once_mod_2_8(capsys, monkeypatch, argv, want):
@@ -616,6 +616,15 @@ def test_oracle_command(capsys):
     assert "DISAGREE" not in out
 
 
+def test_oracle_at_its_largest_bounds_agrees_everywhere(capsys):
+    # t = 5 and n <= 14, the enumeration's bounds, within tier-1's time
+    code, out, _ = run(capsys, "oracle", "--t", "5", "--n-max", "14", "--format", "records")
+    assert code == 0
+    records = [l for l in out.splitlines() if l.startswith("oracle ")]
+    assert len(records) == 15
+    assert all(l.endswith(" agree=true") for l in records)
+
+
 def test_bless_then_check_round_trip(capsys, tmp_path):
     path = tmp_path / "expected.txt"
     code, _, _ = run(capsys, "verify", "eq1", "--T", "60", "--bless", str(path))
@@ -669,14 +678,19 @@ GOLDEN_RUNS = [
     ("verify_conjecture_11_primes",
      ["verify", "conjecture", *"3 5 7 11 13 17 19 23 29 31 1999".split(),
       "--n-max", "300"]),
-    # the climb: 3 is decided mod 2^8, while 4093's 8n+7 row (minimum 16)
-    # and 8191's rows (minima 14, 15, 17) vanish there; a minimum is at most
-    # its first value's valuation, so their first values are read mod 2^64,
-    # and then 4093 is read again mod 2^17 and 8191 mod 2^18
+    # mixed precisions: 3 is decided mod 2^8, while 4093's 8n+7 row
+    # (minimum 16) and 8191's rows (minima 14, 15, 17) vanish there; a
+    # minimum is at most its first value's valuation, so with the first
+    # values read over Z, 4093 is read once mod 2^17 and 8191 mod 2^18
     ("verify_conjecture_3_4093_8191",
      ["verify", "conjecture", "3", "4093", "8191", "--n-max", "300"]),
     # the one run whose records are oracle lines
     ("oracle_t2", ["oracle", "--t", "2", "--n-max", "8"]),
+    # shared classes: 131 == 3 (mod 2^7) is answered from 3's table mod
+    # 2^8, 67 == 3 only mod 2^6 has its own, and 4093 and 8191 are read mod
+    # 2^17 and 2^18
+    ("verify_conjecture_shared_classes",
+     ["verify", "conjecture", "3", "67", "131", "4093", "8191", "--n-max", "300"]),
 ]
 
 

@@ -29,7 +29,8 @@ def claim(t, m, j, k):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Each read ``congruences`` makes, as (ts, k, m, n_max), in order."""
+    """Each read ``congruences`` makes, as (ts, k, m, n_max), in order; k is
+    None for the read of the first values over Z."""
     log = []
 
     def residues(ts, ring, m, n_max):
@@ -180,24 +181,26 @@ def test_min_two_adic_valuation_of_strided_rows(seed):
 
 
 @pytest.mark.parametrize("t, want, tables", [
-    # phi(-q)^(2^16) == 1 (mod 2^17): every row j >= 1 vanishes mod 2^8, so
-    # the first values p-bar(1..7) are read mod 2^64 (n_max 0); the largest
-    # of their valuations is 20, and one more read mod 2^21 decides every row
-    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [(8, 50), (64, 0), (21, 50)]),
-    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [(8, 50)]),
+    # phi(-q)^(2^16) == 1 (mod 2^17): the first values p-bar(1..7), read
+    # over Z (n_max 0), have valuations up to 20, so the one read of the
+    # table is mod 2^21, where every row's minimum is decided
+    (2**16, [0, 17, 17, 19, 17, 18, 19, 20], [(None, 0), (21, 50)]),
+    # no first value reaches 2^8: read mod 2^8, as 3, its class mod 2^7
+    (2**16 + 3, [0, 1, 3, 4, 1, 4, 4, 6], [(None, 0), (8, 50)]),
 ])
-def test_valuations_climb_the_ladder_when_a_row_vanishes(reads, t, want, tables):
+def test_valuations_read_at_the_precision_their_first_values_fix(reads, t, want, tables):
     assert observed_two_adic_valuations([t], 8, 50) == [want]
     assert [(k, n_max) for _, k, _, n_max in reads] == tables
 
 
-def test_valuations_climb_the_ladder_only_for_the_t_that_need_it(monkeypatch, reads):
-    # the five t share one mod-2^8 read; only 2^16 and 2^17 have a row that
-    # vanishes mod 2^8, so those two alone have their first values read mod
-    # 2^64, and each is read once more at its own precision, 21 and 22
+def test_valuations_read_each_t_once_at_its_own_precision(monkeypatch, reads):
+    # one read of the five t's first values over Z fixes each t's precision:
+    # 3, 5 and 2^16 + 3 need 2^8, and 2^16 + 3 is 3's class mod 2^7, so
+    # they make two tables; 2^16 and 2^17 are read once each, mod 2^21 and
+    # 2^22
     ts = [3, 2**16, 5, 2**17, 2**16 + 3]
     got = observed_two_adic_valuations(ts, 8, 50)
-    assert reads == [(ts, 8, 8, 50), ([2**16, 2**17], 64, 8, 0), ([2**16], 21, 8, 50),
+    assert reads == [(ts, None, 8, 0), ([3, 5], 8, 8, 50), ([2**16], 21, 8, 50),
                      ([2**17], 22, 8, 50)]
     monkeypatch.undo()
     assert got == [observed_two_adic_valuations([t], 8, 50)[0] for t in ts]
@@ -212,7 +215,7 @@ def _exact_minima(t, m, n_max):
 
 
 @pytest.mark.parametrize("m", [8, 12])
-def test_climbing_valuations_match_exact_minima(reads, m):
+def test_valuations_of_rows_that_vanish_mod_2_8_match_exact_minima(reads, m):
     # rows that vanish mod 2^8: 2^16 and 2^17 (every row j >= 1), 4093 and
     # 8191 (minima 14..17 at m = 8), and 2^63, whose rows j >= 1 vanish
     # mod 2^64 (p-bar(1) = 2t = 2^64), so they are read mod 2^64 and are 64
@@ -220,27 +223,49 @@ def test_climbing_valuations_match_exact_minima(reads, m):
     got = observed_two_adic_valuations(ts, m, 60)
     assert got == [_exact_minima(t, m, 60) for t in ts]
     assert got[-1] == [0] + [64] * (m - 1)
-    # one shared read mod 2^8, one of the climbers' first values mod 2^64,
-    # then one more read of each climber: no t is read more than twice
-    assert reads[0] == (ts, 8, m, 60) and reads[1][1:] == (64, m, 0)
-    assert all(n_max == 60 for *_, n_max in reads[2:])
-    assert sorted(t for r in reads[2:] for t in r[0]) == sorted(reads[1][0])
-    assert reads[-1] == ([2**63], 64, m, 60)
+    # the first values over Z, then each t once, at 1 + its first values'
+    # largest valuation
+    assert reads == [(ts, None, m, 0), ([2**16], 21, m, 60), ([2**17], 22, m, 60),
+                     ([4093], 17, m, 60), ([8191], 18, m, 60), ([2**63], 64, m, 60)]
 
 
-def test_valuations_read_mod_2_64_at_first_do_not_climb(reads):
-    # a claim mod 2^64 on the valuations' step makes the first read mod 2^64,
-    # which decides every row: a row that vanishes there is 64, read once
+def test_valuations_with_a_claim_mod_2_64_read_their_t_once(reads):
+    # a claim mod 2^64 on the valuations' step puts its t's one table mod
+    # 2^64, which decides every row: a row that vanishes there is 64
     [rep], [vals] = congruences.check_with_valuations(
         [claim(2**63, 8, 1, 64)], [2**63], 8, 30)
-    assert reads == [([2**63], 64, 8, 30)]
+    assert reads == [([2**63], None, 8, 0), ([2**63], 64, 8, 30)]
     assert rep.holds and vals == [0] + [64] * 7
+
+
+def test_t_in_one_class_mod_2_7_share_one_table(monkeypatch, reads):
+    # 131 == 3 (mod 2^7), and neither's first values reach 2^8: one table
+    # mod 2^8 answers both t's claims and valuations, as separate calls do,
+    # and each t's minima are its own exact ones
+    ts = [3, 131]
+    claims = [c for t in ts for c in conjecture_claims(t)]
+    reports, vals = congruences.check_with_valuations(claims, ts, 8, 300)
+    assert reads == [(ts, None, 8, 0), ([3], 8, 8, 300)]
+    monkeypatch.undo()
+    for t, got in zip(ts, vals):
+        alone = congruences.check_with_valuations(conjecture_claims(t), [t], 8, 300)
+        assert [(r.claim, r.verdict, r.counterexample) for r in reports if r.claim.t == t] \
+            == [(r.claim, r.verdict, r.counterexample) for r in alone[0]]
+        assert [got] == alone[1] == [_exact_minima(t, 8, 300)]
+
+
+def test_t_apart_mod_2_7_keep_their_own_tables(reads):
+    # 67 == 3 only mod 2^6: mod 2^8 their 8n+1 rows differ from the first
+    # term on, p-bar_{-3}(1) = 6 and p-bar_{-67}(1) = 134
+    reports = check_claims([claim(3, 8, 1, 8), claim(67, 8, 1, 8)], 300)
+    assert reads == [([3, 67], 8, 8, 300)]
+    assert [r.counterexample for r in reports] == [(0, 6), (0, 134)]
 
 
 def test_claims_and_valuations_share_tables_and_match_their_own_reads():
     # a repeated prime, a prime whose 8n+7 row vanishes mod 2^8 and is read
-    # again mod 2^9, and claims that fail: a claim read from its t's table
-    # mod 2^8 gets check_claims' verdict and counterexample, and every
+    # mod 2^9, and claims that fail: a claim read from its t's table mod
+    # 2^8 or 2^9 gets check_claims' verdict and counterexample, and every
     # minimum is the exact one
     ts = [3, 13, 3]
     claims = [c for t in ts for c in conjecture_claims(t)]
@@ -275,8 +300,9 @@ def test_claim_above_2_8_with_valuations_gets_check_claims_verdict():
 def test_claim_whose_t_has_no_valuations_gets_its_report(monkeypatch, reads):
     claims = [claim(5, 8, 7, 8), claim(7, 8, 7, 7)]
     reports, vals = congruences.check_with_valuations(claims, [3], 8, 100)
-    # one read serves the claims' t and the valuations' t alike
-    assert reads == [([5, 7, 3], 8, 8, 100)]
+    # after 3's first values over Z, one read serves the claims' t and the
+    # valuations' t alike
+    assert reads == [([3], None, 8, 0), ([5, 7, 3], 8, 8, 100)]
     monkeypatch.undo()
     assert [(r.claim, r.counterexample) for r in reports] == \
         [(r.claim, r.counterexample) for r in check_claims(claims, 100)]
@@ -292,11 +318,11 @@ def test_claims_on_two_steps_and_valuations_on_a_third_match_separate_calls(
     start = time.perf_counter()
     reports, vals = congruences.check_with_valuations(claims, ts, 8, 120)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    # each step reads its t once, mod 2^K for its largest k (at least 8
-    # for the valuations), and only 13's vanishing 8n+7 row climbs: its first
-    # value p-bar(7) = 256 * odd is read mod 2^64, then 13 again mod 2^9
-    assert reads == [([5, 1], 7, 4, 120), ([13], 64, 16, 120), ([3, 13], 8, 8, 120),
-                     ([13], 64, 8, 0), ([13], 9, 8, 120)]
+    # the valuations' first values are read over Z; then each step reads
+    # its t once, mod 2^K for its largest k, at least 8 for the valuations,
+    # and 13 mod 2^9, since its first value p-bar(7) = 256 * odd
+    assert reads == [([3, 13], None, 8, 0), ([5, 1], 7, 4, 120), ([13], 64, 16, 120),
+                     ([3], 8, 8, 120), ([13], 9, 8, 120)]
     monkeypatch.undo()
     alone = check_claims(claims, 120)
     assert [(r.claim, r.n_max, r.verdict, r.counterexample) for r in reports] == \
