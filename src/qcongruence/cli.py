@@ -170,7 +170,7 @@ def _oracle(rep: Report, args):
 def _verify_conjecture(rep: Report, args):
     primes = args.args or list(DEFAULT_CONJECTURE_PRIMES)
     claims = [c for p in primes for c in conjecture_claims(p)]
-    # one table per prime mod 2^8 answers its claims and how sharp they are
+    # one table per class of primes; its rows' minima answer claims and sharpness
     reports, valuations = congruences.check_with_valuations(claims, primes, 8, args.n_max)
     rep.add_reports(reports)
     del reports  # its rows are built: free it before the valuations' rows

@@ -14,7 +14,7 @@ import math
 import time
 
 from .eta import overpartition_residues
-from .series import EXACT, MAX_MOD2K_BITS, LaurentSeries, _Record, mod2k, record_text
+from .series import EXACT, MAX_MOD2K_BITS, _Record, mod2k, record_text
 
 DEFAULT_N_MAX = 2000
 
@@ -125,8 +125,8 @@ def conjecture_claims(q: int) -> tuple[CongruenceClaim, ...]:
 
 
 def check_claims(claims, n_max: int) -> list[ClaimReport]:
-    """Check each claim for n <= n_max; the reports come in claim order.
-    ``check_with_valuations`` with no valuations: one read per m."""
+    """Check each claim for n <= n_max, in claim order, by its row's least
+    2-adic valuation: ``check_with_valuations`` with no valuations, one read per m."""
     return check_with_valuations(claims, (), 1, n_max)[0]
 
 
@@ -138,8 +138,8 @@ def is_prime(q: int) -> bool:
 def observed_two_adic_valuations(ts, m: int, n_max: int) -> list[list[int]]:
     """For each t in ``ts``, the least 2-adic valuation of p-bar_{-t}(m*n + j)
     over n <= n_max for j = 0 .. m-1, or 64 if every such value vanished
-    mod 2^64: ``check_with_valuations`` with no claims, one table per class
-    of t read at a precision that its first values fix."""
+    mod 2^64: ``check_with_valuations`` with no claims.  Each class of t has
+    one table, read at a precision its first values fix, each row folded once."""
     return check_with_valuations((), ts, m, n_max)[1]
 
 
@@ -154,10 +154,10 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     not empty) reads its t mod 2^K, K <= 64 its claims' largest k, at least
     8 and K_t if the valuations are on it.  Mod 2^K a table depends only on
     t mod 2^(K-1), so one table, the class's least t's, answers each of its
-    t: a claim by its row read as a series mod its own 2^k, the
-    counterexample that series' valuation and the coefficient there.  One
-    table is alive at a time.  ``ms`` is the wall time since the report
-    before, so a read is charged to the first claim it serves."""
+    t from its rows' least valuations, each row folded once: a claim (j, k)
+    holds iff row j's is >= k, and only a failing one scans its row for the
+    first n nonzero mod 2^k.  One table is alive at a time.  ``ms`` is the
+    time since the report before: a read and its folds go to its first claim."""
     claims, ts = list(claims), list(ts)
     reports, vals, runs = [None] * len(claims), {}, {}
     for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
@@ -177,15 +177,15 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
             tables = overpartition_residues(list(classes), mod2k(K), step, n_max)
             for group in classes.values():
                 table = next(tables)
+                mins = list(map(_min_two_adic_valuation, table))
                 for i in [i for t in group for i in runs.pop((t, step), ())]:
-                    row = LaurentSeries(0, table[claims[i].j], mod2k(claims[i].k))
-                    n = row.valuation()
-                    counter = None if n is None else (n, row.coefficient(n))
+                    c, mod = claims[i], 1 << claims[i].k
+                    counter = None if mins[c.j] >= c.k else next(
+                        (n, w % mod) for n, w in enumerate(table[c.j]) if w % mod)
                     now = time.perf_counter()
-                    reports[i] = ClaimReport(claims[i], n_max, counter, (now - start) * 1000.0)
+                    reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
                     start = now
-                for t in wanted.keys() & group:
-                    vals[t] = list(map(_min_two_adic_valuation, table))
+                vals.update((t, mins.copy()) for t in wanted.keys() & group)
                 del table  # before the next is built
     return reports, [vals[t] for t in ts]
 

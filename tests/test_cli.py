@@ -691,6 +691,12 @@ GOLDEN_RUNS = [
     # 2^17 and 2^18
     ("verify_conjecture_shared_classes",
      ["verify", "conjecture", "3", "67", "131", "4093", "8191", "--n-max", "300"]),
+    # one large class: the 18 primes == 3 (mod 2^7) below 10^4 share 3's one
+    # table mod 2^8, whose rows' minima answer all 126 claims and 18
+    # valuation lists
+    ("verify_conjecture_one_class",
+     ["verify", "conjecture", *"3 131 643 1283 1667 2179 2819 3203 3331 4099 4483 5507 "
+      "6659 7043 8707 8963 9091 9859".split(), "--n-max", "300"]),
 ]
 
 

@@ -17,7 +17,7 @@ from qcongruence.congruences import (CONJECTURE_PATTERN, THEOREM_CLAIMS,
 from qcongruence.dissect import Progression, extract
 from qcongruence import congruences
 from qcongruence.eta import overpartition_gf, overpartition_residues
-from qcongruence.series import EXACT
+from qcongruence.series import EXACT, mod2k
 
 from helpers import check_lift_congruence
 from oracles import enumerate_colored_partitions
@@ -128,22 +128,49 @@ def test_check_claims_matches_exact_scan_per_claim(n_max):
     for rep in reports:
         c = rep.claim
         row = extract(gfs[c.t], Progression(c.m, c.j)).coeffs()[:n_max + 1]
-        want = next(((n, v % (1 << c.k)) for n, v in enumerate(row)
-                     if v % (1 << c.k)), None)
-        assert (rep.n_max, rep.counterexample) == (n_max, want), c
+        assert (rep.n_max, rep.counterexample) == (n_max, _first_nonzero(row, c.k)), c
     assert reports[0].counterexample == (0, 64) and reports[1].holds
     assert 0 < sum(r.ms for r in reports) <= elapsed_ms
+
+
+def _exact_rows(t, m, n_max):
+    """Rows j = 0 .. m-1 of p-bar_{-t}(m*n + j), n <= n_max, over Z, from
+    Miller's recurrence: t is never reduced."""
+    gf = overpartition_gf(t, EXACT, m * (n_max + 1))
+    return [extract(gf, Progression(m, j)).coeffs()[:n_max + 1] for j in range(m)]
+
+
+def _first_nonzero(row, k):
+    """The first (n, value mod 2^k) of ``row`` nonzero mod 2^k, else None."""
+    return next(((n, v % (1 << k)) for n, v in enumerate(row) if v % (1 << k)), None)
 
 
 @pytest.mark.parametrize("row", THEOREM_CLAIMS, ids=lambda c: f"t{c.t}-j{c.j}-k{c.k}")
 def test_claims_have_period_two_to_the_k_minus_1_in_t(row):
     # the overpartition series is phi(-q)^-t, and (1 + 2X)^(2^(k-1)) == 1
-    # (mod 2^k); one bit more than claimed gives counterexamples to compare
+    # (mod 2^k).  check_claims answers t + 2^(k-1) from t's table, so each
+    # t's counterexample is also read from its own series over Z; one bit
+    # more than claimed gives counterexamples to compare
     for k in (row.k, row.k + 1):
-        at_t, shifted = check_claims(
-            [claim(t, row.m, row.j, k) for t in (row.t, row.t + (1 << (k - 1)))], 150)
-        assert (at_t.verdict, at_t.counterexample) == \
-            (shifted.verdict, shifted.counterexample)
+        ts = (row.t, row.t + (1 << (k - 1)))
+        reports = check_claims([claim(t, row.m, row.j, k) for t in ts], 150)
+        own = [_first_nonzero(_exact_rows(t, row.m, 150)[row.j], k) for t in ts]
+        assert [r.counterexample for r in reports] == own
+        assert own[0] == own[1] and (own[0] is None) == (k == row.k)
+
+
+@pytest.mark.parametrize("t, shifted, k", [
+    (3, 19, 5), (13, 29, 5), (5, 69, 7), (2, 10, 4),
+    (3, 11, 5),  # 2^(k-2) apart: the series differ
+])
+def test_overpartitions_mod_2k_depend_only_on_t_mod_2_to_the_k_minus_1(t, shifted, k):
+    # Miller's recurrence over Z never reduces t, while the mod-2^k kernel
+    # reduces it mod 2^(k-1) before it builds anything: the two routes agree
+    # for t and its shift, and the shift keeps the series iff 2^(k-1) | it
+    ring, N = mod2k(k), 1500
+    exact = [overpartition_gf(s, EXACT, N).to_ring(ring) for s in (t, shifted)]
+    assert [overpartition_gf(s, ring, N) for s in (t, shifted)] == exact
+    assert (exact[0] == exact[1]) == ((shifted - t) % (1 << (k - 1)) == 0)
 
 
 _WORD = st.builds(lambda u, v: (u << v) % (1 << 64),
@@ -209,9 +236,8 @@ def test_valuations_read_each_t_once_at_its_own_precision(monkeypatch, reads):
 
 def _exact_minima(t, m, n_max):
     """The least 2-adic valuation of each row over Z, floored at 64."""
-    gf = overpartition_gf(t, EXACT, m * (n_max + 1))
-    rows = [extract(gf, Progression(m, j)).coeffs()[:n_max + 1] for j in range(m)]
-    return [min(64, *((v & -v).bit_length() - 1 for v in row)) for row in rows]
+    return [min(64, *((v & -v).bit_length() - 1 for v in row))
+            for row in _exact_rows(t, m, n_max)]
 
 
 @pytest.mark.parametrize("m", [8, 12])
@@ -262,6 +288,61 @@ def test_t_apart_mod_2_7_keep_their_own_tables(reads):
     assert [r.counterexample for r in reports] == [(0, 6), (0, 134)]
 
 
+# the 18 primes == 3 (mod 2^7) below 10^4: no first value reaches 2^7, so
+# all have K_t = 7 and share 3's one table mod 2^8
+ONE_CLASS = [3, 131, 643, 1283, 1667, 2179, 2819, 3203, 3331, 4099, 4483, 5507,
+             6659, 7043, 8707, 8963, 9091, 9859]
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The length of each row ``congruences`` folds to its least valuation
+    and each row it scans for a counterexample, as two lists in order."""
+    log = {"fold": [], "scan": []}
+
+    def fold(words):
+        log["fold"].append(len(words))
+        return _min_two_adic_valuation(words)
+
+    def scan(items):  # a table's row is a memoryview; the claim list is not
+        if isinstance(items, memoryview):
+            log["scan"].append(len(items))
+        return enumerate(items)
+
+    monkeypatch.setattr(congruences, "_min_two_adic_valuation", fold)
+    monkeypatch.setattr(congruences, "enumerate", scan, raising=False)
+    return log
+
+
+def test_one_class_folds_each_row_of_its_table_once(monkeypatch, reads, folds):
+    # 126 claims and 18 t's valuations: one table, its 8 rows folded once
+    # each, and no claim fails, so no row is scanned
+    claims = [c for t in ONE_CLASS for c in conjecture_claims(t)]
+    reports, vals = congruences.check_with_valuations(claims, ONE_CLASS, 8, 300)
+    assert reads == [(ONE_CLASS, None, 8, 0), ([3], 8, 8, 300)]
+    assert folds == {"fold": [301] * 8, "scan": []}
+    assert all(r.holds for r in reports)
+    monkeypatch.undo()
+    alone = [congruences.check_with_valuations(conjecture_claims(t), [t], 8, 300)
+             for t in ONE_CLASS]
+    assert [(r.claim, r.n_max, r.verdict, r.counterexample) for r in reports] == \
+        [(r.claim, r.n_max, r.verdict, r.counterexample) for a in alone for r in a[0]]
+    assert vals == [a[1][0] for a in alone]
+    # each t's valuations are its own list
+    vals[0][7] = -1
+    assert vals[1:] == [a[1][0] for a in alone[1:]]
+
+
+def test_only_a_failing_claim_scans_its_row(reads, folds):
+    # p-bar_{-5}(8n+7) has least valuation 7, attained at n = 0 (it is
+    # 128 * odd): mod 2^7 it holds unscanned, mod 2^8 its row is scanned to
+    # its first term; 8n+1 (valuation 1) fails mod 2^2 there too
+    reports = check_claims([claim(5, 8, 7, 7), claim(5, 8, 7, 8), claim(5, 8, 1, 2)], 40)
+    assert reads == [([5], 8, 8, 40)]
+    assert folds == {"fold": [41] * 8, "scan": [41, 41]}
+    assert [r.counterexample for r in reports] == [None, (0, 128), (0, 2)]
+
+
 def test_claims_and_valuations_share_tables_and_match_their_own_reads():
     # a repeated prime, a prime whose 8n+7 row vanishes mod 2^8 and is read
     # mod 2^9, and claims that fail: a claim read from its t's table mod
@@ -277,11 +358,7 @@ def test_claims_and_valuations_share_tables_and_match_their_own_reads():
         [(r.claim, r.counterexample) for r in check_claims(claims, 200)]
     assert [r.holds for r in reports[-3:]] == [False, False, True]
     assert 0 < sum(r.ms for r in reports) <= elapsed_ms
-    for t, got in zip(ts, vals):
-        gf = overpartition_gf(t, EXACT, 8 * 201)
-        rows = [extract(gf, Progression(8, j)).coeffs()[:201] for j in range(8)]
-        assert got == [min((v & -v).bit_length() - 1 for v in row if v)
-                       for row in rows]
+    assert vals == [_exact_minima(t, 8, 200) for t in ts]
     assert vals[1][7] == 8
 
 
