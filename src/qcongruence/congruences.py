@@ -147,30 +147,30 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     """The reports of ``claims`` (any m, k <= 64), in claim order, for
     n <= n_max, and ``observed_two_adic_valuations(ts, m, n_max)``.
 
-    Each read's precision is fixed before it.  The first values p-bar_{-t}(j)
-    > 0, j < m, of the t in ``ts`` are read over Z; a class's minimum is at
-    most its first value's valuation v, so mod 2^K_t, K_t = 1 + the largest
-    v, every minimum is exact.  Each step (a claim's m, and m if ``ts`` is
-    not empty) reads its t mod 2^K, K <= 64 its claims' largest k, at least
-    8 and K_t if the valuations are on it.  Mod 2^K a table depends only on
-    t mod 2^(K-1), so one table, the class's least t's, answers each of its
-    t from its rows' least valuations, each row folded once: a claim (j, k)
-    holds iff row j's is >= k, and only a failing one scans its row for the
-    first n nonzero mod 2^k.  One table is alive at a time.  ``ms`` is the
-    time since the report before: a read and its folds go to its first claim."""
+    Each claim, then each t of ``ts``, is a slot of one answer list, found by
+    its (t, m).  Each read's precision is fixed before it.  The first values
+    p-bar_{-t}(j) > 0, j < m, of ``ts`` are read over Z; a class's minimum is
+    at most its first value's valuation v, so mod 2^K_t, K_t = 1 + the largest
+    v, it is exact.  Each step (an m asked) reads its t mod 2^K, K <= 64 its
+    claims' largest k, at least 8 and K_t if valuations are on it.  Mod 2^K a
+    table depends only on t mod 2^(K-1), so one table, the class's least t's,
+    fills every slot of its t from its rows' least valuations, each row folded
+    once: a claim (j, k) holds iff row j's is >= k, only a failing one scans
+    its row for the first n nonzero mod 2^k, and a valuation gets its own list.
+    One table is alive at a time.  ``ms`` is the time since the report before."""
     claims, ts = list(claims), list(ts)
-    reports, vals, runs = [None] * len(claims), {}, {}
-    for i, c in enumerate(claims):  # (t, m) -> the indices of its claims
-        runs.setdefault((c.t, c.m), []).append(i)
+    out, asks = [None] * (len(claims) + len(ts)), {}
+    for i, ask in enumerate([(c.t, c.m) for c in claims] + [(t, m) for t in ts]):
+        asks.setdefault(ask, []).append(i)  # (t, m) -> its slots in out
     start = time.perf_counter()
     need = dict.fromkeys(ts)  # t -> K_t, uncapped
     for t, first in zip(need, overpartition_residues(list(need), EXACT, m, 0) if ts else ()):
         need[t] = 1 + max((v & -v).bit_length() - 1 for [v] in first)
-    for step in dict.fromkeys([c.m for c in claims] + ([m] if ts else [])):
+    for step in dict.fromkeys(s for _, s in asks):
         wanted = need if step == m else {}
         top = max([c.k for c in claims if c.m == step] + ([8] if wanted else []))
         reads = {}  # K -> {the least t >= 1 of a class mod 2^(K-1): the t it answers}
-        for t in dict.fromkeys([*(t for t, s in runs if s == step), *wanted]):
+        for t in [t for t, s in asks if s == step]:
             K = min(max(top, wanted.get(t, 0)), MAX_MOD2K_BITS)
             reads.setdefault(K, {}).setdefault((t - 1) % (1 << K - 1) + 1, []).append(t)
         for K, classes in reads.items():
@@ -178,16 +178,18 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
             for group in classes.values():
                 table = next(tables)
                 mins = list(map(_min_two_adic_valuation, table))
-                for i in [i for t in group for i in runs.pop((t, step), ())]:
+                for i in [i for t in group for i in asks.pop((t, step))]:
+                    if i >= len(claims):  # a valuation slot: its own list
+                        out[i] = mins.copy()
+                        continue
                     c, mod = claims[i], 1 << claims[i].k
                     counter = None if mins[c.j] >= c.k else next(
                         (n, w % mod) for n, w in enumerate(table[c.j]) if w % mod)
                     now = time.perf_counter()
-                    reports[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
+                    out[i] = ClaimReport(c, n_max, counter, (now - start) * 1000.0)
                     start = now
-                vals.update((t, mins.copy()) for t in wanted.keys() & group)
                 del table  # before the next is built
-    return reports, [vals[t] for t in ts]
+    return out[:len(claims)], out[len(claims):]
 
 
 def _min_two_adic_valuation(words) -> int:

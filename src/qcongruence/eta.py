@@ -149,6 +149,8 @@ def overpartition_residues(ts: Sequence[int], ring: Ring, m: int, n_max: int):
     come as an iterator that builds each as it is read."""
     if min(ts, default=1) < 1:
         raise ValueError("color count t must be >= 1")
+    if m < 1 or n_max < 0:
+        raise ValueError(f"need m >= 1 and n_max >= 0, got m={m}, n_max={n_max}")
     series = theta_powers(1, 1, [-t for t in ts], 1, ring, m * (n_max + 1))
     return map(lambda s: tuple(s._coeffs[j::m] for j in range(m)), series)
 

@@ -26,8 +26,11 @@ from itertools import compress, count, repeat
 
 MAX_MOD2K_BITS = 64
 
-# The most terms a command expands: it bounds --T and --n-max, what
-# ``expand`` and ``extract`` read, a family instance and a witness base.
+# The size budget: it bounds the values of --T and --n-max, the terms
+# ``expand`` and ``extract`` read, a family instance's top exponent and a
+# witness's base series.  Other expansions grow from the flags past it: at
+# their caps the theorem and conjecture checks read 8*(n_max+1) = 800,008
+# terms, eq1 8T-5, and the families' base-7 induction step 49T+13.
 DEFAULT_BUDGET = 100_000
 
 

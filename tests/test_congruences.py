@@ -362,6 +362,24 @@ def test_claims_and_valuations_share_tables_and_match_their_own_reads():
     assert vals[1][7] == 8
 
 
+def test_a_repeated_t_gets_its_own_valuation_list_and_equal_reports(reads):
+    # 3 twice and 131 == 3 (mod 2^7): one table fills both copies of each
+    # claim and all three valuation slots, yet each slot keeps its own list
+    claims = conjecture_claims(3) * 2
+    reports, vals = congruences.check_with_valuations(claims, [3, 131, 3], 8, 100)
+    assert reads == [([3, 131], None, 8, 0), ([3], 8, 8, 100)]
+    assert [(r.claim, r.n_max, r.counterexample) for r in reports[:7]] == \
+        [(r.claim, r.n_max, r.counterexample) for r in reports[7:]]
+    assert [r.claim for r in reports] == list(claims)
+    want = [_exact_minima(t, 8, 100) for t in (3, 131, 3)]
+    assert vals == want
+    for i in range(3):  # a write into one list leaves the other two as they were
+        vals[i][0] = -1
+        assert [v for j, v in enumerate(vals) if j != i] == \
+            [w for j, w in enumerate(want) if j != i]
+        vals[i][0] = want[i][0]
+
+
 def test_claim_above_2_8_with_valuations_gets_check_claims_verdict():
     # p-bar_{-13}(7) = 256 * odd: read mod 2^8 it vanishes, so a claim mod
     # 2^9 must be read from a wider table than the valuations' own 2^8
@@ -510,6 +528,8 @@ def test_oracle_bounds_enforced():
         enumerate_colored_overpartitions(6, 2)
     with pytest.raises(ValueError):
         enumerate_colored_overpartitions(2, 15)
+    with pytest.raises(ValueError, match="^need t >= 1 and n >= 0$"):
+        enumerate_colored_overpartitions(2, -1)
     with pytest.raises(ValueError):
         enumerate_colored_partitions(1, 15)
 

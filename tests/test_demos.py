@@ -16,13 +16,17 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 
 
 def run_python(*args):
-    """Run a fresh interpreter from the repo root with src/ on its path."""
+    """Run a fresh interpreter from the repo root with src/ on its path, in
+    dev mode with every warning an error, as tier-1 runs its own tests.  A
+    warning raised in a finalizer (a leaked file's ResourceWarning) cannot
+    end the run, so the interpreter's note of it on stderr fails it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Exception ignored" not in proc.stderr, \
+        proc.stderr[-2000:]
 
 
 def test_demos_exist():

@@ -255,6 +255,11 @@ def test_eta_quotient_validation():
         EtaQuotient(0, {})
     with pytest.raises(ValueError):
         overpartition_gf(0, EXACT, 5)
+    for build in (lambda: overpartition_eta_quotient(0),
+                  lambda: colored_partition_gf(0, EXACT, 5),
+                  lambda: overpartition_residues([3, 0], EXACT, 8, 5)):
+        with pytest.raises(ValueError, match="^color count t must be >= 1$"):
+            build()
 
 
 def test_zero_exponents_dropped():

@@ -206,6 +206,17 @@ def test_induction_step_base5_reports_neither_candidate(monkeypatch):
     assert rep.first_mismatch[0] == 1
 
 
+def test_lone_candidate_reports_its_own_mismatch(monkeypatch):
+    # inf offers one right-hand side: spoiled, its own report comes back,
+    # noted with its label rather than as neither matching
+    real = families._rhs_candidates
+    monkeypatch.setattr(families, "_rhs_candidates", lambda variant, T: [
+        (label, rhs.scale(0)) for label, rhs in real(variant, T)])
+    rep = verify_family_instance(FamilyInstance(0, 0, 0, "inf"), 40)
+    assert (rep.name, rep.truncation, rep.first_mismatch, rep.note) == \
+        ("inf(alpha=0, beta=0, gamma=0)", 41, (0, 4, 0), "rhs 4*f1^6")
+
+
 def test_induction_step_validation():
     with pytest.raises(ValueError):
         verify_induction_step(4, 100)

@@ -18,7 +18,9 @@ from qcongruence import (ClaimReport, CongruenceClaim, EtaQuotient,
                          WitnessCertificate, WitnessReport, builtin_certificate,
                          ramanathan, verify_family_instance, verify_witness)
 from qcongruence import series as series_module
+from qcongruence.congruences import check_claims, enumerate_colored_overpartitions
 from qcongruence.dissect import dissection7, extract
+from qcongruence.eta import overpartition_residues
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
                                 NonInvertibleSeries, RingMismatch, _conv_mod2k,
                                 _divide_exact, _gauss_power_mod2k, agree,
@@ -194,6 +196,19 @@ def _cert_with(**changes):
     (lambda: _cert_with(claimed_common_factor=0), "claimed common factor must be positive"),
     (lambda: _cert_with(claimed_common_factor=256),
      "claimed common factor 256 does not divide polynomial coefficient 37760"),
+    # guards outside the records, each with its own message
+    (lambda: overpartition_residues([3], EXACT, 0, 10),
+     "need m >= 1 and n_max >= 0, got m=0, n_max=10"),
+    (lambda: check_claims([CongruenceClaim(5, 8, 1, 1)], -1),
+     "need m >= 1 and n_max >= 0, got m=8, n_max=-1"),
+    (lambda: enumerate_colored_overpartitions(0, 3), "need t >= 1 and n >= 0"),
+    (lambda: extract(LaurentSeries.one(EXACT, 3), Progression(8, 5)),
+     "truncation 3 known only below the first index of progression 8n+5"),
+    (lambda: LaurentSeries.one(EXACT, 0), "constant 1 needs trunc >= 1"),
+    (lambda: LaurentSeries.one(EXACT, 4).substitute_qpow(0),
+     "substitution power must be >= 1"),
+    (lambda: theta_f(1, 1, 0), "need T >= 1"),
+    (lambda: _CERT.base_terms(0), "need T >= 1 output coefficients"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
