@@ -159,6 +159,8 @@ def check_with_valuations(claims, ts, m: int, n_max: int):
     its row for the first n nonzero mod 2^k, and a valuation gets its own list.
     One table is alive at a time.  ``ms`` is the time since the report before."""
     claims, ts = list(claims), list(ts)
+    if ts and (m < 1 or n_max < 0):  # before the first-value read, which passes n_max = 0
+        raise ValueError(f"need m >= 1 and n_max >= 0, got m={m}, n_max={n_max}")
     out, asks = [None] * (len(claims) + len(ts)), {}
     for i, ask in enumerate([(c.t, c.m) for c in claims] + [(t, m) for t in ts]):
         asks.setdefault(ask, []).append(i)  # (t, m) -> its slots in out

@@ -1,13 +1,18 @@
 """Coefficient extraction on arithmetic progressions and the classical
 dissection identities of the Euler product f_1.
 
-Each identity checker expands both sides independently and compares
-coefficients through the requested truncation, reporting the first
-mismatching exponent on failure.  A report is evidence of agreement up to
-the stated truncation, never a proof.
+Each identity checker compares coefficients through the requested
+truncation, reporting the first mismatching exponent on failure.  The
+n-dissections (``ramanathan``) are checked one residue class of the
+exponent mod n at a time, each class multiplied through by its terms'
+denominators, so no theta quotient is formed; the mismatch keeps the
+exponent and both coefficients of the uncleared identity.  A report is
+evidence of agreement up to the stated truncation, never a proof.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .series import (EXACT, InsufficientTruncation, LaurentSeries, _divide_exact,
                      _Record, _strided, euler_factor, first_difference, int_text,
@@ -150,18 +155,45 @@ def ramanathan(n: int, T: int) -> IdentityReport:
     n = 6g-1.  The theorem is usually quoted with the n = 6g+1 hypothesis
     only; both branches are checked here.  ``dissection5`` and
     ``dissection7`` are the n = 5 and n = 7 cases under their textbook names.
+
+    The check runs one residue class r of the exponent mod n at a time.  In
+    Q = q^n, f_{n^2} is f_n(Q) and every quotient num(Q)/den(Q) is a series
+    in Q, so class r of f_1, E_r(Q) = sum_m f_1[n*m + r] Q^m, must equal the
+    sum of c Q^(e//n) f_n num/den over the terms with e == r (mod n); a class
+    with no term must vanish.  Both sides are multiplied through by the
+    class's dens, so that every factor is a sparse theta series and no
+    quotient is formed: E_r * prod(den) against sum c Q^s f_n num
+    prod(other dens), each at ceil((T - r)/n) terms.  Every den has constant
+    term 1, so the first mismatching Q^m and the difference there are those
+    of E_r against the quotient side: the report's mismatch is at q^(n*m +
+    r), with lhs = f_1[n*m + r] and rhs = lhs - (left[m] - right[m]), the
+    least such exponent over all classes.
     """
     if n < 5 or n % 6 not in (1, 5):
         raise ValueError(f"n={n} must be >= 5 and congruent to +-1 mod 6")
     g, eps = (n + 1) // 6, (-1 if n % 6 == 1 else 1)
-    terms = [((-1) ** g, (n * n - 1) // 24, LaurentSeries.one(EXACT, T))]
+    terms = [((-1) ** g, (n * n - 1) // 24, (), ())]
     terms += [((-1) ** (k + g), (k - g) * (3 * k - 3 * g + eps) // 2,
-               _theta_quotient((2 * k, n - 2 * k), (k, n - k), n, T))
-              for k in range(1, (n - 1) // 2 + 1)]
-    rhs = euler_factor(n * n, 1, EXACT, T).mul(shifted_sum(terms, EXACT, T))
+               ((2 * k, n - 2 * k),), ((k, n - k),)) for k in range(1, (n - 1) // 2 + 1)]
+    f1, fn = euler_factor(1, 1, EXACT, T), euler_factor(n, 1, EXACT, -(-T // n))
+    mismatches = []
+    for r in range(min(n, T)):
+        cls = extract(f1, Progression(n, r))
+        M = len(cls)
+        here = [(c, e // n, [theta_f(*p, M) for p in num], [theta_f(*p, M) for p in den])
+                for c, e, num, den in terms if e % n == r]
+        dens = [ds for *_, ds in here]
+        left = prod(sum(dens, []), start=cls)
+        right = shifted_sum([(c, s, prod(nums + sum(dens[:j] + dens[j + 1:], []),
+                                         start=fn.truncate(M)))
+                             for j, (c, s, nums, _) in enumerate(here)], EXACT, M)
+        diff = first_difference(left, right)
+        if diff is not None:
+            m, a, b = diff
+            lhs = cls.coefficient(m)
+            mismatches.append((n * m + r, lhs, lhs - (a - b)))
     case = f"n=6g{'+' if eps < 0 else '-'}1, g={g}"
-    return report_from_comparison(f"{n}-dissection of f1", euler_factor(1, 1, EXACT, T),
-                                  rhs, through=T, note=case)
+    return IdentityReport(f"{n}-dissection of f1", T, min(mismatches, default=None), case)
 
 
 def verify_suite(T: int) -> list[IdentityReport]:

@@ -6,8 +6,9 @@ identities of the package's kernels rather than supply independent values.
 
 from __future__ import annotations
 
+from qcongruence import dissect
 from qcongruence.dissect import IdentityReport, report_from_comparison
-from qcongruence.series import euler_factor, mod2k
+from qcongruence.series import EXACT, LaurentSeries, euler_factor, mod2k, shifted_sum
 
 
 def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:
@@ -19,3 +20,18 @@ def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:
     rhs = euler_factor(2 * m, 1, ring, T).pow(1 << (k - 1))
     name = f"f{m}^{1 << k} = f{2 * m}^{1 << (k - 1)} (mod {1 << k})"
     return report_from_comparison(name, lhs, rhs, through=T)
+
+
+def dense_ramanathan(n: int, T: int) -> IdentityReport:
+    """``dissect.ramanathan(n, T)`` in its dense form: f_{n^2} times the
+    shifted sum of the bracket's theta quotients, each one exact division in
+    q^n (``dissect._theta_quotient``), compared with f_1 through q^(T-1)."""
+    g, eps = (n + 1) // 6, (-1 if n % 6 == 1 else 1)
+    terms = [((-1) ** g, (n * n - 1) // 24, LaurentSeries.one(EXACT, T))]
+    terms += [((-1) ** (k + g), (k - g) * (3 * k - 3 * g + eps) // 2,
+               dissect._theta_quotient((2 * k, n - 2 * k), (k, n - k), n, T))
+              for k in range(1, (n - 1) // 2 + 1)]
+    rhs = euler_factor(n * n, 1, EXACT, T).mul(shifted_sum(terms, EXACT, T))
+    case = f"n=6g{'+' if eps < 0 else '-'}1, g={g}"
+    return report_from_comparison(f"{n}-dissection of f1", euler_factor(1, 1, EXACT, T),
+                                  rhs, through=T, note=case)

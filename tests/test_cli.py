@@ -577,15 +577,15 @@ def test_verify_dissections(capsys):
     assert out.count("matched") == 6
 
 
-def test_verify_dissections_forms_the_n7_quotients_once(capsys, monkeypatch):
+def test_verify_dissections_checks_n7_once(capsys, monkeypatch):
     # dissection7 is ramanathan(7, T) under its textbook name
     calls = []
-    real = dissect._theta_quotient
-    monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
-                        calls.append(n) or real(num, den, n, T))
+    real = dissect.ramanathan
+    monkeypatch.setattr(dissect, "ramanathan", lambda n, T:
+                        calls.append(n) or real(n, T))
     code, out, _ = run(capsys, "verify", "dissections")
     assert code == 0 and out.count("matched") == 6
-    assert calls.count(7) == 3
+    assert calls.count(7) == 1
 
 
 @pytest.mark.parametrize("argv, code, records", [
@@ -697,6 +697,8 @@ GOLDEN_RUNS = [
     ("verify_conjecture_one_class",
      ["verify", "conjecture", *"3 131 643 1283 1667 2179 2819 3203 3331 4099 4483 5507 "
       "6659 7043 8707 8963 9091 9859".split(), "--n-max", "300"]),
+    # the dissections at the flag's cap, blessed with the dense quotient route
+    ("verify_dissections_T100000", ["verify", "dissections", "--T", "100000"]),
 ]
 
 

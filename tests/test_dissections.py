@@ -13,6 +13,7 @@ from qcongruence.eta import overpartition_gf
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries, agree,
                                 euler_factor, mod2k, theta_f)
 
+from helpers import dense_ramanathan
 from oracles import binomial_product, naive_euler, naive_inverse, naive_mul
 
 settings.register_profile("suite", deadline=None, derandomize=True)
@@ -266,13 +267,15 @@ def test_verify_suite_equals_the_separate_checks(T):
 
 
 def test_verify_suite_reports_the_n7_case_under_both_names(monkeypatch):
-    # a wrong n = 7 quotient shows in dissection7 and ramanathan(7), only
-    # there; a wrong n = 5 quotient likewise in dissection5 and ramanathan(5)
-    real = dissect._theta_quotient
-    for bad, textbook, general, checker in ((7, 2, 4, dissection7),
-                                            (5, 1, 3, dissection5)):
-        monkeypatch.setattr(dissect, "_theta_quotient", lambda num, den, n, T:
-                            real(num, den, n, T).scale(2 if n == bad else 1))
+    # a wrong n = 7 theta series shows in dissection7 and ramanathan(7), only
+    # there; a wrong n = 5 one likewise in dissection5 and ramanathan(5).
+    # (2, 5) is n = 7's k = 1 numerator and (4, 1) n = 5's k = 2 numerator;
+    # neither pair is read by any other check
+    real = dissect.theta_f
+    for bad, textbook, general, checker in (((2, 5), 2, 4, dissection7),
+                                            ((4, 1), 1, 3, dissection5)):
+        monkeypatch.setattr(dissect, "theta_f", lambda x, y, T, ring=EXACT:
+                            real(x, y, T, ring).scale(2 if (x, y) == bad else 1))
         reports = verify_suite(300)
         assert [r.matched for r in reports] == [
             i not in (textbook, general) for i in range(6)]
@@ -295,33 +298,68 @@ def test_verify_suite_takes_no_newton_inverse(monkeypatch):
     assert calls == []
 
 
-def test_theta_quotients_take_no_product_and_no_inverse(monkeypatch):
-    # each of verify_suite's eleven quotients is one exact division; a
-    # product or an inverse taken while one is formed is recorded
-    inside, taken, formed = [False], [], []
-    real_quotient = dissect._theta_quotient
+def test_verify_suite_takes_no_division_and_no_product_past_T_over_5(monkeypatch):
+    # ramanathan multiplies each residue class through by its dens: no exact
+    # division, no inverse, and no exact product longer than the longest
+    # class, ceil(T/5) terms; the one longer product is dissection3's f1^3
+    # mod 2
+    T, divided, products = 300, [], []
 
-    def quotient(*args):
-        inside[0] = True
-        try:
-            return real_quotient(*args)
-        finally:
-            inside[0] = False
-            formed.append(args)
-
-    def spy(name, real):
+    def spy(real, calls):
         def call(*args):
-            if inside[0]:
-                taken.append(name)
+            calls.append(args)
             return real(*args)
         return call
 
-    for name in ("mul", "__mul__", "inverse", "pow"):
-        monkeypatch.setattr(LaurentSeries, name, spy(name, getattr(LaurentSeries, name)))
-    monkeypatch.setattr(series, "_conv", spy("_conv", series._conv))
-    monkeypatch.setattr(dissect, "_theta_quotient", quotient)
-    verify_suite(300)
-    assert len(formed) == 11 and taken == []
+    monkeypatch.setattr(dissect, "_divide_exact", spy(dissect._divide_exact, divided))
+    monkeypatch.setattr(series, "_divide_exact", spy(series._divide_exact, divided))
+    monkeypatch.setattr(LaurentSeries, "inverse", spy(LaurentSeries.inverse, divided))
+    monkeypatch.setattr(series, "_conv", spy(series._conv, products))
+    verify_suite(T)
+    assert divided == []
+    assert max(n for _, _, n, k in products if k is None) <= -(-T // 5)
+    assert {k for _, _, n, k in products if n > -(-T // 5)} == {1}
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 17, 19, 23, 25, 29, 35, 37])
+def test_ramanathan_equals_its_dense_form(n):
+    # the class-by-class check against f_{n^2} times the shifted sum of the
+    # theta quotients, mismatch records included
+    for T in (1, 2, 3, 4, 5, 7, 10, 26, 57, 200, 1000):
+        assert ramanathan(n, T).record() == dense_ramanathan(n, T).record()
+
+
+@pytest.mark.parametrize("n", [5, 7, 13, 25])
+def test_ramanathan_reports_a_wrong_numerator_as_its_dense_form(monkeypatch, n):
+    # a numerator pair f(-Q^2k, -Q^(n-2k)) that gains a term Q^h turns the
+    # identity false; both routes read the same wrong thetas (a pair that is
+    # also a den changes there too), so they must name one first mismatch
+    real, T = dissect.theta_f, 600
+    for k in range(1, (n - 1) // 2 + 1):
+        for h in (1, 2, 5):
+            def theta(x, y, m, ring=EXACT, pair=(2 * k, n - 2 * k), h=h):
+                c = real(x, y, m, ring).coeffs()
+                if (x, y) == pair and h < m:
+                    c[h] += 1
+                return LaurentSeries(0, c, ring)
+
+            monkeypatch.setattr(dissect, "theta_f", theta)
+            got = ramanathan(n, T)
+            assert not got.matched
+            assert got == dense_ramanathan(n, T)
+
+
+@pytest.mark.parametrize("n, most", [(5, 1), (7, 1), (13, 1), (25, 2)])
+def test_ramanathan_multiplies_each_class_through_by_its_dens(monkeypatch, n, most):
+    # each product's factor list: a class's dens on the left, a term's num
+    # and the other terms' dens on the right.  For n = 5, 7 and 13 each
+    # class holds at most one quotient; n = 25 puts exponents 1 and 51 (and
+    # the constant term's 26) in class 1
+    sizes, real = [], dissect.prod
+    monkeypatch.setattr(dissect, "prod", lambda xs, start: sizes.append(len(xs))
+                        or real(xs, start=start))
+    assert ramanathan(n, 400).matched
+    assert max(sizes) == most
 
 
 def test_r_q5_matches_its_newton_inverse():

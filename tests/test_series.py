@@ -18,7 +18,8 @@ from qcongruence import (ClaimReport, CongruenceClaim, EtaQuotient,
                          WitnessCertificate, WitnessReport, builtin_certificate,
                          ramanathan, verify_family_instance, verify_witness)
 from qcongruence import series as series_module
-from qcongruence.congruences import check_claims, enumerate_colored_overpartitions
+from qcongruence.congruences import (check_claims, enumerate_colored_overpartitions,
+                                     observed_two_adic_valuations)
 from qcongruence.dissect import dissection7, extract
 from qcongruence.eta import overpartition_residues
 from qcongruence.series import (EXACT, InsufficientTruncation, LaurentSeries,
@@ -201,6 +202,9 @@ def _cert_with(**changes):
      "need m >= 1 and n_max >= 0, got m=0, n_max=10"),
     (lambda: check_claims([CongruenceClaim(5, 8, 1, 1)], -1),
      "need m >= 1 and n_max >= 0, got m=8, n_max=-1"),
+    # the caller's n_max, not the n_max = 0 of the exact first-value read
+    (lambda: observed_two_adic_valuations([3], 0, 7),
+     "need m >= 1 and n_max >= 0, got m=0, n_max=7"),
     (lambda: enumerate_colored_overpartitions(0, 3), "need t >= 1 and n >= 0"),
     (lambda: extract(LaurentSeries.one(EXACT, 3), Progression(8, 5)),
      "truncation 3 known only below the first index of progression 8n+5"),
