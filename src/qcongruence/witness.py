@@ -13,6 +13,7 @@ data only.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 
@@ -155,20 +156,19 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     poly(hauptmodul), coefficient-wise over T Laurent coefficients starting
     at the lower of the two sides' lowest exponents.  ``c.base_terms(T)``
     rules whether c can be checked at T; the guard below only checks what
-    the expansions delivered."""
-    base = expand(EtaQuotient(c.M, c.r), EXACT, c.base_terms(T))
-    lhs = expand(c.prefactor, EXACT, c.prefactor.qshift + T)
-    for jp in sorted(c.pset):
-        lhs = lhs.mul(extract(base, Progression(c.m, jp)).truncate(T))
+    the expansions delivered.
 
-    h = expand(c.hauptmodul, EXACT, c.hauptmodul.qshift + T)
-    rhs = None
-    power = LaurentSeries.one(EXACT, T) if c.poly_min_degree == 0 else h
-    for i, coeff in enumerate(c.poly):
-        term = power.scale(coeff)
-        rhs = term if rhs is None else rhs.add(term)
-        if i + 1 < len(c.poly):
-            power = power.mul(h)
+    The check's two halves meet only in the left side's last products, so
+    they run side by side (see ``_side_by_side``): a forked child expands
+    the base quotient and extracts its streams, while this process expands
+    the prefactor and the hauptmodul and builds poly(h).  Where the job
+    cannot fork (no ``os.fork``, one CPU in the affinity mask, other
+    threads in the process) the same job runs inline first."""
+    n = c.base_terms(T)
+    streams, (lhs, rhs) = _side_by_side(lambda: _base_streams(c, n, T),
+                                        lambda: _prefactor_and_rhs(c, T))
+    for coeffs in streams:
+        lhs = lhs.mul(LaurentSeries(0, coeffs, EXACT))
 
     lo = min(lhs.offset, rhs.offset)
     through = lo + T
@@ -181,6 +181,101 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
         first_mismatch=first_difference(lhs, rhs, through=through),
         gcd_of_poly=certificate_common_factor(c)[0],
     )
+
+
+def _base_streams(c: WitnessCertificate, n: int, T: int) -> list[list[int]]:
+    """The coefficients through q^(T-1) of each stream that the left side
+    takes from the base quotient expanded to n terms, in increasing residue
+    order; each stream is a power series from q^0."""
+    base = expand(EtaQuotient(c.M, c.r), EXACT, n)
+    return [extract(base, Progression(c.m, jp)).truncate(T).coeffs()
+            for jp in sorted(c.pset)]
+
+
+def _prefactor_and_rhs(c: WitnessCertificate, T: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """The prefactor's expansion and poly(hauptmodul), each T terms long."""
+    prefactor = expand(c.prefactor, EXACT, c.prefactor.qshift + T)
+    h = expand(c.hauptmodul, EXACT, c.hauptmodul.qshift + T)
+    rhs = None
+    power = LaurentSeries.one(EXACT, T) if c.poly_min_degree == 0 else h
+    for i, coeff in enumerate(c.poly):
+        term = power.scale(coeff)
+        rhs = term if rhs is None else rhs.add(term)
+        if i + 1 < len(c.poly):
+            power = power.mul(h)
+    return prefactor, rhs
+
+
+def _can_fork() -> bool:
+    """Whether a forked child can run beside this process: the platform
+    has ``os.fork``, the affinity mask holds two CPUs or more, and the
+    process has no other thread, which a fork would copy mid-step (and
+    which Python 3.12 warns of).  Where the platform cannot tell its
+    threads or CPUs (no ``/proc/self/task``, no ``sched_getaffinity``),
+    it cannot."""
+    try:
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):
+        return False
+
+
+def _side_by_side(job, work):
+    """``(job(), work())``.  Where ``_can_fork()``, job runs in a forked
+    child beside work, and its result, which must be marshal-able, comes
+    back over a pipe as one marshal payload; an exception the job raises
+    reaches this process pickled and is raised here.  Any exception in this
+    process kills and reaps the child, so no child outlives a call.
+    Elsewhere, or if the fork fails, job runs inline before work."""
+    if not _can_fork():
+        return job(), work()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return job(), work()
+    if pid == 0:
+        _run_child(job, read, write)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            other = work()
+            payload = pipe.read()
+        except BaseException:
+            import signal  # here only: its enums cost every run start-up time
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise ChildProcessError(f"the forked job ended with exit status "
+                                f"{os.waitstatus_to_exitcode(status)} and no result")
+    done, result = marshal.loads(payload)
+    if not done:
+        import pickle
+        raise pickle.loads(result)
+    return result, other
+
+
+def _run_child(job, read: int, write: int):
+    """The forked child's whole life: job's result, or the exception it
+    raised, pickled, written to the pipe as one marshal payload.  It never
+    returns: ``os._exit`` skips the parent's atexit handlers and buffers."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = marshal.dumps((True, job()))
+        except Exception as exc:
+            import pickle
+            payload = marshal.dumps((False, pickle.dumps(exc)))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def builtin_certificate() -> WitnessCertificate:

@@ -1,6 +1,12 @@
 """Witness certificates: the shipped certificate, the identity checker, the
 common-factor computation and the text format."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +129,146 @@ def test_constant_term_certificate_verifies():
     # trivial identity 1 = 1 exercises poly_min_degree = 0 end to end
     rep = verify_witness(_TINY, 40)
     assert rep.identity_matched
+
+
+# -- the base expansion beside the rest ------------------------------------------
+
+# A check runs its base expansion in a forked child only in a process with no
+# other thread, and a test process has them (numpy's BLAS pool among them),
+# so these tests run their checks in a fresh interpreter: in dev mode, with
+# every warning an error (a fork among threads warns from Python 3.12 on, and
+# a file left open warns when collected).  ``run`` takes one check forked or
+# inline, whatever the machine's CPUs, and returns its report and record, or
+# its exception's type and message, then whether every child was reaped and
+# whether the open file descriptors are those it started with.
+_PRELUDE = r"""
+import json, os, time
+from qcongruence import witness
+from qcongruence.witness import builtin_certificate, verify_witness
+
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+
+def run(c, T, forked):
+    witness._can_fork = lambda: forked
+    fds = os.listdir("/proc/self/fd")
+    try:
+        report = verify_witness(c, T)
+        out = [repr(report), list(report.record())]
+    except Exception as exc:
+        out = [f"{type(exc).__module__}.{type(exc).__name__}", str(exc)]
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        reaped = False
+    except ChildProcessError:
+        reaped = True
+    return out + [reaped, os.listdir("/proc/self/fd") == fds]
+"""
+
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+                                reason="the platform forks no child beside a check")
+
+
+def _in_a_fresh_process(script: str):
+    """What ``_PRELUDE + script`` prints as JSON, run in a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _PRELUDE + script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+@needs_fork
+def test_forked_and_inline_checks_agree():
+    # the builtin at both ends of its range, a mutated poly that mismatches,
+    # and two residues, whose streams come back in one payload in residue order
+    cert = builtin_certificate()
+    poly = list(cert.poly)
+    poly[-1] += 1
+    two = WitnessCertificate(**{**vars(cert), "pset": frozenset({3, 7}), "id": "two"})
+    cases = [(cert, 18), (cert, 40), (cert, 200), (cert, 401),
+             (replace_poly(cert, poly), 200), (two, 60)]
+    runs = _in_a_fresh_process(
+        "from qcongruence.witness import parse_certificate\n"
+        f"cases = {[(format_certificate(c), T) for c, T in cases]!r}\n"
+        "runs = [[run(parse_certificate(text), T, forked) for forked in (True, False)]\n"
+        "        for text, T in cases]\n"
+        "print(json.dumps([runs, len(forks)]))\n")
+    results, forks = runs
+    assert forks == len(cases)
+    reports = [verify_witness(c, T) for c, T in cases]
+    for report, (forked, inline) in zip(reports, results):
+        assert forked == inline == [repr(report), list(report.record()), True, True]
+    assert [report.ok for report in reports] == [True] * 4 + [False, False]
+
+
+@needs_fork
+def test_an_error_in_the_forked_job_is_raised_as_inline():
+    # the child's exception comes back with its type and message, and the
+    # child is reaped and the pipe closed after it, as after a return
+    results = _in_a_fresh_process(
+        "from qcongruence.series import InsufficientTruncation\n"
+        "def refuse(base, p):\n"
+        "    raise InsufficientTruncation(f'no stream {p.m}n+{p.j}')\n"
+        "witness.extract = refuse\n"
+        "print(json.dumps([run(builtin_certificate(), 40, forked)\n"
+        "                  for forked in (True, False)]))\n")
+    assert results == [["qcongruence.series.InsufficientTruncation", "no stream 8n+7",
+                        True, True]] * 2
+
+
+@needs_fork
+def test_an_error_beside_the_forked_job_kills_and_reaps_it():
+    # the child would sleep a minute; an error in this process's half ends
+    # it at once, and no child outlives the call
+    results = _in_a_fresh_process(
+        "def refuse(c, T):\n"
+        "    raise ValueError('no right side')\n"
+        "witness._base_streams = lambda c, n, T: time.sleep(60)\n"
+        "witness._prefactor_and_rhs = refuse\n"
+        "start = time.monotonic()\n"
+        "result = run(builtin_certificate(), 40, True)\n"
+        "print(json.dumps([result, time.monotonic() - start]))\n")
+    result, seconds = results
+    assert result == ["builtins.ValueError", "no right side", True, True]
+    assert seconds < 30
+
+
+@needs_fork
+def test_a_forked_job_that_ends_without_a_result_is_an_error():
+    results = _in_a_fresh_process(
+        "witness._base_streams = lambda c, n, T: os._exit(3)\n"
+        "print(json.dumps(run(builtin_certificate(), 40, True)))\n")
+    assert results == ["builtins.ChildProcessError",
+                       "the forked job ended with exit status 3 and no result", True, True]
+
+
+@needs_fork
+def test_a_check_forks_only_with_two_cpus_and_one_thread():
+    results = _in_a_fresh_process(
+        "import threading\n"
+        "alone = witness._can_fork()\n"
+        "stop = threading.Event()\n"
+        "thread = threading.Thread(target=stop.wait)\n"
+        "thread.start()\n"
+        "beside_a_thread = witness._can_fork()\n"
+        "stop.set()\n"
+        "thread.join()\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "on_one_cpu = witness._can_fork()\n"
+        "print(json.dumps([alone, beside_a_thread, on_one_cpu]))\n")
+    assert results == [len(os.sched_getaffinity(0)) > 1, False, False]
+
+
+def test_a_failed_fork_runs_the_job_inline(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+    want = verify_witness(builtin_certificate(), 40)
+    monkeypatch.setattr(witness, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert verify_witness(builtin_certificate(), 40) == want
 
 
 # -- text format ------------------------------------------------------------------
