@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from math import prod
 
-from .series import (EXACT, InsufficientTruncation, LaurentSeries, _divide_exact,
-                     _Record, _strided, euler_factor, first_difference, int_text,
-                     mod2k, record_text, shifted_sum, theta_f)
+from .series import (EXACT, InsufficientTruncation, LaurentSeries, _Record, _strided,
+                     euler_factor, first_difference, int_text, mod2k, record_text,
+                     shifted_sum, theta_f, theta_power)
 
 
 class Progression(_Record):
@@ -96,10 +96,9 @@ def extract(a: LaurentSeries, p: Progression) -> LaurentSeries:
 def _theta_quotient(num: tuple[int, int], den: tuple[int, int], n: int,
                     T: int) -> LaurentSeries:
     """f(-Q^a, -Q^b) / f(-Q^c, -Q^d) through q^(T-1), (a, b) = num and
-    (c, d) = den: one exact division at length ceil(T/n) before Q -> q^n."""
-    m = -(-T // n)
-    quotient = _divide_exact(theta_f(*num, m).coeffs(), theta_f(*den, m).coeffs())
-    return LaurentSeries._built(0, quotient, EXACT).substitute_qpow(n).truncate(T)
+    (c, d) = den, Q = q^n: num times den^-1 by ``theta_power``, their
+    product taken on the common stride n."""
+    return theta_power(*num, 1, n, EXACT, T).mul(theta_power(*den, -1, n, EXACT, T))
 
 
 def rogers_ramanujan(T: int) -> LaurentSeries:

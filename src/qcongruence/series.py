@@ -192,7 +192,7 @@ class LaurentSeries:
 
     __hash__ = None
 
-    def __reduce__(self):  # a memoryview does not pickle; its coefficients do
+    def __reduce__(self):  # a memoryview cannot be serialized; its coefficients can
         return LaurentSeries, (self.offset, self.coeffs(), self.ring)
 
     def __repr__(self) -> str:
@@ -609,23 +609,6 @@ def _miller_power(p: Sequence[int], e: int) -> list[int]:
         terms.append((i, (e + 1) * i * p[i], p[i]))
         for k in range(i, end):
             a[k] = sum([(w - k * c) * a[k - j] for j, w, c in terms]) // k
-    return a
-
-
-def _divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """num / den over Z to len(num) terms, for den[0] == 1: a_k = num_k -
-    sum_{i>=1} den_i * a_(k-i), the nonzero den_i grouped by value.  A theta
-    den has about sqrt(n) of them, all +-1 (+-2 when x = y), so a theta
-    quotient takes O(n * sqrt(n)) additions, with no multiply or division."""
-    if den[0] != 1:
-        raise NonInvertibleSeries(f"denominator's constant term {den[0]} is not 1")
-    a, groups, at = list(num), {}, [i for i in range(1, len(num)) if den[i]]
-    for i, end in zip(at, at[1:] + [len(num)]):  # den_j, j <= i, act on a_i..a_(end-1)
-        groups.setdefault(den[i], []).append(i)
-        for k in range(i, end):
-            for c, ix in groups.items():
-                s = sum([a[k - j] for j in ix])
-                a[k] -= s if c == 1 else c * s
     return a
 
 

@@ -13,6 +13,7 @@ data only.
 
 from __future__ import annotations
 
+import _thread
 import marshal
 import math
 import os
@@ -163,7 +164,9 @@ def verify_witness(c: WitnessCertificate, T: int) -> WitnessReport:
     the base quotient and extracts its streams, while this process expands
     the prefactor and the hauptmodul and builds poly(h).  Where the job
     cannot fork (no ``os.fork``, one CPU in the affinity mask, other
-    threads in the process) the same job runs inline first."""
+    threads in the process) the same job runs inline first; where the
+    child returns no result, it runs here after the parent's half, so any
+    error it raises is raised as inline."""
     n = c.base_terms(T)
     streams, (lhs, rhs) = _side_by_side(lambda: _base_streams(c, n, T),
                                         lambda: _prefactor_and_rhs(c, T))
@@ -223,10 +226,12 @@ def _can_fork() -> bool:
 def _side_by_side(job, work):
     """``(job(), work())``.  Where ``_can_fork()``, job runs in a forked
     child beside work, and its result, which must be marshal-able, comes
-    back over a pipe as one marshal payload; an exception the job raises
-    reaches this process pickled and is raised here.  Any exception in this
-    process kills and reaps the child, so no child outlives a call.
-    Elsewhere, or if the fork fails, job runs inline before work."""
+    back over a pipe as one marshal payload.  A child that ends any other
+    way (an exception, a signal, a nonzero exit status) leaves job to run
+    here, after work, so its error is raised as inline.  Elsewhere, or if
+    the fork fails, job runs inline before work.  Any exception in this
+    process kills and reaps the child, and a child whose parent dies ends
+    itself (``_run_child``), so no child outlives a call."""
     if not _can_fork():
         return job(), work()
     read, write = os.pipe()
@@ -249,33 +254,36 @@ def _side_by_side(job, work):
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if not payload:
-        raise ChildProcessError(f"the forked job ended with exit status "
-                                f"{os.waitstatus_to_exitcode(status)} and no result")
-    done, result = marshal.loads(payload)
-    if not done:
-        import pickle
-        raise pickle.loads(result)
-    return result, other
+    return (marshal.loads(payload) if status == 0 else job()), other
 
 
 def _run_child(job, read: int, write: int):
-    """The forked child's whole life: job's result, or the exception it
-    raised, pickled, written to the pipe as one marshal payload.  It never
-    returns: ``os._exit`` skips the parent's atexit handlers and buffers."""
+    """The forked child's whole life: job's result written to the pipe as
+    one marshal payload, then exit status 0; anything else exits 1.  A
+    watcher thread exits as soon as the pipe has no reader, so a parent
+    killed outright (SIGKILL) leaves no child computing.  The write end
+    stays open until the exit: closed, it would wake the watcher, which
+    could exit 1 after a good write.  It never returns: ``os._exit`` skips
+    the parent's atexit handlers and buffers."""
     status = 1
     try:
         os.close(read)
-        try:
-            payload = marshal.dumps((True, job()))
-        except Exception as exc:
-            import pickle
-            payload = marshal.dumps((False, pickle.dumps(exc)))
-        with open(write, "wb") as pipe:
+        _thread.start_new_thread(_exit_unread, (write,))
+        payload = marshal.dumps(job())
+        with open(write, "wb", closefd=False) as pipe:
             pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
+
+
+def _exit_unread(fd: int):
+    """Exit once the pipe whose write end is fd has no reader: its POLLERR."""
+    import select  # here only: it costs every run start-up time
+    poll = select.poll()
+    poll.register(fd, 0)  # POLLERR, POLLHUP and POLLNVAL come unasked
+    poll.poll()
+    os._exit(1)
 
 
 def builtin_certificate() -> WitnessCertificate:

@@ -24,8 +24,9 @@ def check_lift_congruence(m: int, k: int, T: int) -> IdentityReport:
 
 def dense_ramanathan(n: int, T: int) -> IdentityReport:
     """``dissect.ramanathan(n, T)`` in its dense form: f_{n^2} times the
-    shifted sum of the bracket's theta quotients, each one exact division in
-    q^n (``dissect._theta_quotient``), compared with f_1 through q^(T-1)."""
+    shifted sum of the bracket's theta quotients, each num times den^-1 by
+    ``theta_power`` (``dissect._theta_quotient``), compared with f_1 through
+    q^(T-1)."""
     g, eps = (n + 1) // 6, (-1 if n % 6 == 1 else 1)
     terms = [((-1) ** g, (n * n - 1) // 24, LaurentSeries.one(EXACT, T))]
     terms += [((-1) ** (k + g), (k - g) * (3 * k - 3 * g + eps) // 2,

@@ -246,8 +246,9 @@ _DISSECTION_QUOTIENTS = [
 
 @pytest.mark.parametrize("num, den, n", _DISSECTION_QUOTIENTS)
 def test_theta_quotients_match_newton_inverses(num, den, n):
-    # the exact division in q^n against a Newton inverse of the denominator
-    # taken in q, at a size in the thousands
+    # the numerator times theta_power's den^-1 (Miller's recurrence at e =
+    # -1) in q^n, against a Newton inverse of the denominator taken in q, at
+    # a size in the thousands
     T = 3000
     newton = theta_f(n * num[0], n * num[1], T).mul(
         theta_f(n * den[0], n * den[1], T).inverse())
@@ -284,8 +285,8 @@ def test_verify_suite_reports_the_n7_case_under_both_names(monkeypatch):
 
 
 def test_verify_suite_takes_no_newton_inverse(monkeypatch):
-    # every quotient is one exact division in q^n; the Newton route is kept
-    # only as a test reference (test_r_q5_matches_its_newton_inverse)
+    # the suite forms no quotient; the Newton route is kept only as a test
+    # reference (test_r_q5_matches_its_newton_inverse)
     calls = []
     real = LaurentSeries.inverse
 
@@ -299,11 +300,11 @@ def test_verify_suite_takes_no_newton_inverse(monkeypatch):
 
 
 def test_verify_suite_takes_no_division_and_no_product_past_T_over_5(monkeypatch):
-    # ramanathan multiplies each residue class through by its dens: no exact
-    # division, no inverse, and no exact product longer than the longest
-    # class, ceil(T/5) terms; the one longer product is dissection3's f1^3
-    # mod 2
-    T, divided, products = 300, [], []
+    # ramanathan multiplies each residue class through by its dens: no
+    # negative power (a theta quotient's den^-1), no inverse, and no exact
+    # product longer than the longest class, ceil(T/5) terms; the one longer
+    # product is dissection3's f1^3 mod 2
+    T, divided, powers, products = 300, [], [], []
 
     def spy(real, calls):
         def call(*args):
@@ -311,12 +312,11 @@ def test_verify_suite_takes_no_division_and_no_product_past_T_over_5(monkeypatch
             return real(*args)
         return call
 
-    monkeypatch.setattr(dissect, "_divide_exact", spy(dissect._divide_exact, divided))
-    monkeypatch.setattr(series, "_divide_exact", spy(series._divide_exact, divided))
+    monkeypatch.setattr(series, "_miller_power", spy(series._miller_power, powers))
     monkeypatch.setattr(LaurentSeries, "inverse", spy(LaurentSeries.inverse, divided))
     monkeypatch.setattr(series, "_conv", spy(series._conv, products))
     verify_suite(T)
-    assert divided == []
+    assert divided == [] and [e for _, e in powers if e < 0] == []
     assert max(n for _, _, n, k in products if k is None) <= -(-T // 5)
     assert {k for _, _, n, k in products if n > -(-T // 5)} == {1}
 
@@ -333,7 +333,8 @@ def test_ramanathan_equals_its_dense_form(n):
 def test_ramanathan_reports_a_wrong_numerator_as_its_dense_form(monkeypatch, n):
     # a numerator pair f(-Q^2k, -Q^(n-2k)) that gains a term Q^h turns the
     # identity false; both routes read the same wrong thetas (a pair that is
-    # also a den changes there too), so they must name one first mismatch
+    # also a den changes there too), so they must name one first mismatch.
+    # The dense route reads them through theta_power, in series
     real, T = dissect.theta_f, 600
     for k in range(1, (n - 1) // 2 + 1):
         for h in (1, 2, 5):
@@ -344,6 +345,7 @@ def test_ramanathan_reports_a_wrong_numerator_as_its_dense_form(monkeypatch, n):
                 return LaurentSeries(0, c, ring)
 
             monkeypatch.setattr(dissect, "theta_f", theta)
+            monkeypatch.setattr(series, "theta_f", theta)
             got = ramanathan(n, T)
             assert not got.matched
             assert got == dense_ramanathan(n, T)

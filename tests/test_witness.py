@@ -3,8 +3,10 @@ common-factor computation and the text format."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,7 +142,8 @@ def test_constant_term_certificate_verifies():
 # a file left open warns when collected).  ``run`` takes one check forked or
 # inline, whatever the machine's CPUs, and returns its report and record, or
 # its exception's type and message, then whether every child was reaped and
-# whether the open file descriptors are those it started with.
+# whether the open file descriptors are those it started with.  ``forks``
+# counts the forks, and ``jobs`` the base jobs run in this process.
 _PRELUDE = r"""
 import json, os, time
 from qcongruence import witness
@@ -148,6 +151,14 @@ from qcongruence.witness import builtin_certificate, verify_witness
 
 forks, real_fork = [], os.fork
 os.fork = lambda: forks.append(1) or real_fork()
+parent, jobs, real_job = os.getpid(), [], witness._base_streams
+
+def job(*args):
+    if os.getpid() == parent:
+        jobs.append(1)
+    return real_job(*args)
+
+witness._base_streams = job
 
 def run(c, T, forked):
     witness._can_fork = lambda: forked
@@ -169,13 +180,17 @@ needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/pro
                                 reason="the platform forks no child beside a check")
 
 
-def _in_a_fresh_process(script: str):
-    """What ``_PRELUDE + script`` prints as JSON, run in a new interpreter."""
+def _src_env() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _in_a_fresh_process(script: str):
+    """What ``_PRELUDE + script`` prints as JSON, run in a new interpreter."""
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _PRELUDE + script],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     return json.loads(proc.stdout)
 
@@ -195,9 +210,10 @@ def test_forked_and_inline_checks_agree():
         f"cases = {[(format_certificate(c), T) for c, T in cases]!r}\n"
         "runs = [[run(parse_certificate(text), T, forked) for forked in (True, False)]\n"
         "        for text, T in cases]\n"
-        "print(json.dumps([runs, len(forks)]))\n")
-    results, forks = runs
-    assert forks == len(cases)
+        "print(json.dumps([runs, len(forks), len(jobs)]))\n")
+    results, forks, jobs = runs
+    # one fork per forked check, and the job ran here only in the inline ones
+    assert forks == jobs == len(cases)
     reports = [verify_witness(c, T) for c, T in cases]
     for report, (forked, inline) in zip(reports, results):
         assert forked == inline == [repr(report), list(report.record()), True, True]
@@ -206,8 +222,8 @@ def test_forked_and_inline_checks_agree():
 
 @needs_fork
 def test_an_error_in_the_forked_job_is_raised_as_inline():
-    # the child's exception comes back with its type and message, and the
-    # child is reaped and the pipe closed after it, as after a return
+    # a child that raises returns no result, so the job runs again here and
+    # raises its own exception; the child is reaped and the pipe closed
     results = _in_a_fresh_process(
         "from qcongruence.series import InsufficientTruncation\n"
         "def refuse(base, p):\n"
@@ -237,12 +253,75 @@ def test_an_error_beside_the_forked_job_kills_and_reaps_it():
 
 
 @needs_fork
-def test_a_forked_job_that_ends_without_a_result_is_an_error():
+def test_an_error_in_the_forked_job_keeps_its_traceback():
+    # the exception raised is the one the job raised in this process, so its
+    # traceback holds the job's own frame
     results = _in_a_fresh_process(
-        "witness._base_streams = lambda c, n, T: os._exit(3)\n"
-        "print(json.dumps(run(builtin_certificate(), 40, True)))\n")
-    assert results == ["builtins.ChildProcessError",
-                       "the forked job ended with exit status 3 and no result", True, True]
+        "import traceback\n"
+        "from qcongruence.series import InsufficientTruncation\n"
+        "def refuse(base, p):\n"
+        "    raise InsufficientTruncation(f'no stream {p.m}n+{p.j}')\n"
+        "witness.extract = refuse\n"
+        "witness._can_fork = lambda: True\n"
+        "try:\n"
+        "    verify_witness(builtin_certificate(), 40)\n"
+        "except InsufficientTruncation as exc:\n"
+        "    frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]\n"
+        "print(json.dumps([frames[-1], len(forks)]))\n")
+    assert results == ["refuse", 1]
+
+
+@needs_fork
+def test_a_forked_job_that_ends_without_a_result_reruns_inline():
+    # the child exits 3 before it writes; the check still ends with the
+    # inline report, after one fork, with the child reaped and no fd leaked
+    want = verify_witness(builtin_certificate(), 40)
+    results = _in_a_fresh_process(
+        "witness._base_streams = lambda *args: (os._exit(3) if os.getpid() != parent\n"
+        "                                       else real_job(*args))\n"
+        "print(json.dumps([run(builtin_certificate(), 40, True), len(forks)]))\n")
+    assert results == [[repr(want), list(want.record()), True, True], 1]
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@needs_fork
+def test_a_killed_check_leaves_no_child_running():
+    # SIGKILL gives the CLI no chance to kill its child, so the child ends
+    # itself once the pipe has no reader.  It would compute for seconds at
+    # T = 12000; it must be gone within 1 s, and a survivor is killed here
+    me = os.getpid()
+    if (len(os.sched_getaffinity(0)) < 2
+            or not os.path.exists(f"/proc/{me}/task/{me}/children")):
+        pytest.skip("the CLI forks no child here, or /proc lists no children")
+    cli = subprocess.Popen([sys.executable, "-m", "qcongruence.cli", "verify", "witness",
+                            "--T", "12000"], env=_src_env(), stdout=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while child is None and cli.poll() is None and time.monotonic() < deadline:
+            with open(f"/proc/{cli.pid}/task/{cli.pid}/children") as f:
+                child = next(map(int, f.read().split()), None)
+            time.sleep(0.001)
+        assert child is not None, "the CLI forked no child"
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 1
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(child)
+    finally:
+        cli.kill()
+        cli.wait()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 @needs_fork
